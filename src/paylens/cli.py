@@ -166,32 +166,35 @@ def load_pipeline(path: str) -> FittedPipeline:
             container = json.load(fp)
     except json.JSONDecodeError as exc:
         raise CorruptError(f"unreadable pipeline file: {exc}") from exc
-    if container.get("magic") != PIPELINE_MAGIC:
+    if not isinstance(container, dict) or container.get("magic") != PIPELINE_MAGIC:
         raise VersionError("not a pipeline file (bad magic)")
     if container.get("version") != PIPELINE_VERSION:
         raise VersionError(
             f"unsupported pipeline version {container.get('version')!r}")
-    payload = container["payload"]
-    vocab_data = payload["vocab"]
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(vocab_data["terms"])},
-        document_frequency=dict(zip(vocab_data["terms"], vocab_data["df"])),
-        n_documents=vocab_data["n_documents"],
-        n_range=tuple(vocab_data["n_range"]),
-        min_df=vocab_data["min_df"],
-    )
-    scaler = None
-    if payload.get("scaler"):
-        scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
-                             std=np.asarray(payload["scaler"]["std"]))
-    return FittedPipeline(
-        config=PipelineConfig.from_dict(payload["config"]),
-        vocab=vocab,
-        scaler=scaler,
-        model=model_from_container(payload["model"]),
-        feature_names=payload["feature_names"],
-        class_names=tuple(payload["class_names"]),
-    )
+    try:
+        payload = container["payload"]
+        vocab_data = payload["vocab"]
+        vocab = Vocabulary(
+            index={t: i for i, t in enumerate(vocab_data["terms"])},
+            document_frequency=dict(zip(vocab_data["terms"], vocab_data["df"])),
+            n_documents=vocab_data["n_documents"],
+            n_range=tuple(vocab_data["n_range"]),
+            min_df=vocab_data["min_df"],
+        )
+        scaler = None
+        if payload.get("scaler"):
+            scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
+                                 std=np.asarray(payload["scaler"]["std"]))
+        return FittedPipeline(
+            config=PipelineConfig.from_dict(payload["config"]),
+            vocab=vocab,
+            scaler=scaler,
+            model=model_from_container(payload["model"]),
+            feature_names=payload["feature_names"],
+            class_names=tuple(payload["class_names"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptError(f"bad pipeline payload: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------- commands

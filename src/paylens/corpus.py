@@ -104,10 +104,12 @@ def parse_transaction(obj: dict) -> Transaction:
     comments = int(obj["comments_count"])
     if isinstance(obj["likes_count"], bool) or isinstance(obj["comments_count"], bool):
         raise ValueError("counts must be integers")
+    if not isinstance(obj["note"], str):
+        raise TypeError(f"note must be a string, got {type(obj['note']).__name__}")
     return Transaction(
         id=str(obj["id"]),
         created_at=_parse_timestamp(obj["date_created"]),
-        note=str(obj["note"]),
+        note=obj["note"],
         kind=obj["type"],
         actor_id=str(actor["id"]),
         actor_name=str(actor["name"]),

@@ -246,6 +246,12 @@ def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
 def load_checkpoint(path: str | os.PathLike) -> CrawlState:
     with open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
+    if not isinstance(payload, dict):
+        raise HarvestError(f"checkpoint corrupt: {path} is not a JSON object")
+    for key in ("seen", "pending", "completed"):
+        ids = payload.get(key)
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise HarvestError(f"checkpoint corrupt: {key!r} must be a list of ids")
     state = CrawlState(
         seen_transaction_ids=set(payload["seen"]),
         pending_user_ids=list(payload["pending"]),

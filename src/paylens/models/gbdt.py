@@ -1,13 +1,13 @@
 """Gradient boosted regression trees on the logistic loss.
 
 Each round fits a depth-limited regression tree to the gradient/curvature
-statistics of the logistic loss (g = p - y, h = p (1 - p)) using histogram
-split search, then adds it with learning rate eta. A halving line search on
-the tree's contribution guarantees the recorded training loss never
-increases from one round to the next; a tree that cannot help is kept with
-zero-scaled leaves so the ensemble always holds the configured number of
-rounds. No subsampling is used, so training is deterministic; the seed is
-recorded for config round-trips.
+statistics of the logistic loss (g = p - y, h = p (1 - p)), searching splits
+over each feature's own histogram bins one depth level at a time, and adds it
+with learning rate eta. A halving line search on the tree's contribution
+guarantees the recorded training loss never increases from one round to the
+next; a tree that cannot help is kept with zero-scaled leaves so the ensemble
+always holds the configured number of rounds. No subsampling is used, so
+training is deterministic; the seed is recorded for config round-trips.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import SingleClass
+from .common import bce_with_logits, check_binary_labels
 
 _LAMBDA = 1e-3       # ridge on leaf Newton steps
 _MAX_LEAF = 10.0     # cap on per-tree log-odds step
@@ -68,21 +68,6 @@ def _dense(X) -> np.ndarray:
     return np.asarray(X, dtype=np.float64)
 
 
-def _check_labels_01(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).ravel()
-    values = set(np.unique(y).tolist())
-    if not values <= {0.0, 1.0}:
-        raise ValueError(f"labels must be in {{0, 1}}, got {sorted(values)}")
-    if len(values) < 2:
-        raise SingleClass("training labels contain a single class")
-    return y
-
-
-def _bce(logits: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.maximum(logits, 0.0) - logits * y
-                         + np.log1p(np.exp(-np.abs(logits)))))
-
-
 def _bin_columns(Xd: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
     n, d = Xd.shape
     codes = np.zeros((n, d), dtype=np.int32)
@@ -97,60 +82,87 @@ def _bin_columns(Xd: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarr
         else:
             qs = np.quantile(col, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
             cuts = np.unique(qs)
-        if cuts.size:
-            codes[:, j] = np.searchsorted(cuts, col, side="right")
+        codes[:, j] = np.searchsorted(cuts, col, side="right")
         cuts_list.append(cuts)
     return codes, cuts_list
-
-
-def _histograms(codes: np.ndarray, g: np.ndarray, h: np.ndarray, n_bins: int):
-    m, d = codes.shape
-    offsets = (np.arange(d, dtype=np.int64) * n_bins)[None, :]
-    flat = (codes.astype(np.int64) + offsets).ravel()
-    size = d * n_bins
-    hg = np.bincount(flat, weights=np.repeat(g, d), minlength=size).reshape(d, n_bins)
-    hh = np.bincount(flat, weights=np.repeat(h, d), minlength=size).reshape(d, n_bins)
-    hc = np.bincount(flat, minlength=size).reshape(d, n_bins)
-    return hg, hh, hc
 
 
 def _leaf_value(gsum: float, hsum: float) -> float:
     return float(np.clip(-gsum / (hsum + _LAMBDA), -_MAX_LEAF, _MAX_LEAF))
 
 
-def _build_tree(codes: np.ndarray, cuts_list: list[np.ndarray],
-                g: np.ndarray, h: np.ndarray, idx: np.ndarray,
-                depth: int, max_depth: int, n_bins: int) -> dict:
-    gsum = float(g[idx].sum())
-    hsum = float(h[idx].sum())
-    if depth >= max_depth or idx.size < 2:
-        return {"value": _leaf_value(gsum, hsum)}
+def _bin_layout(codes: np.ndarray, cuts_list: list[np.ndarray]):
+    """Flat index over each feature's own k = len(cuts) + 1 bins, once per fit.
 
-    hg, hh, hc = _histograms(codes[idx], g[idx], h[idx], n_bins)
-    GL = np.cumsum(hg, axis=1)[:, :-1]
-    HL = np.cumsum(hh, axis=1)[:, :-1]
-    CL = np.cumsum(hc, axis=1)[:, :-1]
-    GR = gsum - GL
-    HR = hsum - HL
-    CR = idx.size - CL
-    gain = (GL ** 2 / (HL + _LAMBDA) + GR ** 2 / (HR + _LAMBDA)
-            - gsum ** 2 / (hsum + _LAMBDA))
+    Features are grouped by k padded to a power of two, in feature order within
+    a group. Returns the codes plus each column's offset, the groups as (start,
+    features, width), and the flat bins in (feature, bin) order with theirs.
+    """
+    widths = np.array([1 << cuts.size.bit_length() for cuts in cuts_list])
+    kept = np.argsort(widths, kind="stable")
+    widths = widths[kept]
+    starts = np.cumsum(widths) - widths
+    groups = [(starts[widths == w][0], sum(widths == w), w) for w in np.unique(widths)]
+    feature = np.repeat(kept, widths)
+    order = np.argsort(feature, kind="stable")
+    bins = np.arange(feature.size) - np.repeat(starts, widths)
+    flat = codes[:, kept].astype(np.int64) + starts
+    return flat, groups, order, feature[order], bins[order]
+
+
+def _best_splits(layout, g: np.ndarray, h: np.ndarray, level: list,
+                 sums: list) -> list:
+    """Best (feature, bin) for each (node, idx) of a level, or None for a leaf.
+
+    Each idx is ascending, so every histogram cell adds the same values in the
+    same order as a search over that node alone. A feature's last bin has no
+    rows on its right, so it is never a candidate. The largest gain wins, ties
+    going to the lowest (feature, bin).
+    """
+    flat, groups, order, feature, bins = layout
+    m, d, cells = len(level), flat.shape[1], len(level) * order.size
+    rows = np.concatenate([idx for _, idx in level])
+    count = np.array([idx.size for _, idx in level])
+    keys = (flat[rows] * m + np.repeat(np.arange(m), count)[:, None]).ravel()
+    hist = np.stack([np.bincount(keys, weights=np.repeat(g[rows], d), minlength=cells),
+                     np.bincount(keys, weights=np.repeat(h[rows], d), minlength=cells),
+                     np.bincount(keys, minlength=cells)]).reshape(3, -1, m)
+    for start, n_feats, w in groups:  # left-of-bin sums, one feature at a time
+        block = hist[:, start:start + n_feats * w].reshape(3, n_feats, w, m)
+        np.cumsum(block, axis=2, out=block)
+    GL, HL, CL = hist[:, order]
+    gsum, hsum = (np.array(s) for s in zip(*sums))
+    parent = np.array([gs ** 2 / (hs + _LAMBDA) for gs, hs in sums])
+    GR, HR, CR = gsum - GL, hsum - HL, count - CL
+    gain = GL ** 2 / (HL + _LAMBDA) + GR ** 2 / (HR + _LAMBDA) - parent
     gain = np.where((CL > 0) & (CR > 0), gain, -np.inf)
+    at = gain.argmax(axis=0)  # first maximum in (feature, bin) order
+    return [(int(feature[a]), int(bins[a])) if gain[a, k] > 1e-12 else None
+            for k, a in enumerate(at)]
 
-    best = int(np.argmax(gain))  # ties: lowest feature index, lowest bin
-    best_gain = gain.flat[best]
-    if not np.isfinite(best_gain) or best_gain <= 1e-12:
-        return {"value": _leaf_value(gsum, hsum)}
-    feature, b = divmod(best, n_bins - 1)
-    threshold = float(cuts_list[feature][b])
 
-    mask = codes[idx, feature] <= b
-    left = _build_tree(codes, cuts_list, g, h, idx[mask],
-                       depth + 1, max_depth, n_bins)
-    right = _build_tree(codes, cuts_list, g, h, idx[~mask],
-                        depth + 1, max_depth, n_bins)
-    return {"feature": int(feature), "threshold": threshold,
-            "left": left, "right": right}
+def _grow_tree(codes: np.ndarray, layout, cuts_list: list[np.ndarray], g: np.ndarray,
+               h: np.ndarray, max_depth: int) -> tuple[dict, list[dict]]:
+    """A regression tree grown one depth level at a time, and its leaves."""
+    root, leaves = {}, []
+    level, depth = [(root, np.arange(g.size))], 0
+    while level:
+        sums = [(float(g[idx].sum()), float(h[idx].sum())) for _, idx in level]
+        splits = (_best_splits(layout, g, h, level, sums) if depth < max_depth
+                  else [None] * len(level))
+        children = []
+        for (node, idx), (gsum, hsum), split in zip(level, sums, splits):
+            if split is None:
+                node["value"] = _leaf_value(gsum, hsum)
+                leaves.append(node)
+                continue
+            feature, b = split
+            mask = codes[idx, feature] <= b
+            node.update(feature=feature, threshold=float(cuts_list[feature][b]),
+                        left={}, right={})
+            children += [(node["left"], idx[mask]), (node["right"], idx[~mask])]
+        level, depth = children, depth + 1
+    return root, leaves
 
 
 def _tree_apply(node: dict, Xd: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
@@ -162,20 +174,12 @@ def _tree_apply(node: dict, Xd: np.ndarray, idx: np.ndarray, out: np.ndarray) ->
     _tree_apply(node["right"], Xd, idx[~mask], out)
 
 
-def _scale_leaves(node: dict, scale: float) -> None:
-    if "value" in node:
-        node["value"] *= scale
-        return
-    _scale_leaves(node["left"], scale)
-    _scale_leaves(node["right"], scale)
-
-
 def train_gbdt(X, y, config: GbdtConfig | None = None,
                feature_names: list[str] | None = None) -> GbdtModel:
     if config is None:
         config = GbdtConfig()
     Xd = _dense(X)
-    yv = _check_labels_01(y)
+    yv = check_binary_labels(y, (0, 1))
     n = Xd.shape[0]
     if n != yv.shape[0]:
         raise ValueError(f"{n} rows vs {yv.shape[0]} labels")
@@ -186,33 +190,32 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
     eta = config.learning_rate
 
     codes, cuts_list = _bin_columns(Xd, config.n_bins)
+    layout = _bin_layout(codes, cuts_list)
     all_idx = np.arange(n)
     trees: list[dict] = []
-    loss = _bce(F, yv)
+    loss = bce_with_logits(F, yv)
     loss_curve = [loss]
 
     for _ in range(config.rounds):
         p = 1.0 / (1.0 + np.exp(-np.clip(F, -500, 500)))
         g = p - yv
         h = p * (1.0 - p)
-        tree = _build_tree(codes, cuts_list, g, h, all_idx, 0,
-                           config.max_depth, config.n_bins)
+        tree, leaves = _grow_tree(codes, layout, cuts_list, g, h, config.max_depth)
         contrib = np.zeros(n)
         _tree_apply(tree, Xd, all_idx, contrib)
 
         scale = 1.0 if eta != 0.0 else 0.0
         while scale > 1e-8:
-            new_loss = _bce(F + eta * scale * contrib, yv)
+            new_loss = bce_with_logits(F + eta * scale * contrib, yv)
             if new_loss <= loss:
                 break
             scale *= 0.5
         else:
             scale = 0.0
-            new_loss = loss
-        if scale != 1.0:
-            _scale_leaves(tree, scale)
+        for leaf in leaves:
+            leaf["value"] *= scale
         F = F + eta * scale * contrib
-        loss = _bce(F, yv) if scale else loss
+        loss = bce_with_logits(F, yv) if scale else loss
         trees.append(tree)
         loss_curve.append(loss)
 

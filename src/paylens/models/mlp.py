@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import NonFiniteError, SingleClass
+from ..errors import NonFiniteError
+from .common import bce_with_logits, check_binary_labels
 
 
 @dataclass
@@ -64,16 +65,6 @@ def _dense_ok(X):
     return np.asarray(X, dtype=np.float64)
 
 
-def _check_labels_01(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).ravel()
-    values = set(np.unique(y).tolist())
-    if not values <= {0.0, 1.0}:
-        raise ValueError(f"labels must be in {{0, 1}}, got {sorted(values)}")
-    if len(values) < 2:
-        raise SingleClass("training labels contain a single class")
-    return y
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -93,8 +84,7 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     pre = X @ W1 + b1
     hidden = np.maximum(pre, 0.0)
     z = (hidden @ W2).ravel() + b2[0]
-    # stable BCE with logits: max(z,0) - z*y + log(1 + exp(-|z|))
-    loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+    loss = bce_with_logits(z, y)
     dz = (_sigmoid(z) - y)[:, None] / n
     dW2 = hidden.T @ dz
     db2 = dz.sum(axis=0)
@@ -115,7 +105,7 @@ def train_mlp(X, y, config: MlpConfig | None = None,
     if config is None:
         config = MlpConfig()
     Xv = _dense_ok(X)
-    yv = _check_labels_01(y)
+    yv = check_binary_labels(y, (0, 1))
     n, d = Xv.shape
     if n != yv.shape[0]:
         raise ValueError(f"{n} rows vs {yv.shape[0]} labels")

@@ -12,18 +12,14 @@ import os
 from typing import Union
 
 from ..errors import CorruptError, VersionError
+from .gbdt import GbdtModel
+from .mlp import MlpModel
+from .svm import LinearSvmModel
 
 MAGIC = "paylens-model"
 FORMAT_VERSION = 1
 
-_KINDS = {}
-
-
-def _register():
-    from .gbdt import GbdtModel
-    from .mlp import MlpModel
-    from .svm import LinearSvmModel
-    _KINDS.update({"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel})
+_KINDS = {"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel}
 
 
 def model_to_container(model) -> dict:
@@ -37,8 +33,6 @@ def model_from_container(container: dict):
     if container.get("version") != FORMAT_VERSION:
         raise VersionError(
             f"unsupported model format version {container.get('version')!r}")
-    if not _KINDS:
-        _register()
     kind = container.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import NonFiniteError, SingleClass
+from ..errors import NonFiniteError
+from .common import check_binary_labels
 
 
 def _cd_epoch(indptr, indices, data, y, qd, alpha, w, C, order):
@@ -96,22 +97,12 @@ def _as_csr(X) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(X, dtype=np.float64))
 
 
-def _check_labels_pm1(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).ravel()
-    values = set(np.unique(y).tolist())
-    if not values <= {-1.0, 1.0}:
-        raise ValueError(f"labels must be in {{-1, +1}}, got {sorted(values)}")
-    if len(values) < 2:
-        raise SingleClass("training labels contain a single class")
-    return y
-
-
 def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
                      max_epochs: int = 1000,
                      feature_names: list[str] | None = None) -> LinearSvmModel:
     """Fit the hinge-loss linear model to the stated relative duality gap."""
     Xc = _as_csr(X)
-    yv = _check_labels_pm1(y)
+    yv = check_binary_labels(y, (-1, 1))
     if Xc.shape[0] != yv.shape[0]:
         raise ValueError(f"{Xc.shape[0]} rows vs {yv.shape[0]} labels")
     if not np.isfinite(Xc.data).all():

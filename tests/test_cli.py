@@ -154,6 +154,18 @@ class TestTrainAndReport:
         assert code == 1
         assert "linear SVM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("container", [
+        {"magic": "paylens-pipeline", "version": 1},
+        {"magic": "paylens-pipeline", "version": 1, "payload": []},
+        {"magic": "paylens-pipeline", "version": 1, "payload": {"config": {}}},
+        {"magic": "paylens-pipeline", "version": 1, "payload": {"vocab": 3}},
+    ])
+    def test_report_rejects_bad_payload(self, tmp_path, capsys, container):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(container))
+        assert main(["report-coefficients", "--model", str(model)]) == 1
+        assert "bad pipeline payload" in capsys.readouterr().err
+
 
 def _gbdt_config(tmp_path):
     path = tmp_path / "config.json"
@@ -263,6 +275,25 @@ class TestHarvestCommands:
             with open(out) as fp:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
+
+    @pytest.mark.parametrize("checkpoint", [
+        {"seen": [], "completed": []},
+        {"seen": [], "completed": [], "pending": None},
+        {"seen": "t1", "completed": [], "pending": []},
+        {"seen": [["t1"]], "completed": [], "pending": []},
+        ["not", "an", "object"],
+    ])
+    def test_users_rejects_bad_checkpoint(self, tmp_path, capsys, checkpoint):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("u1\n")
+        cp = tmp_path / "cp.json"
+        cp.write_text(json.dumps(checkpoint))
+        # the checkpoint is read before any request, so nothing listens here
+        code = main(["harvest", "users", "--endpoint", "http://127.0.0.1:9",
+                     "--ids", str(ids_file), "--checkpoint", str(cp),
+                     "--out", str(tmp_path / "crawl.jsonl")])
+        assert code == 1
+        assert "checkpoint corrupt" in capsys.readouterr().err
 
 
 class TestServeMock:

@@ -59,6 +59,17 @@ class TestLoadTransactions:
         assert result.transactions == []
         assert result.skipped == 3
 
+    @pytest.mark.parametrize("note", [None, 7, ["hi"]])
+    def test_non_string_note_is_malformed(self, note):
+        obj = json.loads(txn_json("t1"))
+        obj["note"] = note
+        lines = [json.dumps(obj), txn_json("t2", note="ok")]
+        result = load_transactions(iter(lines))
+        assert [t.id for t in result.transactions] == ["t2"]
+        assert result.skipped == 1
+        with pytest.raises(ParseError, match="line 1: note must be a string"):
+            load_transactions(iter(lines), strict=True)
+
     def test_unknown_fields_ignored(self):
         obj = json.loads(txn_json("t1"))
         obj["brand_new_field"] = {"nested": True}

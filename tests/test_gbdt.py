@@ -1,11 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from paylens.corpus import group_by_user
 from paylens.errors import SingleClass
-from paylens.models import GbdtConfig, gbdt_predict, gbdt_raw, train_gbdt
+from paylens.labels import build_labeled_dataset
+from paylens.models import GbdtConfig, gbdt, gbdt_predict, gbdt_raw, train_gbdt
 from paylens.models.gbdt import gbdt_proba
 from paylens.models.serialize import model_to_container
+from paylens.pipeline import build_dataset
+from paylens.synth import SynthSpec, generate_synthetic_corpus
+from paylens.vectorizer import count_transform, fit_vocabulary, tfidf_transform
+
+from oracles import gbdt_build_tree
 
 
 def noisy_data(n=120, d=6, seed=0):
@@ -90,3 +99,87 @@ class TestTrainGbdt:
         model = train_gbdt(X, y, GbdtConfig(rounds=1, learning_rate=0.0))
         expected = np.log(0.2 / 0.8)
         assert model.init_log_odds == pytest.approx(expected)
+
+
+def _leaves(node):
+    if "value" in node:
+        return [node]
+    return _leaves(node["left"]) + _leaves(node["right"])
+
+
+def reference_gbdt(monkeypatch, X, y, config):
+    """train_gbdt with the split search swapped for the per-node oracle."""
+    def grow(codes, layout, cuts_list, g, h, max_depth):
+        tree = gbdt_build_tree(codes, cuts_list, g, h, np.arange(g.size), 0,
+                               max_depth, config.n_bins)
+        return tree, _leaves(tree)
+
+    with monkeypatch.context() as m:
+        m.setattr(gbdt, "_grow_tree", grow)
+        return train_gbdt(X, y, config)
+
+
+def tfidf_data():
+    spec = SynthSpec(n_users_per_class=40, posts_per_user=(6, 6),
+                     p_signal=0.5, p_noise=0.1, seed=4)
+    result = generate_synthetic_corpus(spec)
+    corpus = group_by_user(result.transactions)
+    dataset = build_dataset(corpus, build_labeled_dataset(
+        corpus, "politics", political_labels=dict(result.labels)))
+    vocab = fit_vocabulary(dataset.posts, (1, 2), min_df=2)
+    return tfidf_transform(count_transform(dataset.posts, vocab), vocab), dataset.labels01
+
+
+def quantile_data():
+    rng = np.random.default_rng(2)
+    X = np.column_stack([rng.standard_normal(150), rng.integers(0, 3, 150)])
+    assert np.unique(X[:, 0]).size > 64  # cut at quantiles, not midpoints
+    return X, (X[:, 0] + 0.5 * X[:, 1] + rng.standard_normal(150) > 0.5).astype(int)
+
+
+def constant_and_negative_data():
+    rng = np.random.default_rng(3)
+    raw = np.column_stack([np.full(60, 4.0), rng.poisson(2.0, 60),
+                           np.zeros(60), rng.standard_normal(60)])
+    std = raw.std(axis=0)
+    X = (raw - raw.mean(axis=0)) / np.where(std > 0, std, 1.0)  # z-scored
+    return X, (X[:, 1] - X[:, 3] + rng.standard_normal(60) > 0).astype(int)
+
+
+def duplicated_data():
+    X, y = noisy_data(80, d=3, seed=5)
+    return np.column_stack([X[:, 1], X[:, 0], X[:, 0], X[:, 2]]), y
+
+
+@pytest.mark.parametrize("make", [noisy_data, tfidf_data, quantile_data,
+                                  constant_and_negative_data, duplicated_data])
+def test_trees_match_per_node_oracle(monkeypatch, make):
+    X, y = make()
+    for config in (GbdtConfig(rounds=25, max_depth=3),
+                   GbdtConfig(rounds=8, max_depth=5, n_bins=10)):
+        got = json.dumps(model_to_container(train_gbdt(X, y, config)))
+        want = json.dumps(model_to_container(reference_gbdt(monkeypatch, X, y, config)))
+        assert got == want
+        assert '"feature"' in got  # the trees do split
+
+
+def test_duplicate_columns_split_on_lower_index():
+    X, y = duplicated_data()
+    model = train_gbdt(X, y, GbdtConfig(rounds=10, max_depth=3))
+
+    def features(node):
+        if "value" in node:
+            return set()
+        return {node["feature"]} | features(node["left"]) | features(node["right"])
+
+    used = set().union(*map(features, model.trees))
+    assert 1 in used and 2 not in used
+
+
+def test_all_constant_columns_give_single_leaves(monkeypatch):
+    X, y = np.ones((10, 3)), np.array([0, 1] * 5)
+    config = GbdtConfig(rounds=3)
+    model = train_gbdt(X, y, config)
+    assert all("value" in tree for tree in model.trees)
+    want = reference_gbdt(monkeypatch, X, y, config)
+    assert model_to_container(model) == model_to_container(want)
