@@ -22,21 +22,16 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import labels as labels_mod
-from .errors import CorruptError, PaylensError, VersionError
+from .errors import PaylensError
 from .evaluation import GridSpec, balance_classes, grid_search, stratified_kfold
 from .features import engineered_feature_names
 from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
 from .models import top_coefficients
-from .models.serialize import model_from_container, model_to_container
-from .pipeline import (FittedPipeline, PipelineConfig, build_dataset,
-                       fit_pipeline)
+from .pipeline import (PipelineConfig, build_dataset, fit_pipeline,
+                       load_pipeline, save_pipeline)
 from .synth import SynthSpec, generate_synthetic_corpus
 from .tokenizer import tokenize_post
-from .vectorizer import ScalerStats, Vocabulary
-
-PIPELINE_MAGIC = "paylens-pipeline"
-PIPELINE_VERSION = 1
 
 
 def _resolve_path(path: str) -> str:
@@ -128,73 +123,6 @@ def _labeled_users(grouped: corpus_mod.Corpus, args, cfg: dict):
         labeled = balance_classes(labeled, seed=int(_pick(
             getattr(args, "seed", None), cfg, "seed", 0)))
     return labeled
-
-
-def save_pipeline(fitted: FittedPipeline, path: str) -> None:
-    container = {
-        "magic": PIPELINE_MAGIC,
-        "version": PIPELINE_VERSION,
-        "kind": "pipeline",
-        "payload": {
-            "config": fitted.config.to_dict(),
-            "vocab": {
-                "terms": fitted.vocab.terms,
-                "df": [fitted.vocab.document_frequency[t]
-                       for t in fitted.vocab.terms],
-                "n_documents": fitted.vocab.n_documents,
-                "n_range": list(fitted.vocab.n_range),
-                "min_df": fitted.vocab.min_df,
-            },
-            "scaler": None if fitted.scaler is None else {
-                "mean": fitted.scaler.mean.tolist(),
-                "std": fitted.scaler.std.tolist(),
-            },
-            "model": model_to_container(fitted.model),
-            "feature_names": fitted.feature_names,
-            "class_names": list(fitted.class_names),
-        },
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(container, fp)
-    os.replace(tmp, path)
-
-
-def load_pipeline(path: str) -> FittedPipeline:
-    try:
-        with open(_resolve_path(path), encoding="utf-8") as fp:
-            container = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise CorruptError(f"unreadable pipeline file: {exc}") from exc
-    if not isinstance(container, dict) or container.get("magic") != PIPELINE_MAGIC:
-        raise VersionError("not a pipeline file (bad magic)")
-    if container.get("version") != PIPELINE_VERSION:
-        raise VersionError(
-            f"unsupported pipeline version {container.get('version')!r}")
-    try:
-        payload = container["payload"]
-        vocab_data = payload["vocab"]
-        vocab = Vocabulary(
-            index={t: i for i, t in enumerate(vocab_data["terms"])},
-            document_frequency=dict(zip(vocab_data["terms"], vocab_data["df"])),
-            n_documents=vocab_data["n_documents"],
-            n_range=tuple(vocab_data["n_range"]),
-            min_df=vocab_data["min_df"],
-        )
-        scaler = None
-        if payload.get("scaler"):
-            scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
-                                 std=np.asarray(payload["scaler"]["std"]))
-        return FittedPipeline(
-            config=PipelineConfig.from_dict(payload["config"]),
-            vocab=vocab,
-            scaler=scaler,
-            model=model_from_container(payload["model"]),
-            feature_names=payload["feature_names"],
-            class_names=tuple(payload["class_names"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptError(f"bad pipeline payload: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -303,8 +231,7 @@ def cmd_evaluate(args) -> int:
         grid = GridSpec()
     plan = stratified_kfold(dataset.labels01.tolist(), k=args.folds,
                             seed=config.seed)
-    report = grid_search(grid, plan, dataset, base=config,
-                         workers=args.workers)
+    report = grid_search(grid, plan, dataset, base=config)
     with _open_out(args.report) as fp:
         json.dump(report.to_dict(), fp, indent=2)
         fp.write("\n")
@@ -318,7 +245,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report_coefficients(args) -> int:
-    fitted = load_pipeline(args.model)
+    fitted = load_pipeline(_resolve_path(args.model))
     model = fitted.model
     if model.kind != "svm":
         raise PaylensError(
@@ -482,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--report", required=True)
     p.add_argument("--model-out", help="save the refit best pipeline here")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; evaluation runs serially")
     _add_common_label_args(p)
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_evaluate)

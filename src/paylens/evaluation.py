@@ -10,7 +10,6 @@ broken by expansion order, and refits the winner on all rows.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -214,22 +213,14 @@ class EvalReport:
 
 
 def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
-                base: PipelineConfig | None = None,
-                workers: int = 1) -> EvalReport:
+                base: PipelineConfig | None = None) -> EvalReport:
     """Cross-validate every grid point, refit the best config on all rows."""
     if base is None:
         base = PipelineConfig()
     configs = grid.expand(base)
     if not configs:
         raise ValueError("empty grid")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda cfg: cross_validate(dataset, plan, cfg), configs))
-    else:
-        results = [cross_validate(dataset, plan, cfg) for cfg in configs]
-
+    results = [cross_validate(dataset, plan, cfg) for cfg in configs]
     means = [r.mean_accuracy for r in results]
     best_index = int(np.argmax(means))  # first best wins ties
     all_rows = np.arange(len(dataset))

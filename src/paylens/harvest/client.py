@@ -31,7 +31,7 @@ USER_ID_PATTERN = re.compile(r'"user_id"\s*:\s*"([^"]+)"')
 
 
 class TokenBucket:
-    """Blocking token bucket; rate 0 disables limiting."""
+    """Thread-safe token bucket of at least one token; rate 0 disables limiting."""
 
     def __init__(self, rate: float, capacity: float = 1.0):
         self.rate = rate
@@ -40,19 +40,22 @@ class TokenBucket:
         self.stamp = time.monotonic()
         self.lock = threading.Lock()
 
-    def acquire(self) -> None:
+    def try_acquire(self) -> float:
+        """0.0 when a token was taken, else seconds until one is available."""
         if self.rate <= 0:
-            return
-        while True:
-            with self.lock:
-                now = time.monotonic()
-                self.tokens = min(self.capacity,
-                                  self.tokens + (now - self.stamp) * self.rate)
-                self.stamp = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
+            return 0.0
+        with self.lock:
+            now = time.monotonic()
+            self.tokens = min(self.capacity,
+                              self.tokens + (now - self.stamp) * self.rate)
+            self.stamp = now
+            if self.tokens >= 1.0:
+                self.tokens -= 1.0
+                return 0.0
+            return (1.0 - self.tokens) / self.rate
+
+    def acquire(self) -> None:
+        while (wait := self.try_acquire()) > 0:
             time.sleep(wait)
 
 

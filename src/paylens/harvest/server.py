@@ -27,6 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..corpus import Corpus, transaction_to_obj
+from .client import TokenBucket
 
 PROFILE_TEMPLATE = """<!doctype html>
 <html><head><title>{username}</title></head>
@@ -43,31 +44,9 @@ class MockServerConfig:
     page_size: int = 20
     refresh_interval: float = 0.0  # seconds; 0 advances the feed per request
     rate_limit: float = 0.0        # requests/sec; 0 disables limiting
-    burst: int | None = None       # bucket capacity; defaults to ~1s of tokens
+    burst: int | None = None       # capacity, min 1; default ~1s of tokens
     usernames: dict[str, str] = field(default_factory=dict)
     extra_user_ids: tuple[str, ...] = ()  # known users with empty timelines
-
-
-class _ServerBucket:
-    def __init__(self, rate: float, capacity: int):
-        self.rate = rate
-        self.capacity = float(capacity)
-        self.tokens = float(capacity)
-        self.stamp = time.monotonic()
-        self.lock = threading.Lock()
-
-    def try_acquire(self) -> float:
-        """0.0 when a token was taken, else seconds until one is available."""
-        if self.rate <= 0:
-            return 0.0
-        with self.lock:
-            now = time.monotonic()
-            self.tokens = min(self.capacity, self.tokens + (now - self.stamp) * self.rate)
-            self.stamp = now
-            if self.tokens >= 1.0:
-                self.tokens -= 1.0
-                return 0.0
-            return (1.0 - self.tokens) / self.rate
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -138,7 +117,7 @@ class MockServer:
     def __init__(self, corpus: Corpus, config: MockServerConfig, port: int = 0):
         self.config = config
         burst = config.burst if config.burst is not None else max(1, int(config.rate_limit))
-        self.bucket = _ServerBucket(config.rate_limit, burst)
+        self.bucket = TokenBucket(config.rate_limit, burst)
         self.request_count = 0
         self.rate_limited_count = 0
         self.count_lock = threading.Lock()

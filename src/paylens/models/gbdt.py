@@ -215,7 +215,8 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
         for leaf in leaves:
             leaf["value"] *= scale
         F = F + eta * scale * contrib
-        loss = bce_with_logits(F, yv) if scale else loss
+        if scale:
+            loss = new_loss  # the loss of this same F
         trees.append(tree)
         loss_curve.append(loss)
 

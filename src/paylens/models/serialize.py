@@ -1,8 +1,9 @@
-"""Versioned on-disk model container.
+"""Versioned on-disk containers for models and pipelines.
 
-A model file is JSON: {"magic": ..., "version": ..., "kind": ..., "payload":
-...}. Floats survive the JSON round trip exactly (shortest-repr encoding),
-so a loaded model predicts bit-identically.
+A container file is JSON: {"magic": ..., "version": ..., "kind": ...,
+"payload": ...}. Floats survive the JSON round trip exactly (shortest-repr
+encoding), so a loaded model predicts bit-identically. Pipelines
+(`paylens.pipeline`) use the same header check, read and atomic write.
 """
 
 from __future__ import annotations
@@ -21,6 +22,34 @@ FORMAT_VERSION = 1
 
 _KINDS = {"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel}
 
+PathLike = Union[str, os.PathLike]
+
+
+def check_header(container, magic: str, version: int, what: str) -> None:
+    """Raise VersionError unless the container carries this magic and version."""
+    if not isinstance(container, dict) or container.get("magic") != magic:
+        raise VersionError(f"not a {what} file (bad magic)")
+    if container.get("version") != version:
+        raise VersionError(
+            f"unsupported {what} version {container.get('version')!r}")
+
+
+def read_container(path: PathLike, what: str):
+    """Parsed JSON of a container file; a decode error is a CorruptError."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise CorruptError(f"unreadable {what} file: {exc}") from exc
+
+
+def write_container(container: dict, path: PathLike) -> None:
+    """Atomic write: temp file then rename."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fp:
+        json.dump(container, fp)
+    os.replace(tmp, path)
+
 
 def model_to_container(model) -> dict:
     return {"magic": MAGIC, "version": FORMAT_VERSION, "kind": model.kind,
@@ -28,11 +57,7 @@ def model_to_container(model) -> dict:
 
 
 def model_from_container(container: dict):
-    if not isinstance(container, dict) or container.get("magic") != MAGIC:
-        raise VersionError("not a model file (bad magic)")
-    if container.get("version") != FORMAT_VERSION:
-        raise VersionError(
-            f"unsupported model format version {container.get('version')!r}")
+    check_header(container, MAGIC, FORMAT_VERSION, "model")
     kind = container.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:
@@ -43,17 +68,9 @@ def model_from_container(container: dict):
         raise CorruptError(f"bad payload for kind {kind!r}: {exc}") from exc
 
 
-def save_model(model, path: Union[str, os.PathLike]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(model_to_container(model), fp)
-    os.replace(tmp, path)
+def save_model(model, path: PathLike) -> None:
+    write_container(model_to_container(model), path)
 
 
-def load_model(path: Union[str, os.PathLike]):
-    try:
-        with open(path, encoding="utf-8") as fp:
-            container = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise CorruptError(f"unreadable model file: {exc}") from exc
-    return model_from_container(container)
+def load_model(path: PathLike):
+    return model_from_container(read_container(path, "model"))

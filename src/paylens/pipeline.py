@@ -4,25 +4,35 @@ A UserDataset holds the tokenized posts, raw engineered feature rows and
 binary labels for the users a task kept. A FittedPipeline owns every piece
 of fitted state (vocabulary, scaler, classifier); fitting only ever sees
 training rows, so held-out rows cannot leak into the vocabulary or scaler.
+save_pipeline and load_pipeline store a FittedPipeline in the container
+format of `paylens.models.serialize`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
+from .errors import CorruptError
 from .features import (aggregate_user_features, detect_content_features,
                        engineered_feature_names)
 from .labels import CLASS_B, CLASS_NAMES, LabeledUser
 from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
                      svm_predict, train_gbdt, train_linear_svm, train_mlp)
+from .models.serialize import (check_header, model_from_container,
+                               model_to_container, read_container,
+                               write_container)
 from .tokenizer import TokenizedPost, tokenize_post
 from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
-                         count_transform, fit_vocabulary, tfidf_transform)
+                         count_transform, fit_vocabulary, l2_normalize_rows,
+                         tfidf_transform)
+
+PIPELINE_MAGIC = "paylens-pipeline"
+PIPELINE_VERSION = 1
 
 VECTORIZERS = ("count", "tfidf")
 CLASSIFIERS = ("svm", "mlp", "gbdt")
@@ -68,9 +78,6 @@ class PipelineConfig:
             if key in kwargs and isinstance(kwargs[key], dict):
                 kwargs[key] = tuple(sorted(kwargs[key].items()))
         return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass
@@ -123,19 +130,13 @@ class FittedPipeline:
     class_names: tuple[str, str]
 
 
-def _l2_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return sp.csr_matrix(sp.diags(inv) @ matrix)
-
-
 def _text_matrix(posts: Sequence[Sequence[TokenizedPost]], vocab: Vocabulary,
                  config: PipelineConfig) -> sp.csr_matrix:
     counts = count_transform(posts, vocab)
     if config.vectorizer == "tfidf":
         return tfidf_transform(counts, vocab)
     if config.normalize_counts:
-        return _l2_rows(counts)
+        return l2_normalize_rows(counts)
     return counts
 
 
@@ -147,8 +148,7 @@ def _features_for(dataset: UserDataset, idx: np.ndarray, vocab: Vocabulary,
     if not config.use_engineered:
         return text, scaler
     rows = dataset.engineered[idx]
-    return assemble_feature_matrix(text, rows, scaler,
-                                   include_actor_pct=config.include_actor_pct)
+    return assemble_feature_matrix(text, rows, scaler)
 
 
 def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
@@ -201,3 +201,59 @@ def pipeline_predict(fitted: FittedPipeline, X) -> np.ndarray:
     if kind == "mlp":
         return mlp_predict(fitted.model, X)
     return gbdt_predict(fitted.model, X)
+
+
+def save_pipeline(fitted: FittedPipeline, path: str) -> None:
+    vocab = fitted.vocab
+    write_container({
+        "magic": PIPELINE_MAGIC,
+        "version": PIPELINE_VERSION,
+        "kind": "pipeline",
+        "payload": {
+            "config": fitted.config.to_dict(),
+            "vocab": {
+                "terms": vocab.terms,
+                "df": [vocab.document_frequency[t] for t in vocab.terms],
+                "n_documents": vocab.n_documents,
+                "n_range": list(vocab.n_range),
+                "min_df": vocab.min_df,
+            },
+            "scaler": None if fitted.scaler is None else {
+                "mean": fitted.scaler.mean.tolist(),
+                "std": fitted.scaler.std.tolist(),
+            },
+            "model": model_to_container(fitted.model),
+            "feature_names": fitted.feature_names,
+            "class_names": list(fitted.class_names),
+        },
+    }, path)
+
+
+def load_pipeline(path: str) -> FittedPipeline:
+    container = read_container(path, "pipeline")
+    check_header(container, PIPELINE_MAGIC, PIPELINE_VERSION, "pipeline")
+    try:
+        payload = container["payload"]
+        vocab_data = payload["vocab"]
+        terms = vocab_data["terms"]
+        vocab = Vocabulary(
+            index={t: i for i, t in enumerate(terms)},
+            document_frequency=dict(zip(terms, vocab_data["df"])),
+            n_documents=vocab_data["n_documents"],
+            n_range=tuple(vocab_data["n_range"]),
+            min_df=vocab_data["min_df"],
+        )
+        scaler = None
+        if payload.get("scaler"):
+            scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
+                                 std=np.asarray(payload["scaler"]["std"]))
+        return FittedPipeline(
+            config=PipelineConfig.from_dict(payload["config"]),
+            vocab=vocab,
+            scaler=scaler,
+            model=model_from_container(payload["model"]),
+            feature_names=payload["feature_names"],
+            class_names=tuple(payload["class_names"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptError(f"bad pipeline payload: {exc!r}") from exc

@@ -9,15 +9,13 @@ appended after the text columns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyCorpus
-from .features import EngineeredFeatures
 from .tokenizer import TokenizedPost, user_ngrams
 
 
@@ -116,20 +114,22 @@ def tfidf_transform(counts: sp.csr_matrix, vocab: Vocabulary) -> sp.csr_matrix:
     if counts.shape[1] != len(vocab):
         raise DimensionMismatch(
             f"matrix has {counts.shape[1]} columns, vocabulary has {len(vocab)}")
-    weighted = counts.multiply(vocab.idf()[np.newaxis, :]).tocsr()
-    norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1))).ravel()
+    return l2_normalize_rows(counts.multiply(vocab.idf()[np.newaxis, :]).tocsr())
+
+
+def l2_normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """Scale each row to unit L2 norm; zero rows stay zero."""
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    out = sp.diags(inv) @ weighted
-    out = sp.csr_matrix(out)
+    out = sp.csr_matrix(sp.diags(inv) @ matrix)
     out.eliminate_zeros()
     return out
 
 
 def assemble_feature_matrix(
     text_matrix: sp.csr_matrix,
-    engineered: Union[Sequence[EngineeredFeatures], np.ndarray],
+    rows: np.ndarray,
     scaler: ScalerStats | None = None,
-    include_actor_pct: bool = False,
 ) -> tuple[sp.csr_matrix, ScalerStats | None]:
     """Append z-scored engineered columns after the text columns.
 
@@ -137,11 +137,6 @@ def assemble_feature_matrix(
     pass a fitted ScalerStats to transform held-out rows without leakage.
     Returns the combined matrix and the stats used.
     """
-    if isinstance(engineered, np.ndarray):
-        rows = engineered
-    else:
-        rows = (np.stack([e.to_vector(include_actor_pct) for e in engineered])
-                if len(engineered) else np.zeros((0, 0)))
     if rows.size == 0:
         return text_matrix, scaler
     if rows.shape[0] != text_matrix.shape[0]:
@@ -155,49 +150,3 @@ def assemble_feature_matrix(
     combined = sp.hstack([text_matrix, sp.csr_matrix(scaled)], format="csr")
     combined.eliminate_zeros()
     return combined, scaler
-
-
-def save_vocabulary(vocab: Vocabulary, fp: IO) -> None:
-    """TSV: term, column index, document frequency."""
-    for term, i in sorted(vocab.index.items(), key=lambda kv: kv[1]):
-        fp.write(f"{term}\t{i}\t{vocab.document_frequency[term]}\n")
-
-
-def load_vocabulary(fp: IO, n_range: tuple[int, int], min_df: int,
-                    n_documents: int) -> Vocabulary:
-    index: dict[str, int] = {}
-    df: dict[str, int] = {}
-    for line in fp:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        term, idx, freq = line.split("\t")
-        index[term] = int(idx)
-        df[term] = int(freq)
-    return Vocabulary(index=index, document_frequency=df,
-                      n_documents=n_documents, n_range=n_range, min_df=min_df)
-
-
-def save_matrix(matrix: sp.csr_matrix, fp: IO, sidecar: IO | None = None) -> None:
-    """Coordinate-format text (row col value), one entry per line."""
-    coo = matrix.tocoo()
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        fp.write(f"{r} {c} {float(v)!r}\n")
-    if sidecar is not None:
-        json.dump({"n_rows": int(matrix.shape[0]), "n_cols": int(matrix.shape[1]),
-                   "nnz": int(matrix.nnz), "format": "coo-text"}, sidecar)
-
-
-def load_matrix(fp: IO, shape: tuple[int, int]) -> sp.csr_matrix:
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64)

@@ -154,17 +154,46 @@ class TestTrainAndReport:
         assert code == 1
         assert "linear SVM" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("container", [
-        {"magic": "paylens-pipeline", "version": 1},
-        {"magic": "paylens-pipeline", "version": 1, "payload": []},
-        {"magic": "paylens-pipeline", "version": 1, "payload": {"config": {}}},
-        {"magic": "paylens-pipeline", "version": 1, "payload": {"vocab": 3}},
-    ])
-    def test_report_rejects_bad_payload(self, tmp_path, capsys, container):
+    def test_relative_paths_resolve_under_data_dir(self, synth_files,
+                                                   tmp_path, monkeypatch):
+        corpus, labels = synth_files
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        monkeypatch.setenv("PAYLENS_DATA_DIR", str(data_dir))
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--out", "model.json",
+                     "--min-posts", "8"]) == 0
+        assert (data_dir / "model.json").exists()
+        assert not (tmp_path / "model.json").exists()
+        assert main(["report-coefficients", "--model", "model.json",
+                     "-k", "3", "--out", "coeffs.csv"]) == 0
+        assert len((data_dir / "coeffs.csv").read_text().splitlines()) == 7
+
+    @pytest.mark.parametrize("container,message", [
+        ({"magic": "paylens-pipeline", "version": 1}, "bad pipeline payload"),
+        ({"magic": "paylens-pipeline", "version": 1, "payload": []},
+         "bad pipeline payload"),
+        ({"magic": "paylens-pipeline", "version": 1, "payload": {"config": {}}},
+         "bad pipeline payload"),
+        ({"magic": "paylens-pipeline", "version": 1, "payload": {"vocab": 3}},
+         "bad pipeline payload"),
+        ({"magic": "paylens-model", "version": 1, "payload": {}},
+         "not a pipeline file (bad magic)"),
+        ({"magic": "paylens-pipeline", "version": 99, "payload": {}},
+         "unsupported pipeline version 99"),
+        ('{"magic": "paylens-pipeline", "version": 1, "payl',
+         "unreadable pipeline file"),
+        (["paylens-pipeline", 1], "not a pipeline file (bad magic)"),
+    ], ids=[f"container{i}" for i in range(8)])
+    def test_report_rejects_bad_payload(self, tmp_path, capsys, container,
+                                        message):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(container))
+        model.write_text(container if isinstance(container, str)
+                         else json.dumps(container))
         assert main(["report-coefficients", "--model", str(model)]) == 1
-        assert "bad pipeline payload" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: ") and message in err
 
 
 def _gbdt_config(tmp_path):
@@ -187,7 +216,7 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--task", "politics", "--in", str(corpus),
                      "--labels-file", str(labels), "--grid", str(grid),
                      "--folds", "3", "--seed", "0", "--report", str(report),
-                     "--min-posts", "8"])
+                     "--min-posts", "8", "--workers", "2"])
         assert code == 0
         data = json.loads(report.read_text())
         assert data["folds"] == 3

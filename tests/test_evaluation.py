@@ -243,16 +243,6 @@ class TestGridSearch:
         two = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1, seed=4))
         assert one.to_dict() == two.to_dict()
 
-    def test_workers_match_serial(self):
-        ds = self._dataset()
-        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)
-        grid = GridSpec(vectorizers=("count", "tfidf"), n_ranges=((1, 1),),
-                        classifiers=("svm",), svm_c=(1.0,))
-        serial = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1))
-        parallel = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1),
-                               workers=4)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_report_dict_shape(self):
         ds = self._dataset()
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)

@@ -93,6 +93,12 @@ class TestMockServerEndpoints:
             assert codes.count(429) >= 1
             assert srv.rate_limited_count == codes.count(429)
 
+    def test_zero_burst_still_serves(self):
+        corpus = group_by_user(corpus_for_user("u1", 5))
+        config = MockServerConfig(rate_limit=1.0, burst=0)
+        with run_mock_server(corpus, config) as srv:
+            assert requests.get(f"{srv.url}/feed").status_code == 200
+
     def test_429_carries_retry_after(self):
         corpus = group_by_user(corpus_for_user("u1", 5))
         config = MockServerConfig(rate_limit=1.0, burst=1)
@@ -301,6 +307,24 @@ class TestTokenBucket:
         for _ in range(1000):
             bucket.acquire()
         assert time.monotonic() - start < 0.5
+
+    def test_try_acquire_on_empty_bucket_returns_wait(self):
+        bucket = TokenBucket(rate=0.5, capacity=1.0)
+        assert bucket.try_acquire() == 0.0
+        start = time.monotonic()
+        wait = bucket.try_acquire()
+        assert time.monotonic() - start < 0.5  # reports, never sleeps
+        assert 1.5 < wait <= 2.0
+
+    def test_try_acquire_zero_rate_returns_zero(self):
+        bucket = TokenBucket(rate=0.0)
+        assert all(bucket.try_acquire() == 0.0 for _ in range(100))
+
+    def test_zero_capacity_floored_to_one_token(self):
+        bucket = TokenBucket(rate=0.5, capacity=0)
+        assert bucket.capacity == 1.0
+        assert bucket.try_acquire() == 0.0
+        assert bucket.try_acquire() > 0
 
     def test_thread_safe_accounting(self):
         bucket = TokenBucket(rate=200.0, capacity=10.0)

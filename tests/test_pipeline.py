@@ -5,7 +5,8 @@ from paylens.corpus import group_by_user
 from paylens.evaluation import cross_validate, stratified_kfold
 from paylens.labels import build_labeled_dataset
 from paylens.pipeline import (PipelineConfig, build_dataset, fit_pipeline,
-                              pipeline_predict, pipeline_transform)
+                              load_pipeline, pipeline_predict,
+                              pipeline_transform, save_pipeline)
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 
 
@@ -87,6 +88,28 @@ class TestConfigSerialization:
                                 classifier="gbdt", C=0.5,
                                 gbdt_overrides=(("rounds", 9),), seed=5)
         assert PipelineConfig.from_dict(config.to_dict()) == config
+
+
+class TestPipelineArtifact:
+    @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
+    def test_round_trip_is_bit_identical(self, dataset, tmp_path, classifier):
+        config = PipelineConfig(
+            classifier=classifier, min_df=1, seed=0,
+            mlp_overrides=(("epochs", 20), ("hidden", 4)),
+            gbdt_overrides=(("max_depth", 2), ("rounds", 10)))
+        idx = np.arange(len(dataset))
+        fitted = fit_pipeline(dataset, idx, config)
+        path = tmp_path / "pipeline.json"
+        save_pipeline(fitted, str(path))
+        loaded = load_pipeline(str(path))
+        X = pipeline_transform(fitted, dataset, idx)
+        X_loaded = pipeline_transform(loaded, dataset, idx)
+        assert (X != X_loaded).nnz == 0
+        assert np.array_equal(pipeline_predict(fitted, X),
+                              pipeline_predict(loaded, X_loaded))
+        again = tmp_path / "again.json"
+        save_pipeline(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestGeneratorRecoverability:

@@ -1,4 +1,3 @@
-import io
 import random
 
 import numpy as np
@@ -8,8 +7,7 @@ import scipy.sparse as sp
 from paylens.errors import DimensionMismatch, EmptyCorpus
 from paylens.tokenizer import tokenize_post
 from paylens.vectorizer import (ScalerStats, assemble_feature_matrix,
-                                count_transform, fit_vocabulary, load_matrix,
-                                load_vocabulary, save_matrix, save_vocabulary,
+                                count_transform, fit_vocabulary,
                                 tfidf_transform)
 
 from oracles import term_counts_oracle, tfidf_oracle, within_post_ngrams
@@ -198,26 +196,3 @@ class TestScalerStats:
     def test_population_std(self):
         stats = ScalerStats.fit(np.array([[1.0], [3.0]]))
         assert stats.std[0] == pytest.approx(1.0)  # ddof=0
-
-
-class TestExportFormats:
-    def test_vocabulary_round_trip(self):
-        users = [posts("b a"), posts("a")]
-        vocab = fit_vocabulary(users, (1, 1), min_df=1)
-        buf = io.StringIO()
-        save_vocabulary(vocab, buf)
-        assert buf.getvalue() == "a\t0\t2\nb\t1\t1\n"
-        buf.seek(0)
-        loaded = load_vocabulary(buf, (1, 1), 1, 2)
-        assert loaded.index == vocab.index
-        assert loaded.document_frequency == vocab.document_frequency
-
-    def test_matrix_round_trip(self):
-        mat = sp.csr_matrix(np.array([[0.0, 1.5], [2.25, 0.0]]))
-        buf = io.StringIO()
-        sidecar = io.StringIO()
-        save_matrix(mat, buf, sidecar)
-        buf.seek(0)
-        loaded = load_matrix(buf, (2, 2))
-        assert np.array_equal(loaded.toarray(), mat.toarray())
-        assert '"n_rows": 2' in sidecar.getvalue()
