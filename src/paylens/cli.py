@@ -93,8 +93,8 @@ def _pipeline_config(args, cfg: dict) -> PipelineConfig:
                                 "include_actor_pct", False),
         classifier=_pick(args.classifier, cfg, "classifier", "svm"),
         C=float(_pick(args.C, cfg, "C", 1.0)),
-        mlp_overrides=tuple(sorted(cfg.get("mlp_overrides", {}).items())),
-        gbdt_overrides=tuple(sorted(cfg.get("gbdt_overrides", {}).items())),
+        mlp_overrides=cfg.get("mlp_overrides", {}),
+        gbdt_overrides=cfg.get("gbdt_overrides", {}),
         seed=int(_pick(args.seed, cfg, "seed", 0)),
     )
 

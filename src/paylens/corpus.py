@@ -64,9 +64,6 @@ class UserProfile:
     display_name: str
     posts: list[tuple[Transaction, str]] = field(default_factory=list)
 
-    def notes(self) -> list[str]:
-        return [t.note for t, _ in self.posts]
-
 
 @dataclass
 class Corpus:
@@ -81,7 +78,6 @@ class Corpus:
 class LoadResult:
     transactions: list[Transaction]
     skipped: int
-    errors: list[tuple[int, str]]  # (1-based line number, reason)
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -145,7 +141,7 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
     """
     out: list[Transaction] = []
     seen: set[str] = set()
-    errors: list[tuple[int, str]] = []
+    skipped = 0
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", errors="replace")
@@ -157,13 +153,13 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             if strict:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            errors.append((lineno, str(exc)))
+            skipped += 1
             continue
         if t.id in seen:
             continue
         seen.add(t.id)
         out.append(t)
-    return LoadResult(transactions=out, skipped=len(errors), errors=errors)
+    return LoadResult(transactions=out, skipped=skipped)
 
 
 def dump_transactions(transactions: Iterable[Transaction], fp: IO) -> int:

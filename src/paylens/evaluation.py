@@ -82,9 +82,7 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> FoldPlan:
 @dataclass
 class FoldOutcome:
     accuracy: float
-    n_test: int
     confusion: tuple[int, int, int, int]  # tn, fp, fn, tp
-    vocab_size: int
     fitted: FittedPipeline | None = None
 
 
@@ -127,9 +125,7 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
         y_true = dataset.labels01[test_idx]
         acc = float(np.mean(y_pred == y_true)) if len(test_idx) else 0.0
         outcomes.append(FoldOutcome(
-            accuracy=acc, n_test=len(test_idx),
-            confusion=_confusion(y_true, y_pred),
-            vocab_size=len(fitted.vocab),
+            accuracy=acc, confusion=_confusion(y_true, y_pred),
             fitted=fitted if keep_models else None))
     return CvResult(config=config, outcomes=outcomes)
 
@@ -146,6 +142,9 @@ class GridSpec:
     gbdt_overrides: tuple = ()
 
     def expand(self, base: PipelineConfig) -> list[PipelineConfig]:
+        """One config per grid point; the grid's override keys win over base's."""
+        mlp = {**dict(base.mlp_overrides), **dict(self.mlp_overrides)}
+        gbdt = {**dict(base.gbdt_overrides), **dict(self.gbdt_overrides)}
         configs: list[PipelineConfig] = []
         for vec, nr, clf in itertools.product(self.vectorizers, self.n_ranges,
                                               self.classifiers):
@@ -153,8 +152,7 @@ class GridSpec:
             for c in cs:
                 configs.append(replace(
                     base, vectorizer=vec, n_range=tuple(nr), classifier=clf,
-                    C=float(c), mlp_overrides=tuple(self.mlp_overrides),
-                    gbdt_overrides=tuple(self.gbdt_overrides)))
+                    C=float(c), mlp_overrides=mlp, gbdt_overrides=gbdt))
         return configs
 
     @classmethod
@@ -170,7 +168,7 @@ class GridSpec:
             kwargs["svm_c"] = tuple(float(c) for c in data["svm_c"])
         for key in ("mlp_overrides", "gbdt_overrides"):
             if key in data:
-                kwargs[key] = tuple(sorted(data[key].items()))
+                kwargs[key] = tuple(data[key].items())
         return cls(**kwargs)
 
 

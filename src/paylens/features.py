@@ -103,13 +103,11 @@ def engineered_feature_names(include_actor_pct: bool = False) -> list[str]:
 
 
 def detect_content_features(post: TokenizedPost,
-                            curse_lexicon: frozenset[str] | None = None,
-                            laughing_lexicon: frozenset[str] | None = None) -> ContentCounts:
+                            curse_lexicon: frozenset[str] | None = None) -> ContentCounts:
     """Count the eleven content features in one tokenized post."""
     if curse_lexicon is None:
         curse_lexicon = default_curse_lexicon()
-    if laughing_lexicon is None:
-        laughing_lexicon = default_laughing_lexicon()
+    laughing_lexicon = default_laughing_lexicon()
 
     raw = post.raw
     emoji = emoticon = venmo = repeated = laughing = omg = curse = 0

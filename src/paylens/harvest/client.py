@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterator, Sequence
 
 import requests
 
-from ..corpus import Transaction, parse_transaction, transaction_to_obj
+from ..corpus import Transaction, dump_transactions, parse_transaction
 from ..errors import (HarvestError, MalformedPage, PatternNotFound,
                       UnknownUsername, UserNotFound)
 
@@ -85,28 +85,24 @@ class HarvestClient:
             try:
                 resp = self.session.get(url, params=params, timeout=cfg.timeout)
             except requests.RequestException as exc:
-                attempt += 1
-                if attempt > cfg.max_retries:
-                    raise HarvestError(f"GET {url} failed after "
-                                       f"{cfg.max_retries} retries: {exc}") from exc
-                time.sleep(min(cfg.backoff_cap, cfg.backoff_base * 2 ** (attempt - 1)))
-                continue
-            if resp.status_code == 429:
-                retry_after = resp.headers.get("Retry-After")
-                try:
-                    wait = float(retry_after) if retry_after else cfg.backoff_base
-                except ValueError:
-                    wait = cfg.backoff_base
-                time.sleep(min(cfg.backoff_cap, max(wait, 0.001)))
-                continue
-            if resp.status_code >= 500:
-                attempt += 1
-                if attempt > cfg.max_retries:
-                    raise HarvestError(f"GET {url} failed after {cfg.max_retries} "
-                                       f"retries: HTTP {resp.status_code}")
-                time.sleep(min(cfg.backoff_cap, cfg.backoff_base * 2 ** (attempt - 1)))
-                continue
-            return resp
+                cause, reason = exc, str(exc)
+            else:
+                if resp.status_code == 429:
+                    retry_after = resp.headers.get("Retry-After")
+                    try:
+                        wait = float(retry_after) if retry_after else cfg.backoff_base
+                    except ValueError:
+                        wait = cfg.backoff_base
+                    time.sleep(min(cfg.backoff_cap, max(wait, 0.001)))
+                    continue
+                if resp.status_code < 500:
+                    return resp
+                cause, reason = None, f"HTTP {resp.status_code}"
+            attempt += 1
+            if attempt > cfg.max_retries:
+                raise HarvestError(f"GET {url} failed after {cfg.max_retries} "
+                                   f"retries: {reason}") from cause
+            time.sleep(min(cfg.backoff_cap, cfg.backoff_base * 2 ** (attempt - 1)))
 
 
 def _client(client: HarvestClient | ClientConfig | None) -> HarvestClient:
@@ -115,9 +111,23 @@ def _client(client: HarvestClient | ClientConfig | None) -> HarvestClient:
     return HarvestClient(client)
 
 
-def _parse_page_transactions(objs, context: str) -> list[Transaction]:
+def _get_page(hc: HarvestClient, url: str, context: str,
+              missing: HarvestError | None = None, params: dict | None = None,
+              read: Callable[[dict], object] | None = None):
+    """GET one page: 404 raises `missing` (when given), other non-200 codes
+    raise HarvestError. A text page (read=None) returns its text; a JSON page
+    returns (transactions parsed from its `data`, read(body)), and a body
+    that does not parse raises MalformedPage."""
+    resp = hc.get(url, params=params)
+    if resp.status_code == 404 and missing is not None:
+        raise missing
+    if resp.status_code != 200:
+        raise HarvestError(f"{context}: HTTP {resp.status_code}")
+    if read is None:
+        return resp.text
     try:
-        return [parse_transaction(obj) for obj in objs]
+        body = resp.json()
+        return [parse_transaction(obj) for obj in body["data"]], read(body)
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedPage(f"{context}: {exc}") from exc
 
@@ -142,51 +152,31 @@ def fetch_public_feed(endpoint: str, pages: int,
     for page_index in range(pages):
         if page_index > 0 and wait_between_polls and refresh > 0:
             time.sleep(refresh)
-        resp = hc.get(f"{endpoint}/feed")
-        if resp.status_code != 200:
-            raise HarvestError(f"feed poll {page_index}: HTTP {resp.status_code}")
-        try:
-            body = resp.json()
-            data = body["data"]
-            refresh = float(body.get("refresh_interval", 0.0))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedPage(f"feed poll {page_index}: {exc}") from exc
-        for t in _parse_page_transactions(data, f"feed poll {page_index}"):
+        txns, refresh = _get_page(
+            hc, f"{endpoint}/feed", f"feed poll {page_index}",
+            read=lambda body: float(body.get("refresh_interval", 0.0)))
+        for t in txns:
             seen.setdefault(t.id, t)
     return list(seen.values())
 
 
 def iter_user_pages(endpoint: str, user_id: str,
                     client: HarvestClient | ClientConfig | None = None,
-                    before_id: str | None = None,
-                    limit: int | None = None) -> Iterator[FeedPage]:
+                    before_id: str | None = None) -> Iterator[FeedPage]:
     """Follow before_id pagination through a user's timeline."""
     hc = _client(client)
+    url = f"{endpoint}/users/{user_id}/transactions"
+    missing = UserNotFound(f"user {user_id!r} not found")
     cursor = before_id
     page_index = 0
     while True:
-        params: dict = {}
-        if cursor is not None:
-            params["before_id"] = cursor
-        if limit is not None:
-            params["limit"] = limit
-        resp = hc.get(f"{endpoint}/users/{user_id}/transactions", params=params)
-        if resp.status_code == 404:
-            raise UserNotFound(f"user {user_id!r} not found")
-        if resp.status_code != 200:
-            raise HarvestError(
-                f"user {user_id!r} page {page_index}: HTTP {resp.status_code}")
-        try:
-            body = resp.json()
-            data = body["data"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedPage(f"user {user_id!r} page {page_index}: {exc}") from exc
-        txns = _parse_page_transactions(data, f"user {user_id!r} page {page_index}")
-        next_cursor = body.get("next_before_id")
-        yield FeedPage(transactions=tuple(txns), next_before_id=next_cursor)
-        if next_cursor is None:
+        params = {} if cursor is None else {"before_id": cursor}
+        txns, cursor = _get_page(
+            hc, url, f"user {user_id!r} page {page_index}", missing, params,
+            read=lambda body: body.get("next_before_id"))
+        yield FeedPage(transactions=tuple(txns), next_before_id=cursor)
+        if cursor is None:
             return
-        cursor = next_cursor
         page_index += 1
 
 
@@ -204,13 +194,10 @@ def fetch_user_transactions(endpoint: str, user_id: str,
 def resolve_user_id(endpoint: str, username: str,
                     client: HarvestClient | ClientConfig | None = None) -> str:
     """Extract the user id embedded in a profile page."""
-    hc = _client(client)
-    resp = hc.get(f"{endpoint}/profile/{username}")
-    if resp.status_code == 404:
-        raise UnknownUsername(f"no profile for username {username!r}")
-    if resp.status_code != 200:
-        raise HarvestError(f"profile {username!r}: HTTP {resp.status_code}")
-    match = USER_ID_PATTERN.search(resp.text)
+    text = _get_page(_client(client), f"{endpoint}/profile/{username}",
+                     f"profile {username!r}",
+                     UnknownUsername(f"no profile for username {username!r}"))
+    match = USER_ID_PATTERN.search(text)
     if not match:
         raise PatternNotFound(
             f"profile for {username!r} does not embed a user_id variable")
@@ -271,9 +258,7 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                 checkpoint_path: str | os.PathLike | None = None,
                 out: IO | None = None,
                 client: HarvestClient | ClientConfig | None = None,
-                max_users: int | None = None,
-                on_user_done: Callable[[str, int], None] | None = None
-                ) -> list[Transaction]:
+                max_users: int | None = None) -> list[Transaction]:
     """Fetch all transactions of the queued users with a bounded worker pool.
 
     Resumes from checkpoint_path when it exists: completed users are skipped
@@ -286,16 +271,12 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     state = CrawlState()
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path)
-        known = state.completed_user_ids | set(state.pending_user_ids)
-        for uid in user_ids:
-            if uid not in known:
-                state.pending_user_ids.append(uid)
-    else:
-        queued: list[str] = []
-        for uid in user_ids:
-            if uid not in queued:
-                queued.append(uid)
-        state.pending_user_ids = queued
+    # queue each id once, after the checkpoint's pending users
+    known = state.completed_user_ids | set(state.pending_user_ids)
+    for uid in user_ids:
+        if uid not in known:
+            known.add(uid)
+            state.pending_user_ids.append(uid)
 
     lock = threading.Lock()
     collected: list[Transaction] = []
@@ -312,28 +293,8 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
             done_count += 1
             return state.pending_user_ids.pop(0)
 
-    def commit(user_id: str, txns: list[Transaction]) -> None:
-        with lock:
-            fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
-            for t in fresh:
-                state.seen_transaction_ids.add(t.id)
-                collected.append(t)
-            if out is not None:
-                for t in fresh:
-                    out.write(json.dumps(transaction_to_obj(t), ensure_ascii=False))
-                    out.write("\n")
-                out.flush()
-            state.completed_user_ids.add(user_id)
-            if checkpoint_path is not None:
-                save_checkpoint(state, checkpoint_path)
-        if on_user_done is not None:
-            on_user_done(user_id, len(fresh))
-
     def worker() -> None:
-        while True:
-            user_id = pull()
-            if user_id is None:
-                return
+        while (user_id := pull()) is not None:
             try:
                 txns = fetch_user_transactions(endpoint, user_id, hc)
             except Exception as exc:  # surface after join; requeue the user
@@ -341,7 +302,16 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                     errors.append(exc)
                     state.pending_user_ids.insert(0, user_id)
                 return
-            commit(user_id, txns)
+            with lock:
+                fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
+                state.seen_transaction_ids.update(t.id for t in fresh)
+                collected.extend(fresh)
+                if out is not None:
+                    dump_transactions(fresh, out)
+                    out.flush()
+                state.completed_user_ids.add(user_id)
+                if checkpoint_path is not None:
+                    save_checkpoint(state, checkpoint_path)
 
     threads = [threading.Thread(target=worker, daemon=True)
                for _ in range(max(1, workers))]

@@ -76,7 +76,8 @@ class _Handler(BaseHTTPRequestHandler):
         if wait > 0:
             with state.count_lock:
                 state.rate_limited_count += 1
-            self._send_json_with_retry(wait)
+            self._send(429, json.dumps({"error": "rate limited"}).encode("utf-8"),
+                       extra_headers={"Retry-After": f"{wait:.3f}"})
             return
 
         parsed = urlparse(self.path)
@@ -105,10 +106,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(404, {"error": "no such endpoint"})
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
-
-    def _send_json_with_retry(self, wait: float) -> None:
-        body = json.dumps({"error": "rate limited"}).encode("utf-8")
-        self._send(429, body, extra_headers={"Retry-After": f"{wait:.3f}"})
 
 
 class MockServer:

@@ -238,10 +238,5 @@ def gbdt_raw(model: GbdtModel, X) -> np.ndarray:
     return out
 
 
-def gbdt_proba(model: GbdtModel, X) -> np.ndarray:
-    z = gbdt_raw(model, X)
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
 def gbdt_predict(model: GbdtModel, X) -> np.ndarray:
     return (gbdt_raw(model, X) >= 0.0).astype(np.int64)

@@ -49,9 +49,14 @@ class PipelineConfig:
     classifier: str = "svm"
     C: float = 1.0
     svm_tol: float = 1e-3
-    mlp_overrides: tuple = ()   # sorted (key, value) pairs
+    mlp_overrides: tuple = ()   # (key, value) pairs or a dict; kept sorted
     gbdt_overrides: tuple = ()
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("mlp_overrides", "gbdt_overrides"):
+            pairs = tuple(sorted(dict(getattr(self, key)).items()))
+            object.__setattr__(self, key, pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -74,9 +79,6 @@ class PipelineConfig:
         kwargs = dict(data)
         if "n_range" in kwargs:
             kwargs["n_range"] = tuple(kwargs["n_range"])
-        for key in ("mlp_overrides", "gbdt_overrides"):
-            if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = tuple(sorted(kwargs[key].items()))
         return cls(**kwargs)
 
 

@@ -15,7 +15,7 @@ display handles and never enter the labeled set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -88,7 +88,6 @@ class SynthSpec:
 class SynthResult:
     transactions: list[Transaction]
     labels: list[tuple[str, str]]       # (user_id, "democrat"|"republican")
-    display_names: dict[str, str] = field(default_factory=dict)
 
 
 def _zipf_weights(n: int) -> np.ndarray:
@@ -117,7 +116,6 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
 
     transactions: list[Transaction] = []
     labels: list[tuple[str, str]] = []
-    display_names: dict[str, str] = {}
     seq = 0
 
     for class_key, signal_own, signal_other, pol_label, name_pool in (
@@ -127,7 +125,6 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
             user_id = f"u{class_key}{i:05d}"
             first = name_pool[int(rng_names.integers(len(name_pool)))]
             display = f"{first.capitalize()} {chr(ord('A') + int(rng_names.integers(26)))}."
-            display_names[user_id] = display
             labels.append((user_id, pol_label))
 
             n_posts = int(rng_notes.integers(spec.posts_per_user[0],
@@ -154,8 +151,7 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
                 ))
                 seq += 1
 
-    return SynthResult(transactions=transactions, labels=labels,
-                       display_names=display_names)
+    return SynthResult(transactions=transactions, labels=labels)
 
 
 def _make_note(spec: SynthSpec, rng: np.random.Generator,

@@ -55,11 +55,6 @@ def _read_data_lines(name: str) -> list[str]:
 
 
 @lru_cache(maxsize=1)
-def default_emoticons() -> tuple[str, ...]:
-    return tuple(_read_data_lines("emoticons.txt"))
-
-
-@lru_cache(maxsize=1)
 def default_lemma_exceptions() -> dict[str, str]:
     table = {}
     for line in _read_data_lines("lemma_exceptions.tsv"):
@@ -68,7 +63,7 @@ def default_lemma_exceptions() -> dict[str, str]:
     return table
 
 
-def _emoticon_pattern(emoticons: tuple[str, ...]) -> re.Pattern:
+def _emoticon_pattern(emoticons: list[str]) -> re.Pattern:
     # longest first; alphanumeric-final emoticons must not run into a word
     parts = []
     for e in sorted(emoticons, key=len, reverse=True):
@@ -97,11 +92,11 @@ _PUNCT_RE = re.compile(r"(\S)\1*")
 _WS_RE = re.compile(r"\s+")
 
 
-@lru_cache(maxsize=8)
-def _matchers(emoticons: tuple[str, ...]):
+@lru_cache(maxsize=1)
+def _matchers():
     return (
         (SHORTCODE, _SHORTCODE_RE),
-        (EMOTICON, _emoticon_pattern(emoticons)),
+        (EMOTICON, _emoticon_pattern(_read_data_lines("emoticons.txt"))),
         (EMOJI, _EMOJI_RE),
         (WORD, _WORD_RE),
         (NUMBER, _NUMBER_RE),
@@ -109,15 +104,14 @@ def _matchers(emoticons: tuple[str, ...]):
     )
 
 
-def lemma_for_word(surface: str, exceptions: dict[str, str] | None = None) -> str:
+def lemma_for_word(surface: str) -> str:
     """Lowercase a word and strip common inflections.
 
     Exception table first, then suffix rules: -ies/-ied to -y, -es/-s
     stripping, -ing/-ed stripping with consonant undoubling and silent-e
     restoration (CVC heuristic).
     """
-    if exceptions is None:
-        exceptions = default_lemma_exceptions()
+    exceptions = default_lemma_exceptions()
     w = surface.lower()
     if w in exceptions:
         return exceptions[w]
@@ -154,26 +148,22 @@ def _restore(stem: str) -> str:
     return stem
 
 
-def lemmatize(token: Token, exceptions: dict[str, str] | None = None) -> Token:
+def lemmatize(token: Token) -> Token:
     """Lemma for word tokens; non-word tokens pass through unchanged."""
     if token.kind != WORD:
         return token
     return Token(surface=token.surface,
-                 lemma=lemma_for_word(token.surface, exceptions),
+                 lemma=lemma_for_word(token.surface),
                  kind=WORD)
 
 
-def tokenize_post(note: str,
-                  emoticons: tuple[str, ...] | None = None,
-                  lemma_exceptions: dict[str, str] | None = None) -> TokenizedPost:
+def tokenize_post(note: str) -> TokenizedPost:
     """Segment a note into typed tokens. Total and deterministic.
 
     Match priority at each position: shortcode, emoticon, emoji sequence,
     word, number, then a run of identical punctuation characters.
     """
-    if emoticons is None:
-        emoticons = default_emoticons()
-    matchers = _matchers(emoticons)
+    matchers = _matchers()
     tokens: list[Token] = []
     pos, end = 0, len(note)
     while pos < end:
@@ -187,7 +177,7 @@ def tokenize_post(note: str,
                 surface = m.group(0)
                 token = Token(surface=surface, lemma=surface, kind=kind)
                 if kind == WORD:
-                    token = lemmatize(token, lemma_exceptions)
+                    token = lemmatize(token)
                 tokens.append(token)
                 pos = m.end()
                 break

@@ -1,5 +1,7 @@
 import json
+import threading
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -55,3 +57,41 @@ def small_corpus():
         make_txn("t3", "🍕", actor="ua", target="uc", minutes=2, kind="charge"),
     ]
     return group_by_user(txns)
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):  # noqa: N802 (stdlib naming)
+        self.server.hits += 1
+        body = self.server.body.encode("utf-8")
+        self.send_response(self.server.status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    """start(status, body) runs a server that answers every GET alike.
+
+    The returned server has `url` and a `hits` request counter.
+    """
+    servers = []
+
+    def start(status, body):
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+        httpd.daemon_threads = True
+        httpd.status, httpd.body, httpd.hits = status, body, 0
+        httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        servers.append(httpd)
+        return httpd
+
+    yield start
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()

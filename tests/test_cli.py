@@ -252,6 +252,25 @@ class TestEvaluateCommand:
         assert fitted.config.vectorizer == "count"
         assert fitted.config.min_df == 1
 
+    def test_config_overrides_reach_grid(self, synth_files, tmp_path):
+        corpus, labels = synth_files
+        report = tmp_path / "report.json"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"vectorizers": ["count"],
+                                    "n_ranges": [[1, 1]],
+                                    "classifiers": ["gbdt"],
+                                    "gbdt_overrides": {"rounds": 3}}))
+        code = main(["evaluate", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--grid", str(grid),
+                     "--folds", "3", "--report", str(report),
+                     "--min-posts", "8", "--config",
+                     str(_gbdt_config(tmp_path))])
+        assert code == 0
+        configs = json.loads(report.read_text())["configs"]
+        # max_depth comes from --config; the grid's rounds wins over its 5
+        assert [c["config"]["gbdt_overrides"] for c in configs] == [
+            {"max_depth": 2, "rounds": 3}]
+
     def test_cli_flag_beats_config_file(self, synth_files, tmp_path):
         corpus, labels = synth_files
         config = tmp_path / "config.json"
@@ -304,6 +323,19 @@ class TestHarvestCommands:
             with open(out) as fp:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
+
+    @pytest.mark.parametrize("command", [
+        ["feed", "--pages", "1"], ["users", "--ids", "ids.txt"],
+    ], ids=["feed", "users"])
+    def test_malformed_page_exits_1(self, tmp_path, capsys, stub_server,
+                                    monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ids.txt").write_text("u1\n")
+        srv = stub_server(200, '{"data": [')
+        code = main(["harvest", *command, "--endpoint", srv.url,
+                     "--out", "out.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: harvest: ")
 
     @pytest.mark.parametrize("checkpoint", [
         {"seen": [], "completed": []},

@@ -8,7 +8,6 @@ from paylens.corpus import group_by_user
 from paylens.errors import SingleClass
 from paylens.labels import build_labeled_dataset
 from paylens.models import GbdtConfig, gbdt, gbdt_predict, gbdt_raw, train_gbdt
-from paylens.models.gbdt import gbdt_proba
 from paylens.models.serialize import model_to_container
 from paylens.pipeline import build_dataset
 from paylens.synth import SynthSpec, generate_synthetic_corpus
@@ -46,8 +45,6 @@ class TestTrainGbdt:
         model = train_gbdt(X, y, GbdtConfig(rounds=5, learning_rate=0.0))
         raw = gbdt_raw(model, X)
         assert np.allclose(raw, model.init_log_odds)
-        prior = 1.0 / (1.0 + np.exp(-model.init_log_odds))
-        assert np.allclose(gbdt_proba(model, X), prior)
 
     def test_tree_count_equals_rounds(self):
         X, y = noisy_data(40)

@@ -1,5 +1,6 @@
 import io
 import json
+import socket
 import threading
 import time
 
@@ -7,10 +8,10 @@ import pytest
 import requests
 
 from paylens.corpus import group_by_user, load_transactions
-from paylens.errors import (HarvestError, PatternNotFound, UnknownUsername,
-                            UserNotFound)
-from paylens.harvest import (ClientConfig, MockServerConfig, TokenBucket,
-                             crawl_users, fetch_public_feed,
+from paylens.errors import (HarvestError, MalformedPage, PatternNotFound,
+                            UnknownUsername, UserNotFound)
+from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
+                             TokenBucket, crawl_users, fetch_public_feed,
                              fetch_user_transactions, iter_user_pages,
                              load_checkpoint, resolve_user_id, run_mock_server,
                              save_checkpoint)
@@ -180,6 +181,51 @@ class TestFetchUserTransactions:
             assert srv.rate_limited_count > 0  # server pushed back, client retried
 
 
+class TestMalformedPages:
+    @pytest.mark.parametrize("body", [
+        '{"data": [', '{"items": []}', '{"data": [], "refresh_interval": "soon"}',
+    ], ids=["bad_json", "no_data", "bad_refresh_interval"])
+    def test_feed_page(self, stub_server, body):
+        srv = stub_server(200, body)
+        with pytest.raises(MalformedPage, match="^harvest: feed poll 0: "):
+            fetch_public_feed(srv.url, pages=1)
+
+    @pytest.mark.parametrize("body", [
+        "<html>", '{"next_before_id": null}', "[1, 2]", '{"data": 7}',
+    ], ids=["bad_json", "no_data", "list_body", "data_not_list"])
+    def test_user_page(self, stub_server, body):
+        srv = stub_server(200, body)
+        with pytest.raises(MalformedPage, match="^harvest: user 'u1' page 0: "):
+            fetch_user_transactions(srv.url, "u1")
+
+
+class TestRetries:
+    CONFIG = ClientConfig(max_retries=2, backoff_base=0.001)
+
+    def test_persistent_5xx_exhausts_retries(self, stub_server):
+        srv = stub_server(503, "{}")
+        with pytest.raises(HarvestError) as info:
+            HarvestClient(self.CONFIG).get(f"{srv.url}/feed")
+        assert type(info.value) is HarvestError
+        assert str(info.value).endswith("failed after 2 retries: HTTP 503")
+        assert srv.hits == 3  # the first try plus max_retries
+
+    def test_refused_connection_exhausts_retries(self):
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(HarvestError) as info:
+            HarvestClient(self.CONFIG).get(f"http://127.0.0.1:{port}/feed")
+        assert type(info.value) is HarvestError
+        assert "failed after 2 retries: " in str(info.value)
+        assert isinstance(info.value.__cause__, requests.ConnectionError)
+
+    def test_4xx_is_returned_without_retry(self, stub_server):
+        srv = stub_server(418, "{}")
+        assert HarvestClient(self.CONFIG).get(srv.url).status_code == 418
+        assert srv.hits == 1
+
+
 class TestResolveUserId:
     def test_resolves(self):
         corpus = group_by_user(corpus_for_user("u123", 2))
@@ -276,6 +322,17 @@ class TestCrawlUsers:
             assert combined == {t.id for t in txns}
             out.seek(0)
             assert {t.id for t in load_transactions(out).transactions} == combined
+
+    def test_resume_queues_repeated_new_id_once(self, tmp_path):
+        _, server = self._server(users=3)
+        with server as srv:
+            cp = tmp_path / "cp.json"
+            crawl_users(srv.url, ["w0"], workers=1, checkpoint_path=cp)
+            crawl_users(srv.url, ["w0", "w1", "w1", "w2"], workers=1,
+                        checkpoint_path=cp, max_users=1)
+            state = load_checkpoint(cp)
+            assert state.completed_user_ids == {"w0", "w1"}
+            assert state.pending_user_ids == ["w2"]
 
     def test_compliant_client_never_limited(self):
         _, server = self._server(users=4)

@@ -89,6 +89,15 @@ class TestConfigSerialization:
                                 gbdt_overrides=(("rounds", 9),), seed=5)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
+    def test_unsorted_overrides_round_trip(self):
+        config = PipelineConfig(
+            classifier="gbdt",
+            mlp_overrides={"lr": 0.1, "epochs": 5},
+            gbdt_overrides=(("rounds", 10), ("max_depth", 2)))
+        assert config.mlp_overrides == (("epochs", 5), ("lr", 0.1))
+        assert config.gbdt_overrides == (("max_depth", 2), ("rounds", 10))
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+
 
 class TestPipelineArtifact:
     @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
