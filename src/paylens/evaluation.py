@@ -168,6 +168,9 @@ class GridSpec:
             kwargs["svm_c"] = tuple(float(c) for c in data["svm_c"])
         for key in ("mlp_overrides", "gbdt_overrides"):
             if key in data:
+                if not isinstance(data[key], dict):
+                    raise ValueError(f"grid {key} must be an object, "
+                                     f"got {data[key]!r}")
                 kwargs[key] = tuple(data[key].items())
         return cls(**kwargs)
 

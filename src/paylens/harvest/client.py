@@ -13,6 +13,7 @@ so killing and resuming a crawl converges on the same transaction set.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -132,6 +133,15 @@ def _get_page(hc: HarvestClient, url: str, context: str,
         raise MalformedPage(f"{context}: {exc}") from exc
 
 
+def _refresh_interval(body: dict) -> float:
+    """The feed's advertised wait in seconds: finite and not negative."""
+    value = float(body.get("refresh_interval", 0.0))
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"refresh_interval {value!r} is not a finite "
+                         "non-negative number of seconds")
+    return value
+
+
 @dataclass(frozen=True)
 class FeedPage:
     transactions: tuple[Transaction, ...]
@@ -154,7 +164,7 @@ def fetch_public_feed(endpoint: str, pages: int,
             time.sleep(refresh)
         txns, refresh = _get_page(
             hc, f"{endpoint}/feed", f"feed poll {page_index}",
-            read=lambda body: float(body.get("refresh_interval", 0.0)))
+            read=_refresh_interval)
         for t in txns:
             seen.setdefault(t.id, t)
     return list(seen.values())

@@ -5,10 +5,16 @@ folded in as a constant feature (so b is L2-regularized, the usual linear-SVM
 convention). Training stops when the relative duality gap of that problem
 drops below tol. Coordinate order is reshuffled each epoch from the seed, so
 runs are reproducible.
+
+Without numba the epoch kernel runs as plain Python over lists: indexing a
+list gives a Python float, whose arithmetic is several times faster than
+numpy-scalar arithmetic and is the same IEEE-754 double arithmetic, so the
+fits are bit-identical to the array kernel's.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +22,8 @@ import scipy.sparse as sp
 
 from ..errors import NonFiniteError
 from .common import check_binary_labels
+
+logger = logging.getLogger(__name__)
 
 
 def _cd_epoch(indptr, indices, data, y, qd, alpha, w, C, order):
@@ -114,23 +122,31 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
     Xa = sp.hstack([Xc, np.ones((n, 1))], format="csr")  # bias feature
     qd = np.asarray(Xa.multiply(Xa).sum(axis=1)).ravel()
     qd[qd == 0.0] = 1.0  # all-zero rows never move their alpha anyway
-    alpha = np.zeros(n)
-    w = np.zeros(d + 1)
+    # numba takes the arrays; the plain-Python body runs over lists
+    arg = (lambda a: a) if hasattr(_cd_epoch, "py_func") else np.ndarray.tolist
+    rows = [arg(a) for a in (Xa.indptr, Xa.indices, Xa.data, yv, qd)]
+    alpha, w = arg(np.zeros(n)), arg(np.zeros(d + 1))
     rng = np.random.default_rng(seed)
 
     primal = gap = np.inf
     epochs = 0
     for epoch in range(max_epochs):
-        order = rng.permutation(n)
-        _cd_epoch(Xa.indptr, Xa.indices, Xa.data, yv, qd, alpha, w, C, order)
+        _cd_epoch(*rows, alpha, w, C, arg(rng.permutation(n)))
         epochs = epoch + 1
-        margins = 1.0 - yv * (Xa @ w)
-        reg = 0.5 * float(w @ w)
+        wv = np.asarray(w)
+        margins = 1.0 - yv * (Xa @ wv)
+        reg = 0.5 * float(wv @ wv)
         primal = reg + C * float(np.clip(margins, 0.0, None).sum())
-        dual = float(alpha.sum()) - reg
+        dual = float(np.asarray(alpha).sum()) - reg
         gap = primal - dual
         if gap <= tol * max(abs(primal), 1.0):
             break
+    else:
+        logger.warning(
+            "linear SVM (C=%g) stopped unconverged after %d epochs: "
+            "duality gap %.6g > bound %.6g", C, epochs, gap,
+            tol * max(abs(primal), 1.0))
+    w = np.asarray(w)
 
     return LinearSvmModel(
         weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,

@@ -10,7 +10,7 @@ format of `paylens.models.serialize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +54,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("mlp_overrides", "gbdt_overrides"):
-            pairs = tuple(sorted(dict(getattr(self, key)).items()))
-            object.__setattr__(self, key, pairs)
+        for key, model_config in (("mlp_overrides", MlpConfig),
+                                  ("gbdt_overrides", GbdtConfig)):
+            value = getattr(self, key)
+            try:
+                overrides = dict(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must map {model_config.__name__} "
+                                 f"fields to values, got {value!r}") from None
+            known = {f.name for f in fields(model_config)}
+            unknown = [k for k in overrides if k not in known]
+            if unknown:
+                raise ValueError(f"{key}: {unknown[0]!r} is not a "
+                                 f"{model_config.__name__} field")
+            object.__setattr__(self, key, tuple(sorted(overrides.items())))
 
     def to_dict(self) -> dict:
         return {

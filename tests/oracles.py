@@ -7,8 +7,12 @@ plain dicts, math.log and explicit loops only.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
+from paylens.errors import NonFiniteError
+from paylens.models.common import check_binary_labels
 from paylens.models.gbdt import _LAMBDA, _leaf_value
+from paylens.models.svm import LinearSvmModel, _as_csr
 
 
 def tfidf_oracle(user_term_counts, document_frequency, n_documents):
@@ -90,3 +94,70 @@ def gbdt_build_tree(codes: np.ndarray, cuts_list: list[np.ndarray],
                             depth + 1, max_depth, n_bins)
     return {"feature": int(feature), "threshold": threshold,
             "left": left, "right": right}
+
+
+# Dual coordinate descent as first written: the epoch kernel indexes numpy
+# arrays one element at a time. train_linear_svm must fit the same bits.
+def _svm_cd_epoch(indptr, indices, data, y, qd, alpha, w, C, order):
+    # one pass of dual coordinate descent over the given row order
+    for i in order:
+        lo, hi = indptr[i], indptr[i + 1]
+        g = 0.0
+        for k in range(lo, hi):
+            g += data[k] * w[indices[k]]
+        g = y[i] * g - 1.0
+        a = alpha[i]
+        if a == 0.0:
+            pg = min(g, 0.0)
+        elif a == C:
+            pg = max(g, 0.0)
+        else:
+            pg = g
+        if pg != 0.0:
+            na = min(max(a - g / qd[i], 0.0), C)
+            d = (na - a) * y[i]
+            alpha[i] = na
+            for k in range(lo, hi):
+                w[indices[k]] += d * data[k]
+
+
+def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
+              max_epochs: int = 1000,
+              feature_names: list[str] | None = None) -> LinearSvmModel:
+    """Fit the hinge-loss linear model to the stated relative duality gap."""
+    Xc = _as_csr(X)
+    yv = check_binary_labels(y, (-1, 1))
+    if Xc.shape[0] != yv.shape[0]:
+        raise ValueError(f"{Xc.shape[0]} rows vs {yv.shape[0]} labels")
+    if not np.isfinite(Xc.data).all():
+        raise NonFiniteError("training matrix contains non-finite values")
+    if C <= 0:
+        raise ValueError("C must be positive")
+
+    n, d = Xc.shape
+    Xa = sp.hstack([Xc, np.ones((n, 1))], format="csr")  # bias feature
+    qd = np.asarray(Xa.multiply(Xa).sum(axis=1)).ravel()
+    qd[qd == 0.0] = 1.0  # all-zero rows never move their alpha anyway
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    rng = np.random.default_rng(seed)
+
+    primal = gap = np.inf
+    epochs = 0
+    for epoch in range(max_epochs):
+        order = rng.permutation(n)
+        _svm_cd_epoch(Xa.indptr, Xa.indices, Xa.data, yv, qd, alpha, w, C, order)
+        epochs = epoch + 1
+        margins = 1.0 - yv * (Xa @ w)
+        reg = 0.5 * float(w @ w)
+        primal = reg + C * float(np.clip(margins, 0.0, None).sum())
+        dual = float(alpha.sum()) - reg
+        gap = primal - dual
+        if gap <= tol * max(abs(primal), 1.0):
+            break
+
+    return LinearSvmModel(
+        weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,
+        feature_names=list(feature_names) if feature_names is not None else None,
+        epochs_run=epochs, primal_objective=primal, duality_gap=gap,
+    )

@@ -271,6 +271,42 @@ class TestEvaluateCommand:
         assert [c["config"]["gbdt_overrides"] for c in configs] == [
             {"max_depth": 2, "rounds": 3}]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
+    ], ids=["unknown_key", "not_a_mapping"])
+    def test_train_rejects_bad_config_overrides(self, synth_files, tmp_path,
+                                                capsys, overrides, message):
+        corpus, labels = synth_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classifier": "gbdt", **overrides}))
+        model = tmp_path / "model.json"
+        code = main(["train", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--out", str(model),
+                     "--min-posts", "8", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("grid_overrides, message", [
+        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"mlp_overrides": 5}, "grid mlp_overrides must be an object"),
+    ], ids=["unknown_key", "not_a_mapping"])
+    def test_evaluate_rejects_bad_grid_overrides(self, synth_files, tmp_path,
+                                                 capsys, grid_overrides, message):
+        corpus, labels = synth_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"classifiers": ["gbdt"], **grid_overrides}))
+        code = main(["evaluate", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--grid", str(grid),
+                     "--folds", "3", "--report", str(tmp_path / "report.json"),
+                     "--min-posts", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_cli_flag_beats_config_file(self, synth_files, tmp_path):
         corpus, labels = synth_files
         config = tmp_path / "config.json"
@@ -324,18 +360,22 @@ class TestHarvestCommands:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
 
-    @pytest.mark.parametrize("command", [
-        ["feed", "--pages", "1"], ["users", "--ids", "ids.txt"],
-    ], ids=["feed", "users"])
+    @pytest.mark.parametrize("command, body", [
+        (["feed", "--pages", "1"], '{"data": ['),
+        (["users", "--ids", "ids.txt"], '{"data": ['),
+        (["feed", "--pages", "2"], '{"data": [], "refresh_interval": Infinity}'),
+    ], ids=["feed", "users", "feed_inf_refresh_interval"])
     def test_malformed_page_exits_1(self, tmp_path, capsys, stub_server,
-                                    monkeypatch, command):
+                                    monkeypatch, command, body):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ids.txt").write_text("u1\n")
-        srv = stub_server(200, '{"data": [')
+        srv = stub_server(200, body)
         code = main(["harvest", *command, "--endpoint", srv.url,
                      "--out", "out.jsonl"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: harvest: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: harvest: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("checkpoint", [
         {"seen": [], "completed": []},

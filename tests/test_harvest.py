@@ -184,7 +184,11 @@ class TestFetchUserTransactions:
 class TestMalformedPages:
     @pytest.mark.parametrize("body", [
         '{"data": [', '{"items": []}', '{"data": [], "refresh_interval": "soon"}',
-    ], ids=["bad_json", "no_data", "bad_refresh_interval"])
+        '{"data": [], "refresh_interval": Infinity}',
+        '{"data": [], "refresh_interval": NaN}',
+        '{"data": [], "refresh_interval": -2}',
+    ], ids=["bad_json", "no_data", "bad_refresh_interval", "inf_refresh_interval",
+            "nan_refresh_interval", "negative_refresh_interval"])
     def test_feed_page(self, stub_server, body):
         srv = stub_server(200, body)
         with pytest.raises(MalformedPage, match="^harvest: feed poll 0: "):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from paylens.corpus import group_by_user
+from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
 from paylens.labels import build_labeled_dataset
 from paylens.pipeline import (PipelineConfig, build_dataset, fit_pipeline,
@@ -98,6 +101,17 @@ class TestConfigSerialization:
         assert config.gbdt_overrides == (("max_depth", 2), ("rounds", 10))
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
+        ({"gbdt_overrides": ["rounds"]}, "gbdt_overrides must map GbdtConfig"),
+        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"mlp_overrides": (("hidden", 4), ("rounds", 3))},
+         "'rounds' is not a MlpConfig field"),
+    ], ids=["mlp_int", "gbdt_list", "gbdt_unknown_key", "mlp_gbdt_key"])
+    def test_bad_overrides_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**kwargs)
+
 
 class TestPipelineArtifact:
     @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
@@ -119,6 +133,20 @@ class TestPipelineArtifact:
         again = tmp_path / "again.json"
         save_pipeline(loaded, str(again))
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("gbdt_overrides", {"bogus": 1}), ("mlp_overrides", 5),
+    ], ids=["unknown_key", "not_a_mapping"])
+    def test_bad_overrides_are_corrupt(self, dataset, tmp_path, key, value):
+        fitted = fit_pipeline(dataset, np.arange(len(dataset)),
+                              PipelineConfig(min_df=1, seed=0))
+        path = tmp_path / "pipeline.json"
+        save_pipeline(fitted, str(path))
+        container = json.loads(path.read_text())
+        container["payload"]["config"][key] = value
+        path.write_text(json.dumps(container))
+        with pytest.raises(CorruptError, match=key):
+            load_pipeline(str(path))
 
 
 class TestGeneratorRecoverability:

@@ -1,11 +1,22 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from paylens.corpus import group_by_user
 from paylens.errors import NonFiniteError, SingleClass
-from paylens.models import (svm_decision, svm_predict, top_coefficients,
+from paylens.labels import build_labeled_dataset
+from paylens.models import (svm, svm_decision, svm_predict, top_coefficients,
                             train_linear_svm)
 from paylens.models.serialize import model_to_container
+from paylens.pipeline import build_dataset
+from paylens.synth import SynthSpec, generate_synthetic_corpus
+from paylens.vectorizer import (assemble_feature_matrix, count_transform,
+                                fit_vocabulary, tfidf_transform)
+
+from oracles import svm_train
 
 
 def primal_objective(model, X, y, C):
@@ -163,3 +174,101 @@ class TestTopCoefficients:
         positive, negative = top_coefficients(model, 1)
         assert positive == [("f0", 1.0)]
         assert negative == [("f1", -1.0)]
+
+
+def tfidf_engineered_data():
+    """tf-idf (1,2) text columns plus z-scored engineered columns."""
+    spec = SynthSpec(n_users_per_class=30, posts_per_user=(6, 6),
+                     p_signal=0.5, p_noise=0.1, seed=4)
+    result = generate_synthetic_corpus(spec)
+    corpus = group_by_user(result.transactions)
+    dataset = build_dataset(corpus, build_labeled_dataset(
+        corpus, "politics", political_labels=dict(result.labels)))
+    vocab = fit_vocabulary(dataset.posts, (1, 2), min_df=2)
+    text = tfidf_transform(count_transform(dataset.posts, vocab), vocab)
+    X, _ = assemble_feature_matrix(text, dataset.engineered)
+    assert X.data.min() < 0.0  # the z-scored columns go negative
+    return X, 2 * dataset.labels01 - 1
+
+
+def dense_data():
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((50, 6))
+    y = np.where(X[:, 0] - X[:, 1] + 0.7 * rng.standard_normal(50) > 0, 1, -1)
+    return X, y
+
+
+def zero_rows_data():
+    rng = np.random.default_rng(8)
+    X = rng.random((50, 12)) * (rng.random((50, 12)) > 0.6)
+    X[::5] = 0.0  # every fifth row is all zero
+    y = np.where(X[:, :6].sum(axis=1) > X[:, 6:].sum(axis=1), 1, -1)
+    y[:2] = [-1, 1]
+    return sp.csr_matrix(X), y
+
+
+def duplicate_rows_data():
+    X, y = dense_data()
+    X, y = np.vstack([X[:20], X[:20], X[20:]]), np.concatenate([y[:20], y[:20], y[20:]])
+    y[0] = -y[0]  # one duplicated row with both labels
+    return X, y
+
+
+ORACLE_INPUTS = {"tfidf": tfidf_engineered_data, "dense": dense_data,
+                 "zero_rows": zero_rows_data, "duplicate_rows": duplicate_rows_data}
+
+
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0], ids=["C0.01", "C1", "C100"])
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_fit_matches_array_kernel_oracle(name, C):
+    X, y = ORACLE_INPUTS[name]()
+    got = train_linear_svm(X, y, C=C, seed=3)
+    want = svm_train(X, y, C=C, seed=3)
+    assert json.dumps(model_to_container(got)) == json.dumps(model_to_container(want))
+
+
+def test_fit_cut_short_matches_array_kernel_oracle():
+    X, y = tfidf_engineered_data()
+    got = train_linear_svm(X, y, C=100.0, max_epochs=3)
+    want = svm_train(X, y, C=100.0, max_epochs=3)
+    assert got.epochs_run == 3
+    assert json.dumps(model_to_container(got)) == json.dumps(model_to_container(want))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_numba_kernel_matches_python_kernel(monkeypatch, name):
+    pytest.importorskip("numba")
+    X, y = ORACLE_INPUTS[name]()
+    jitted = train_linear_svm(X, y, C=1.0, seed=3)
+    monkeypatch.setattr(svm, "_cd_epoch", svm._cd_epoch.py_func)
+    lists = train_linear_svm(X, y, C=1.0, seed=3)
+    assert jitted.epochs_run == lists.epochs_run
+    assert np.allclose(jitted.weights, lists.weights, rtol=1e-12, atol=1e-12)
+    assert np.isclose(jitted.bias, lists.bias, rtol=1e-12, atol=1e-12)
+
+
+class TestConvergenceWarning:
+    def test_unconverged_fit_warns_once(self, caplog):
+        X, y = tfidf_engineered_data()
+        with caplog.at_level(logging.WARNING, logger="paylens.models.svm"):
+            model = train_linear_svm(X, y, C=100.0, max_epochs=1)
+        bound = model.tol * max(abs(model.primal_objective), 1.0)
+        assert model.duality_gap > bound
+        records = [r for r in caplog.records if r.name == "paylens.models.svm"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        for part in ("C=100", "after 1 epochs", f"{model.duality_gap:.6g}",
+                     f"{bound:.6g}"):
+            assert part in message
+        assert set(model.to_payload()) == {
+            "weights", "bias", "C", "tol", "seed", "feature_names",
+            "epochs_run", "primal_objective", "duality_gap"}
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        X, y = dense_data()
+        with caplog.at_level(logging.DEBUG, logger="paylens.models.svm"):
+            model = train_linear_svm(X, y, C=1.0)
+        assert model.duality_gap <= model.tol * max(abs(model.primal_objective), 1.0)
+        assert model.epochs_run < 1000
+        assert not [r for r in caplog.records if r.name == "paylens.models.svm"]
