@@ -24,12 +24,12 @@ from . import corpus as corpus_mod
 from . import labels as labels_mod
 from .errors import PaylensError
 from .evaluation import GridSpec, balance_classes, grid_search, stratified_kfold
-from .features import engineered_feature_names
+from .features import aggregate_user_features, engineered_feature_names
 from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
 from .models import top_coefficients
-from .pipeline import (PipelineConfig, build_dataset, fit_pipeline,
-                       load_pipeline, save_pipeline)
+from .pipeline import (CLASSIFIERS, VECTORIZERS, PipelineConfig, build_dataset,
+                       fit_pipeline, load_pipeline, save_pipeline)
 from .synth import SynthSpec, generate_synthetic_corpus
 from .tokenizer import tokenize_post
 
@@ -82,20 +82,22 @@ def _pick(cli_value, cfg: dict, key: str, default):
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
-    n_lo = _pick(args.ngram_min, cfg, "ngram_min", 1)
-    n_hi = _pick(args.ngram_max, cfg, "ngram_max", 2)
+    d = PipelineConfig()
+    n_lo = _pick(args.ngram_min, cfg, "ngram_min", d.n_range[0])
+    n_hi = _pick(args.ngram_max, cfg, "ngram_max", d.n_range[1])
     return PipelineConfig(
-        vectorizer=_pick(args.vectorizer, cfg, "vectorizer", "tfidf"),
+        vectorizer=_pick(args.vectorizer, cfg, "vectorizer", d.vectorizer),
         n_range=(int(n_lo), int(n_hi)),
-        min_df=int(_pick(args.min_df, cfg, "min_df", 2)),
-        use_engineered=_pick(args.use_engineered, cfg, "use_engineered", True),
+        min_df=int(_pick(args.min_df, cfg, "min_df", d.min_df)),
+        use_engineered=_pick(args.use_engineered, cfg, "use_engineered",
+                             d.use_engineered),
         include_actor_pct=_pick(args.include_actor_pct, cfg,
-                                "include_actor_pct", False),
-        classifier=_pick(args.classifier, cfg, "classifier", "svm"),
-        C=float(_pick(args.C, cfg, "C", 1.0)),
+                                "include_actor_pct", d.include_actor_pct),
+        classifier=_pick(args.classifier, cfg, "classifier", d.classifier),
+        C=float(_pick(args.C, cfg, "C", d.C)),
         mlp_overrides=cfg.get("mlp_overrides", {}),
         gbdt_overrides=cfg.get("gbdt_overrides", {}),
-        seed=int(_pick(args.seed, cfg, "seed", 0)),
+        seed=int(_pick(args.seed, cfg, "seed", d.seed)),
     )
 
 
@@ -174,7 +176,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    from .features import aggregate_user_features
     grouped = _load_corpus(args.infile, min_posts=args.min_posts)
     names = engineered_feature_names(args.include_actor_pct)
     with _open_out(args.out) as fp:
@@ -183,8 +184,8 @@ def cmd_featurize(args) -> int:
         for user_id in sorted(grouped.users):
             profile = grouped.users[user_id]
             posts = [tokenize_post(t.note) for t, _ in profile.posts]
-            feats = aggregate_user_features(profile, posts)
-            row = feats.to_vector(args.include_actor_pct)
+            row = aggregate_user_features(
+                profile, posts, include_actor_pct=args.include_actor_pct)
             writer.writerow([user_id] + [repr(float(v)) for v in row])
     print(f"featurized {len(grouped.users)} users ({len(names)} columns)")
     return 0
@@ -342,11 +343,11 @@ def _add_common_label_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vectorizer", choices=("count", "tfidf"), default=None)
+    p.add_argument("--vectorizer", choices=VECTORIZERS, default=None)
     p.add_argument("--ngram-min", type=int, default=None)
     p.add_argument("--ngram-max", type=int, default=None)
     p.add_argument("--min-df", type=int, default=None)
-    p.add_argument("--classifier", choices=("svm", "mlp", "gbdt"), default=None)
+    p.add_argument("--classifier", choices=CLASSIFIERS, default=None)
     p.add_argument("-C", dest="C", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-engineered", dest="use_engineered",

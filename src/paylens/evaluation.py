@@ -10,7 +10,7 @@ broken by expansion order, and refits the winner on all rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SingleClass, TooFewSamples
 from .labels import LabeledUser
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
-                       fit_pipeline, pipeline_predict, pipeline_transform)
+                       fit_pipeline, fits_type, pipeline_predict,
+                       pipeline_transform)
 
 
 @dataclass(frozen=True)
@@ -157,21 +158,31 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
+        """A grid from its JSON object; an unknown key, an axis that is not a
+        list or a mistyped entry is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"grid spec must be an object, got {data!r}")
+        known = [f.name for f in fields(cls)]
         kwargs: dict = {}
-        if "vectorizers" in data:
-            kwargs["vectorizers"] = tuple(data["vectorizers"])
-        if "n_ranges" in data:
-            kwargs["n_ranges"] = tuple(tuple(nr) for nr in data["n_ranges"])
-        if "classifiers" in data:
-            kwargs["classifiers"] = tuple(data["classifiers"])
-        if "svm_c" in data:
-            kwargs["svm_c"] = tuple(float(c) for c in data["svm_c"])
-        for key in ("mlp_overrides", "gbdt_overrides"):
-            if key in data:
-                if not isinstance(data[key], dict):
+        for key, value in data.items():
+            if key not in known:
+                raise ValueError(f"grid: unknown key {key!r} (axes: {known})")
+            if key.endswith("_overrides"):
+                if not isinstance(value, dict):
                     raise ValueError(f"grid {key} must be an object, "
-                                     f"got {data[key]!r}")
-                kwargs[key] = tuple(data[key].items())
+                                     f"got {value!r}")
+                value = value.items()
+            elif not isinstance(value, list):
+                raise ValueError(f"grid {key} must be a list, got {value!r}")
+            elif key == "n_ranges":
+                if not all(isinstance(nr, list) and len(nr) == 2
+                           and all(fits_type(n, int) for n in nr) for nr in value):
+                    raise ValueError(f"grid n_ranges entries must be [low, high] "
+                                     f"pairs of ints, got {value!r}")
+                value = map(tuple, value)
+            elif key == "svm_c" and not all(fits_type(c, float) for c in value):
+                raise ValueError(f"grid svm_c entries must be numbers, got {value!r}")
+            kwargs[key] = tuple(value)
         return cls(**kwargs)
 
 

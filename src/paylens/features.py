@@ -66,32 +66,8 @@ class ContentCounts:
 assert tuple(f.name for f in fields(ContentCounts)) == CONTENT_FEATURES
 
 
-@dataclass(frozen=True)
-class EngineeredFeatures:
-    """Per-user aggregates: (avg, pct) per content feature plus structure."""
-
-    avg_per_post: dict[str, float]
-    pct_posts_containing: dict[str, float]
-    pct_charge: float
-    avg_likes: float
-    avg_len_chars: float
-    avg_len_tokens: float
-    pct_as_actor: float
-
-    def to_vector(self, include_actor_pct: bool = False) -> np.ndarray:
-        vals: list[float] = []
-        for name in CONTENT_FEATURES:
-            vals.append(self.avg_per_post[name])
-            vals.append(self.pct_posts_containing[name])
-        vals.extend([self.pct_charge, self.avg_likes,
-                     self.avg_len_chars, self.avg_len_tokens])
-        if include_actor_pct:
-            vals.append(self.pct_as_actor)
-        return np.array(vals, dtype=np.float64)
-
-
 def engineered_feature_names(include_actor_pct: bool = False) -> list[str]:
-    """Column names in the order produced by EngineeredFeatures.to_vector."""
+    """Column names of the rows aggregate_user_features returns."""
     names: list[str] = []
     for f in CONTENT_FEATURES:
         names.append(f"{f}_avg")
@@ -102,11 +78,9 @@ def engineered_feature_names(include_actor_pct: bool = False) -> list[str]:
     return names
 
 
-def detect_content_features(post: TokenizedPost,
-                            curse_lexicon: frozenset[str] | None = None) -> ContentCounts:
+def detect_content_features(post: TokenizedPost) -> ContentCounts:
     """Count the eleven content features in one tokenized post."""
-    if curse_lexicon is None:
-        curse_lexicon = default_curse_lexicon()
+    curse_lexicon = default_curse_lexicon()
     laughing_lexicon = default_laughing_lexicon()
 
     raw = post.raw
@@ -146,11 +120,14 @@ def detect_content_features(post: TokenizedPost,
 
 def aggregate_user_features(profile: UserProfile,
                             posts: list[TokenizedPost],
-                            counts: list[ContentCounts] | None = None) -> EngineeredFeatures:
-    """Aggregate per-post counts and structure into one user's feature row.
+                            counts: list[ContentCounts] | None = None,
+                            include_actor_pct: bool = False) -> np.ndarray:
+    """One user's float64 feature row, in engineered_feature_names order.
 
-    posts must align one-to-one with profile.posts. Precomputed counts may be
-    passed to avoid re-detection.
+    The (avg, pct) pair of each content feature, then the structural
+    columns, then pct_as_actor when asked for. posts must align one-to-one
+    with profile.posts. Precomputed counts may be passed to avoid
+    re-detection.
     """
     n = len(profile.posts)
     if n == 0:
@@ -164,17 +141,12 @@ def aggregate_user_features(profile: UserProfile,
     avg = matrix.mean(axis=0)
     pct = (matrix > 0).mean(axis=0)
 
-    kinds = [t.kind for t, _ in profile.posts]
-    roles = [role for _, role in profile.posts]
-    likes = [t.likes_count for t, _ in profile.posts]
-    notes = [t.note for t, _ in profile.posts]
-
-    return EngineeredFeatures(
-        avg_per_post={name: float(avg[i]) for i, name in enumerate(CONTENT_FEATURES)},
-        pct_posts_containing={name: float(pct[i]) for i, name in enumerate(CONTENT_FEATURES)},
-        pct_charge=sum(1 for k in kinds if k == "charge") / n,
-        avg_likes=float(np.mean(likes)),
-        avg_len_chars=float(np.mean([len(s) for s in notes])),
-        avg_len_tokens=float(np.mean([len(p.tokens) for p in posts])),
-        pct_as_actor=sum(1 for r in roles if r == "actor") / n,
-    )
+    structure = [
+        sum(1 for t, _ in profile.posts if t.kind == "charge") / n,
+        float(np.mean([t.likes_count for t, _ in profile.posts])),
+        float(np.mean([len(t.note) for t, _ in profile.posts])),
+        float(np.mean([len(p.tokens) for p in posts])),
+    ]
+    if include_actor_pct:
+        structure.append(sum(1 for _, role in profile.posts if role == "actor") / n)
+    return np.concatenate([np.stack([avg, pct], axis=1).ravel(), structure])

@@ -1,12 +1,11 @@
-from .client import (ClientConfig, CrawlState, FeedPage, HarvestClient,
-                     TokenBucket, crawl_users, fetch_public_feed,
-                     fetch_user_transactions, iter_user_pages,
+from .client import (ClientConfig, CrawlState, HarvestClient, TokenBucket,
+                     crawl_users, fetch_public_feed, fetch_user_transactions,
                      load_checkpoint, resolve_user_id, save_checkpoint)
 from .server import MockServer, MockServerConfig, run_mock_server
 
 __all__ = [
-    "ClientConfig", "CrawlState", "FeedPage", "HarvestClient", "TokenBucket",
+    "ClientConfig", "CrawlState", "HarvestClient", "TokenBucket",
     "crawl_users", "fetch_public_feed", "fetch_user_transactions",
-    "iter_user_pages", "load_checkpoint", "resolve_user_id", "save_checkpoint",
+    "load_checkpoint", "resolve_user_id", "save_checkpoint",
     "MockServer", "MockServerConfig", "run_mock_server",
 ]

@@ -12,6 +12,7 @@ so killing and resuming a crawl converges on the same transaction set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Sequence
 
 import requests
 
@@ -142,25 +143,19 @@ def _refresh_interval(body: dict) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class FeedPage:
-    transactions: tuple[Transaction, ...]
-    next_before_id: str | None
-
-
 def fetch_public_feed(endpoint: str, pages: int,
-                      client: HarvestClient | ClientConfig | None = None,
-                      wait_between_polls: bool = True) -> list[Transaction]:
+                      client: HarvestClient | ClientConfig | None = None
+                      ) -> list[Transaction]:
     """Poll the public feed `pages` times and return the deduplicated union.
 
-    When wait_between_polls is set, sleeps out the refresh interval the
-    server advertises so consecutive polls see fresh windows.
+    Sleeps out the refresh interval the server advertises between polls, so
+    consecutive polls see fresh windows.
     """
     hc = _client(client)
     seen: dict[str, Transaction] = {}
     refresh = 0.0
     for page_index in range(pages):
-        if page_index > 0 and wait_between_polls and refresh > 0:
+        if page_index > 0 and refresh > 0:
             time.sleep(refresh)
         txns, refresh = _get_page(
             hc, f"{endpoint}/feed", f"feed poll {page_index}",
@@ -170,35 +165,24 @@ def fetch_public_feed(endpoint: str, pages: int,
     return list(seen.values())
 
 
-def iter_user_pages(endpoint: str, user_id: str,
-                    client: HarvestClient | ClientConfig | None = None,
-                    before_id: str | None = None) -> Iterator[FeedPage]:
-    """Follow before_id pagination through a user's timeline."""
-    hc = _client(client)
-    url = f"{endpoint}/users/{user_id}/transactions"
-    missing = UserNotFound(f"user {user_id!r} not found")
-    cursor = before_id
-    page_index = 0
-    while True:
-        params = {} if cursor is None else {"before_id": cursor}
-        txns, cursor = _get_page(
-            hc, url, f"user {user_id!r} page {page_index}", missing, params,
-            read=lambda body: body.get("next_before_id"))
-        yield FeedPage(transactions=tuple(txns), next_before_id=cursor)
-        if cursor is None:
-            return
-        page_index += 1
-
-
 def fetch_user_transactions(endpoint: str, user_id: str,
                             client: HarvestClient | ClientConfig | None = None,
                             before_id: str | None = None) -> list[Transaction]:
-    """Every public transaction of a user exactly once, newest-first."""
+    """Every public transaction of a user exactly once, newest-first,
+    following before_id pages from the newest page or from before_id."""
+    hc = _client(client)
+    url = f"{endpoint}/users/{user_id}/transactions"
+    missing = UserNotFound(f"user {user_id!r} not found")
     out: dict[str, Transaction] = {}
-    for page in iter_user_pages(endpoint, user_id, client, before_id=before_id):
-        for t in page.transactions:
+    for page_index in itertools.count():
+        params = {} if before_id is None else {"before_id": before_id}
+        txns, before_id = _get_page(
+            hc, url, f"user {user_id!r} page {page_index}", missing, params,
+            read=lambda body: body.get("next_before_id"))
+        for t in txns:
             out.setdefault(t.id, t)
-    return list(out.values())
+        if before_id is None:
+            return list(out.values())
 
 
 def resolve_user_id(endpoint: str, username: str,

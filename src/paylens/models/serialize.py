@@ -1,9 +1,9 @@
-"""Versioned on-disk containers for models and pipelines.
+"""Versioned JSON containers for models and pipelines.
 
-A container file is JSON: {"magic": ..., "version": ..., "kind": ...,
-"payload": ...}. Floats survive the JSON round trip exactly (shortest-repr
-encoding), so a loaded model predicts bit-identically. Pipelines
-(`paylens.pipeline`) use the same header check, read and atomic write.
+A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...}.
+Floats survive the JSON round trip exactly (shortest-repr encoding), so a
+loaded model predicts bit-identically. Models travel inside pipeline files
+(`paylens.pipeline`), which use the header check, read and write here.
 """
 
 from __future__ import annotations
@@ -67,10 +67,3 @@ def model_from_container(container: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptError(f"bad payload for kind {kind!r}: {exc}") from exc
 
-
-def save_model(model, path: PathLike) -> None:
-    write_container(model_to_container(model), path)
-
-
-def load_model(path: PathLike):
-    return model_from_container(read_container(path, "model"))

@@ -169,15 +169,14 @@ def svm_predict(model: LinearSvmModel, X) -> np.ndarray:
     return np.where(decision >= 0.0, 1, -1)
 
 
-def top_coefficients(model: LinearSvmModel, k: int,
-                     feature_names: list[str] | None = None
+def top_coefficients(model: LinearSvmModel, k: int
                      ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
     """The k most positive and k most negative weights with their names.
 
     Each returned list is ordered by absolute weight descending with ties
     broken by feature name. k larger than the width is clipped.
     """
-    names = feature_names if feature_names is not None else model.feature_names
+    names = model.feature_names
     if names is None:
         names = [f"f{i}" for i in range(model.weights.shape[0])]
     if len(names) != model.weights.shape[0]:

@@ -10,8 +10,8 @@ format of `paylens.models.serialize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +38,12 @@ VECTORIZERS = ("count", "tfidf")
 CLASSIFIERS = ("svm", "mlp", "gbdt")
 
 
+def fits_type(value, kind: type) -> bool:
+    """An int fits int; an int or a float fits float; a bool fits neither."""
+    allowed = (int,) if kind is int else (int, float)
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     vectorizer: str = "tfidf"
@@ -54,6 +60,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, names in (("vectorizer", VECTORIZERS), ("classifier", CLASSIFIERS)):
+            if getattr(self, key) not in names:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}")
         for key, model_config in (("mlp_overrides", MlpConfig),
                                   ("gbdt_overrides", GbdtConfig)):
             value = getattr(self, key)
@@ -62,28 +71,20 @@ class PipelineConfig:
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must map {model_config.__name__} "
                                  f"fields to values, got {value!r}") from None
-            known = {f.name for f in fields(model_config)}
-            unknown = [k for k in overrides if k not in known]
-            if unknown:
-                raise ValueError(f"{key}: {unknown[0]!r} is not a "
-                                 f"{model_config.__name__} field")
+            types = get_type_hints(model_config)
+            for name, v in overrides.items():
+                if name not in types:
+                    raise ValueError(f"{key}: {name!r} is not a "
+                                     f"{model_config.__name__} field")
+                if not fits_type(v, types[name]):
+                    raise ValueError(f"{key}: {name!r} must be "
+                                     f"{types[name].__name__}, got {v!r}")
             object.__setattr__(self, key, tuple(sorted(overrides.items())))
 
     def to_dict(self) -> dict:
-        return {
-            "vectorizer": self.vectorizer,
-            "n_range": list(self.n_range),
-            "min_df": self.min_df,
-            "use_engineered": self.use_engineered,
-            "include_actor_pct": self.include_actor_pct,
-            "normalize_counts": self.normalize_counts,
-            "classifier": self.classifier,
-            "C": self.C,
-            "svm_tol": self.svm_tol,
-            "mlp_overrides": dict(self.mlp_overrides),
-            "gbdt_overrides": dict(self.gbdt_overrides),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "n_range": list(self.n_range),
+                "mlp_overrides": dict(self.mlp_overrides),
+                "gbdt_overrides": dict(self.gbdt_overrides)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -118,10 +119,10 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
         profile = corpus.users[lu.user_id]
         tokenized = [tokenize_post(t.note) for t, _ in profile.posts]
         counts = [detect_content_features(p) for p in tokenized]
-        feats = aggregate_user_features(profile, tokenized, counts)
         user_ids.append(lu.user_id)
         posts.append(tokenized)
-        rows.append(feats.to_vector(include_actor_pct))
+        rows.append(aggregate_user_features(profile, tokenized, counts,
+                                            include_actor_pct))
         labels.append(1 if lu.label == CLASS_B else 0)
     engineered = (np.stack(rows) if rows
                   else np.zeros((0, len(engineered_feature_names(include_actor_pct)))))
@@ -168,11 +169,6 @@ def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
                  config: PipelineConfig) -> FittedPipeline:
     """Fit vocabulary, scaler and classifier on the given training rows only."""
     idx = np.asarray(train_idx, dtype=np.int64)
-    if config.vectorizer not in VECTORIZERS:
-        raise ValueError(f"unknown vectorizer {config.vectorizer!r}")
-    if config.classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier {config.classifier!r}")
-
     vocab = fit_vocabulary([dataset.posts[i] for i in idx],
                            n_range=config.n_range, min_df=config.min_df)
     X, scaler = _features_for(dataset, idx, vocab, None, config)

@@ -5,11 +5,13 @@ plain dicts, math.log and explicit loops only.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from paylens.errors import NonFiniteError
+from paylens.errors import EmptyProfile, NonFiniteError
+from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import check_binary_labels
 from paylens.models.gbdt import _LAMBDA, _leaf_value
 from paylens.models.svm import LinearSvmModel, _as_csr
@@ -160,4 +162,64 @@ def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
         weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,
         feature_names=list(feature_names) if feature_names is not None else None,
         epochs_run=epochs, primal_objective=primal, duality_gap=gap,
+    )
+
+
+# Per-user aggregation as first written: a dataclass of named aggregates,
+# flattened by to_vector. aggregate_user_features must return the same bits.
+@dataclass(frozen=True)
+class EngineeredFeatures:
+    """Per-user aggregates: (avg, pct) per content feature plus structure."""
+
+    avg_per_post: dict[str, float]
+    pct_posts_containing: dict[str, float]
+    pct_charge: float
+    avg_likes: float
+    avg_len_chars: float
+    avg_len_tokens: float
+    pct_as_actor: float
+
+    def to_vector(self, include_actor_pct: bool = False) -> np.ndarray:
+        vals: list[float] = []
+        for name in CONTENT_FEATURES:
+            vals.append(self.avg_per_post[name])
+            vals.append(self.pct_posts_containing[name])
+        vals.extend([self.pct_charge, self.avg_likes,
+                     self.avg_len_chars, self.avg_len_tokens])
+        if include_actor_pct:
+            vals.append(self.pct_as_actor)
+        return np.array(vals, dtype=np.float64)
+
+
+def engineered_features(profile, posts, counts=None) -> EngineeredFeatures:
+    """Aggregate per-post counts and structure into one user's feature row.
+
+    posts must align one-to-one with profile.posts. Precomputed counts may be
+    passed to avoid re-detection.
+    """
+    n = len(profile.posts)
+    if n == 0:
+        raise EmptyProfile(f"user {profile.user_id} has no posts")
+    if len(posts) != n:
+        raise ValueError("posts must align with profile.posts")
+    if counts is None:
+        counts = [detect_content_features(p) for p in posts]
+
+    matrix = np.stack([c.as_vector() for c in counts])
+    avg = matrix.mean(axis=0)
+    pct = (matrix > 0).mean(axis=0)
+
+    kinds = [t.kind for t, _ in profile.posts]
+    roles = [role for _, role in profile.posts]
+    likes = [t.likes_count for t, _ in profile.posts]
+    notes = [t.note for t, _ in profile.posts]
+
+    return EngineeredFeatures(
+        avg_per_post={name: float(avg[i]) for i, name in enumerate(CONTENT_FEATURES)},
+        pct_posts_containing={name: float(pct[i]) for i, name in enumerate(CONTENT_FEATURES)},
+        pct_charge=sum(1 for k in kinds if k == "charge") / n,
+        avg_likes=float(np.mean(likes)),
+        avg_len_chars=float(np.mean([len(s) for s in notes])),
+        avg_len_tokens=float(np.mean([len(p.tokens) for p in posts])),
+        pct_as_actor=sum(1 for r in roles if r == "actor") / n,
     )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from paylens import evaluation
 from paylens.cli import load_pipeline, main
 from paylens.corpus import group_by_user, load_transactions
 from paylens.harvest import MockServerConfig, run_mock_server
@@ -274,7 +275,8 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("overrides, message", [
         ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
-    ], ids=["unknown_key", "not_a_mapping"])
+        ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
+    ], ids=["unknown_key", "not_a_mapping", "bad_value_type"])
     def test_train_rejects_bad_config_overrides(self, synth_files, tmp_path,
                                                 capsys, overrides, message):
         corpus, labels = synth_files
@@ -293,19 +295,37 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("grid_overrides, message", [
         ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
         ({"mlp_overrides": 5}, "grid mlp_overrides must be an object"),
-    ], ids=["unknown_key", "not_a_mapping"])
+        ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
+        ({"classifier": ["gbdt"], "svm_c": [1.0]}, "grid: unknown key 'classifier'"),
+        ({"svm_c": 1.0}, "grid svm_c must be a list, got 1.0"),
+        ({"n_ranges": [[1, 2, 3]]}, "grid n_ranges entries must be [low, high]"),
+        ({"classifiers": ["svm", "forest"]}, "unknown classifier 'forest'"),
+    ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "typo_key",
+            "axis_not_a_list", "n_range_not_a_pair", "unknown_classifier"])
     def test_evaluate_rejects_bad_grid_overrides(self, synth_files, tmp_path,
-                                                 capsys, grid_overrides, message):
+                                                 capsys, monkeypatch,
+                                                 grid_overrides, message):
         corpus, labels = synth_files
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"classifiers": ["gbdt"], **grid_overrides}))
+        fits = []
+        fit = evaluation.fit_pipeline
+
+        def counted_fit(*args):
+            fits.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(evaluation, "fit_pipeline", counted_fit)
+        report = tmp_path / "report.json"
         code = main(["evaluate", "--task", "politics", "--in", str(corpus),
                      "--labels-file", str(labels), "--grid", str(grid),
-                     "--folds", "3", "--report", str(tmp_path / "report.json"),
+                     "--folds", "3", "--report", str(report),
                      "--min-posts", "8"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not fits and not report.exists()  # rejected before any fit
 
     def test_cli_flag_beats_config_file(self, synth_files, tmp_path):
         corpus, labels = synth_files

@@ -13,6 +13,7 @@ from paylens.tokenizer import tokenize_post
 
 from conftest import make_txn
 from golden_features import GOLDEN_NOTES
+from oracles import engineered_features
 
 
 def counts_for(note):
@@ -35,65 +36,61 @@ class TestDetectContentFeatures:
     def test_empty_note_all_zero(self):
         assert counts_for("") == ContentCounts()
 
-    def test_custom_curse_lexicon(self):
-        post = tokenize_post("blimey mate")
-        assert detect_content_features(post).curse == 0
-        custom = frozenset({"blimey"})
-        assert detect_content_features(post, curse_lexicon=custom).curse == 1
+
+def features_of(profile, posts):
+    """One user's engineered row, keyed by column name."""
+    row = aggregate_user_features(profile, posts, include_actor_pct=True)
+    return dict(zip(engineered_feature_names(True), row))
+
+
+def make_profile(notes, kinds=None, likes=None, roles=None):
+    kinds = kinds or ["payment"] * len(notes)
+    likes = likes or [0] * len(notes)
+    roles = roles or ["actor"] * len(notes)
+    txns = []
+    for i, (note, kind, like, role) in enumerate(zip(notes, kinds, likes, roles)):
+        actor, target = ("uu", f"x{i}") if role == "actor" else (f"x{i}", "uu")
+        txns.append(make_txn(f"t{i}", note=note, actor=actor, target=target,
+                             minutes=i, kind=kind, likes=like))
+    profile = group_by_user(txns).users["uu"]
+    posts = [tokenize_post(t.note) for t, _ in profile.posts]
+    return profile, posts
 
 
 class TestAggregateUserFeatures:
-    def _profile(self, notes, kinds=None, likes=None, roles=None):
-        kinds = kinds or ["payment"] * len(notes)
-        likes = likes or [0] * len(notes)
-        roles = roles or ["actor"] * len(notes)
-        txns = []
-        for i, (note, kind, like, role) in enumerate(zip(notes, kinds, likes, roles)):
-            actor, target = ("uu", f"x{i}") if role == "actor" else (f"x{i}", "uu")
-            txns.append(make_txn(f"t{i}", note=note, actor=actor, target=target,
-                                 minutes=i, kind=kind, likes=like))
-        profile = group_by_user(txns).users["uu"]
-        posts = [tokenize_post(t.note) for t, _ in profile.posts]
-        return profile, posts
-
     def test_avg_and_pct(self):
-        profile, posts = self._profile(["🍕🍕", "rent"])
-        feats = aggregate_user_features(profile, posts)
-        assert feats.avg_per_post["emoji"] == pytest.approx(1.0)
-        assert feats.pct_posts_containing["emoji"] == pytest.approx(0.5)
+        feats = features_of(*make_profile(["🍕🍕", "rent"]))
+        assert feats["emoji_avg"] == pytest.approx(1.0)
+        assert feats["emoji_pct"] == pytest.approx(0.5)
 
     def test_all_charges(self):
-        profile, posts = self._profile(["a", "b"], kinds=["charge", "charge"])
-        feats = aggregate_user_features(profile, posts)
-        assert feats.pct_charge == pytest.approx(1.0)
+        feats = features_of(*make_profile(["a", "b"], kinds=["charge", "charge"]))
+        assert feats["pct_charge"] == pytest.approx(1.0)
 
     def test_avg_likes(self):
-        profile, posts = self._profile(["a", "b", "c"], likes=[0, 3, 3])
-        feats = aggregate_user_features(profile, posts)
-        assert feats.avg_likes == pytest.approx(2.0)
+        feats = features_of(*make_profile(["a", "b", "c"], likes=[0, 3, 3]))
+        assert feats["avg_likes"] == pytest.approx(2.0)
 
     def test_lengths(self):
-        profile, posts = self._profile(["🍕", "hi there"])
-        feats = aggregate_user_features(profile, posts)
-        assert feats.avg_len_chars == pytest.approx((1 + 8) / 2)
-        assert feats.avg_len_tokens == pytest.approx((1 + 2) / 2)
+        feats = features_of(*make_profile(["🍕", "hi there"]))
+        assert feats["avg_len_chars"] == pytest.approx((1 + 8) / 2)
+        assert feats["avg_len_tokens"] == pytest.approx((1 + 2) / 2)
 
     def test_pct_as_actor(self):
-        profile, posts = self._profile(["a", "b", "c", "d"],
-                                       roles=["actor", "actor", "actor", "target"])
-        feats = aggregate_user_features(profile, posts)
-        assert feats.pct_as_actor == pytest.approx(0.75)
+        feats = features_of(*make_profile(
+            ["a", "b", "c", "d"], roles=["actor", "actor", "actor", "target"]))
+        assert feats["pct_as_actor"] == pytest.approx(0.75)
 
     def test_empty_profile_rejected(self):
-        profile, _ = self._profile(["a"])
+        profile, _ = make_profile(["a"])
         profile.posts.clear()
         with pytest.raises(EmptyProfile):
             aggregate_user_features(profile, [])
 
     def test_permutation_invariance(self):
         notes = ["🍕 pizza!!", "omg", "lol...", "PARTY", "plain note"]
-        profile, posts = self._profile(notes, likes=[1, 0, 2, 5, 0])
-        base = aggregate_user_features(profile, posts).to_vector(True)
+        profile, posts = make_profile(notes, likes=[1, 0, 2, 5, 0])
+        base = aggregate_user_features(profile, posts, include_actor_pct=True)
         rng = random.Random(3)
         order = list(range(len(profile.posts)))
         for _ in range(5):
@@ -103,20 +100,42 @@ class TestAggregateUserFeatures:
                                   display_name=profile.display_name,
                                   posts=shuffled_posts)
             shuffled_tokens = [posts[i] for i in order]
-            out = aggregate_user_features(clone, shuffled_tokens).to_vector(True)
+            out = aggregate_user_features(clone, shuffled_tokens,
+                                          include_actor_pct=True)
             assert np.allclose(out, base)
 
     def test_pct_positive_iff_avg_positive(self):
         notes = ["🍕🍕 omg!!", "", "lol", "regular", "shit happens..."]
-        profile, posts = self._profile(notes)
-        feats = aggregate_user_features(profile, posts)
+        feats = features_of(*make_profile(notes))
         for name in CONTENT_FEATURES:
-            assert (feats.avg_per_post[name] > 0) == \
-                   (feats.pct_posts_containing[name] > 0)
+            assert (feats[f"{name}_avg"] > 0) == (feats[f"{name}_pct"] > 0)
 
     def test_vector_matches_names(self):
-        profile, posts = self._profile(["a"])
-        feats = aggregate_user_features(profile, posts)
-        assert len(feats.to_vector(False)) == len(engineered_feature_names(False))
-        assert len(feats.to_vector(True)) == len(engineered_feature_names(True))
+        profile, posts = make_profile(["a"])
+        for include in (False, True):
+            row = aggregate_user_features(profile, posts, include_actor_pct=include)
+            assert row.dtype == np.float64
+            assert len(row) == len(engineered_feature_names(include))
         assert engineered_feature_names(True)[-1] == "pct_as_actor"
+
+
+_ORACLE_NOTES = ["", "🍕🍕 omg!!", "lol...", "PARTY TIME", "shit happens",
+                 "hahaha :) :venmo_heart:", "soooo good!", "rent", "…", "ok!"]
+
+
+@pytest.mark.parametrize("include_actor_pct", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_row_matches_oracle(seed, include_actor_pct):
+    # random profiles: empty notes, charges, likes and mixed actor/target roles
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    profile, posts = make_profile(
+        [rng.choice(_ORACLE_NOTES) for _ in range(n)],
+        kinds=[rng.choice(["payment", "charge"]) for _ in range(n)],
+        likes=[rng.choice([0, 0, 1, 2, 7]) for _ in range(n)],
+        roles=[rng.choice(["actor", "target"]) for _ in range(n)])
+    expected = engineered_features(profile, posts).to_vector(include_actor_pct)
+    counts = [detect_content_features(p) for p in posts]
+    for given in (None, counts):
+        row = aggregate_user_features(profile, posts, given, include_actor_pct)
+        assert row.tobytes() == expected.tobytes()

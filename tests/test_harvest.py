@@ -12,9 +12,8 @@ from paylens.errors import (HarvestError, MalformedPage, PatternNotFound,
                             UnknownUsername, UserNotFound)
 from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
                              TokenBucket, crawl_users, fetch_public_feed,
-                             fetch_user_transactions, iter_user_pages,
-                             load_checkpoint, resolve_user_id, run_mock_server,
-                             save_checkpoint)
+                             fetch_user_transactions, load_checkpoint,
+                             resolve_user_id, run_mock_server, save_checkpoint)
 from paylens.harvest.client import CrawlState
 
 from conftest import make_txn
@@ -120,10 +119,12 @@ class TestFetchPublicFeed:
 
     def test_dedup_when_window_repeats(self):
         corpus = group_by_user(corpus_for_user("u1", 20))
-        config = MockServerConfig(page_size=20, refresh_interval=60.0)
+        config = MockServerConfig(page_size=20, refresh_interval=0.0)
         with run_mock_server(corpus, config) as srv:
-            txns = fetch_public_feed(srv.url, pages=2, wait_between_polls=False)
+            before = srv.request_count
+            txns = fetch_public_feed(srv.url, pages=2)
             assert len(txns) == 20
+            assert srv.request_count - before == 2
 
     def test_rotating_window_collects_all(self):
         corpus = group_by_user(corpus_for_user("u1", 50))
@@ -164,13 +165,14 @@ class TestFetchUserTransactions:
             fetch_user_transactions(server45.url, "ghost")
 
     def test_resume_from_cursor_covers_all(self, server45):
-        pages = iter_user_pages(server45.url, "u1")
-        first = next(pages)
-        assert len(first.transactions) == 20
+        first = requests.get(f"{server45.url}/users/u1/transactions").json()
+        assert len(first["data"]) == 20
+        before = server45.request_count
         rest = fetch_user_transactions(server45.url, "u1",
-                                       before_id=first.next_before_id)
-        combined = {t.id for t in first.transactions} | {t.id for t in rest}
-        assert len(combined) == 45
+                                       before_id=first["next_before_id"])
+        assert server45.request_count - before == 2
+        combined = {t["id"] for t in first["data"]} | {t.id for t in rest}
+        assert len(rest) == 25 and len(combined) == 45
 
     def test_rate_limited_fetch_retries(self):
         corpus = group_by_user(corpus_for_user("u1", 45))

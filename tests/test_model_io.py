@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from paylens.errors import CorruptError, VersionError
-from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, load_model,
-                            mlp_proba, save_model, svm_decision, train_gbdt,
-                            train_linear_svm, train_mlp)
-from paylens.models.serialize import MAGIC, model_to_container
+from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
+                            svm_decision, train_gbdt, train_linear_svm,
+                            train_mlp)
+from paylens.models.serialize import (MAGIC, model_from_container,
+                                      model_to_container, read_container,
+                                      write_container)
+
+
+def save_model(model, path):
+    write_container(model_to_container(model), path)
+
+
+def load_model(path):
+    return model_from_container(read_container(path, "model"))
 
 
 @pytest.fixture

@@ -77,12 +77,11 @@ class TestFitPipeline:
         accuracy = np.mean(pipeline_predict(fitted, X) == dataset.labels01)
         assert accuracy >= 0.9
 
-    def test_unknown_names_rejected(self, dataset):
-        idx = np.arange(len(dataset))
-        with pytest.raises(ValueError):
-            fit_pipeline(dataset, idx, PipelineConfig(vectorizer="hashing"))
-        with pytest.raises(ValueError):
-            fit_pipeline(dataset, idx, PipelineConfig(classifier="forest"))
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match="unknown vectorizer 'hashing'"):
+            PipelineConfig(vectorizer="hashing")
+        with pytest.raises(ValueError, match="unknown classifier 'forest'"):
+            PipelineConfig(classifier="forest")
 
 
 class TestConfigSerialization:
@@ -91,6 +90,12 @@ class TestConfigSerialization:
                                 classifier="gbdt", C=0.5,
                                 gbdt_overrides=(("rounds", 9),), seed=5)
         assert PipelineConfig.from_dict(config.to_dict()) == config
+
+    def test_valid_override_values_kept_as_given(self):
+        config = PipelineConfig(mlp_overrides={"lr": 1, "epochs": 5},
+                                gbdt_overrides={"learning_rate": 0.5})
+        assert config.mlp_overrides == (("epochs", 5), ("lr", 1))
+        assert type(dict(config.mlp_overrides)["lr"]) is int
 
     def test_unsorted_overrides_round_trip(self):
         config = PipelineConfig(
@@ -107,7 +112,11 @@ class TestConfigSerialization:
         ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
         ({"mlp_overrides": (("hidden", 4), ("rounds", 3))},
          "'rounds' is not a MlpConfig field"),
-    ], ids=["mlp_int", "gbdt_list", "gbdt_unknown_key", "mlp_gbdt_key"])
+        ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
+        ({"gbdt_overrides": {"rounds": 3.0}}, "'rounds' must be int, got 3.0"),
+        ({"mlp_overrides": {"lr": True}}, "'lr' must be float, got True"),
+    ], ids=["mlp_int", "gbdt_list", "gbdt_unknown_key", "mlp_gbdt_key",
+            "gbdt_str_value", "gbdt_float_for_int", "mlp_bool_for_float"])
     def test_bad_overrides_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**kwargs)
@@ -136,7 +145,8 @@ class TestPipelineArtifact:
 
     @pytest.mark.parametrize("key, value", [
         ("gbdt_overrides", {"bogus": 1}), ("mlp_overrides", 5),
-    ], ids=["unknown_key", "not_a_mapping"])
+        ("gbdt_overrides", {"rounds": "x"}),
+    ], ids=["unknown_key", "not_a_mapping", "bad_value_type"])
     def test_bad_overrides_are_corrupt(self, dataset, tmp_path, key, value):
         fitted = fit_pipeline(dataset, np.arange(len(dataset)),
                               PipelineConfig(min_df=1, seed=0))
