@@ -29,7 +29,7 @@ from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
 from .models import top_coefficients
 from .pipeline import (CLASSIFIERS, VECTORIZERS, PipelineConfig, build_dataset,
-                       fit_pipeline, load_pipeline, save_pipeline)
+                       fit_pipeline, fits_type, load_pipeline, save_pipeline)
 from .synth import SynthSpec, generate_synthetic_corpus
 from .tokenizer import tokenize_post
 
@@ -87,22 +87,27 @@ def _pipeline_config(args, cfg: dict) -> PipelineConfig:
     n_hi = _pick(args.ngram_max, cfg, "ngram_max", d.n_range[1])
     return PipelineConfig(
         vectorizer=_pick(args.vectorizer, cfg, "vectorizer", d.vectorizer),
-        n_range=(int(n_lo), int(n_hi)),
-        min_df=int(_pick(args.min_df, cfg, "min_df", d.min_df)),
+        n_range=(n_lo, n_hi),
+        min_df=_pick(args.min_df, cfg, "min_df", d.min_df),
         use_engineered=_pick(args.use_engineered, cfg, "use_engineered",
                              d.use_engineered),
         include_actor_pct=_pick(args.include_actor_pct, cfg,
                                 "include_actor_pct", d.include_actor_pct),
         classifier=_pick(args.classifier, cfg, "classifier", d.classifier),
-        C=float(_pick(args.C, cfg, "C", d.C)),
+        C=_pick(args.C, cfg, "C", d.C),
         mlp_overrides=cfg.get("mlp_overrides", {}),
         gbdt_overrides=cfg.get("gbdt_overrides", {}),
-        seed=int(_pick(args.seed, cfg, "seed", d.seed)),
+        seed=_pick(args.seed, cfg, "seed", d.seed),
     )
 
 
 def _labeled_users(grouped: corpus_mod.Corpus, args, cfg: dict):
     task = args.task
+    balance = _pick(getattr(args, "balance", None), cfg, "balance", True)
+    seed = _pick(getattr(args, "seed", None), cfg, "seed", 0)
+    for key, value, kind in (("balance", balance, bool), ("seed", seed, int)):
+        if not fits_type(value, kind):
+            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
     name_corpus = None
     if getattr(args, "name_corpus", None):
         with _open_in(args.name_corpus) as fp:
@@ -120,10 +125,8 @@ def _labeled_users(grouped: corpus_mod.Corpus, args, cfg: dict):
         grouped, task, name_corpus=name_corpus,
         region=_pick(getattr(args, "region", None), cfg, "region", "us"),
         political_labels=political)
-    balance = _pick(getattr(args, "balance", None), cfg, "balance", True)
     if balance:
-        labeled = balance_classes(labeled, seed=int(_pick(
-            getattr(args, "seed", None), cfg, "seed", 0)))
+        labeled = balance_classes(labeled, seed=seed)
     return labeled
 
 

@@ -84,7 +84,6 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> FoldPlan:
 class FoldOutcome:
     accuracy: float
     confusion: tuple[int, int, int, int]  # tn, fp, fn, tp
-    fitted: FittedPipeline | None = None
 
 
 @dataclass
@@ -115,7 +114,7 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, i
 
 
 def cross_validate(dataset: UserDataset, plan: FoldPlan,
-                   config: PipelineConfig, keep_models: bool = False) -> CvResult:
+                   config: PipelineConfig) -> CvResult:
     """Held-out accuracy per fold; all fitted state comes from training rows."""
     outcomes: list[FoldOutcome] = []
     for i in range(plan.k):
@@ -125,9 +124,8 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
         y_pred = pipeline_predict(fitted, X_test)
         y_true = dataset.labels01[test_idx]
         acc = float(np.mean(y_pred == y_true)) if len(test_idx) else 0.0
-        outcomes.append(FoldOutcome(
-            accuracy=acc, confusion=_confusion(y_true, y_pred),
-            fitted=fitted if keep_models else None))
+        outcomes.append(FoldOutcome(accuracy=acc,
+                                    confusion=_confusion(y_true, y_pred)))
     return CvResult(config=config, outcomes=outcomes)
 
 
@@ -152,8 +150,8 @@ class GridSpec:
             cs = self.svm_c if clf == "svm" else (base.C,)
             for c in cs:
                 configs.append(replace(
-                    base, vectorizer=vec, n_range=tuple(nr), classifier=clf,
-                    C=float(c), mlp_overrides=mlp, gbdt_overrides=gbdt))
+                    base, vectorizer=vec, n_range=nr, classifier=clf,
+                    C=c, mlp_overrides=mlp, gbdt_overrides=gbdt))
         return configs
 
     @classmethod

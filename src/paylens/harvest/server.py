@@ -46,7 +46,6 @@ class MockServerConfig:
     rate_limit: float = 0.0        # requests/sec; 0 disables limiting
     burst: int | None = None       # capacity, min 1; default ~1s of tokens
     usernames: dict[str, str] = field(default_factory=dict)
-    extra_user_ids: tuple[str, ...] = ()  # known users with empty timelines
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -129,8 +128,6 @@ class MockServer:
         for t in self._all:
             self._by_user.setdefault(t.actor_id, []).append(t)
             self._by_user.setdefault(t.target_id, []).append(t)
-        for uid in config.extra_user_ids:
-            self._by_user.setdefault(uid, [])
         self._usernames = dict(config.usernames)
         for uid in self._by_user:
             self._usernames.setdefault(uid, uid)

@@ -5,8 +5,9 @@ import numpy as np
 from ..errors import SingleClass
 
 
-def check_binary_labels(y, allowed: tuple[int, int]) -> np.ndarray:
-    """Labels as a float vector; both classes of `allowed` must occur."""
+def check_binary_labels(y, allowed: tuple[int, int], n_rows: int) -> np.ndarray:
+    """Labels as a float vector, one per training row; both classes of
+    `allowed` must occur."""
     y = np.asarray(y, dtype=np.float64).ravel()
     values = set(np.unique(y).tolist())
     if not values <= set(allowed):
@@ -14,6 +15,8 @@ def check_binary_labels(y, allowed: tuple[int, int]) -> np.ndarray:
                          f"got {sorted(values)}")
     if len(values) < 2:
         raise SingleClass("training labels contain a single class")
+    if n_rows != y.shape[0]:
+        raise ValueError(f"{n_rows} rows vs {y.shape[0]} labels")
     return y
 
 

@@ -42,25 +42,6 @@ class GbdtModel:
 
     kind: str = field(default="gbdt", init=False)
 
-    def to_payload(self) -> dict:
-        return {
-            "trees": self.trees,
-            "init_log_odds": self.init_log_odds,
-            "config": vars(self.config),
-            "feature_names": self.feature_names,
-            "loss_curve": self.loss_curve,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GbdtModel":
-        return cls(
-            trees=payload["trees"],
-            init_log_odds=float(payload["init_log_odds"]),
-            config=GbdtConfig(**payload["config"]),
-            feature_names=payload.get("feature_names"),
-            loss_curve=list(payload.get("loss_curve", [])),
-        )
-
 
 def _dense(X) -> np.ndarray:
     if sp.issparse(X):
@@ -179,10 +160,8 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
     if config is None:
         config = GbdtConfig()
     Xd = _dense(X)
-    yv = check_binary_labels(y, (0, 1))
     n = Xd.shape[0]
-    if n != yv.shape[0]:
-        raise ValueError(f"{n} rows vs {yv.shape[0]} labels")
+    yv = check_binary_labels(y, (0, 1), n)
 
     p_bar = float(np.clip(yv.mean(), 1e-12, 1 - 1e-12))
     init = float(np.log(p_bar / (1.0 - p_bar)))

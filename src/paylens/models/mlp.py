@@ -37,27 +37,6 @@ class MlpModel:
 
     kind: str = field(default="mlp", init=False)
 
-    def to_payload(self) -> dict:
-        return {
-            "W1": self.W1.tolist(), "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(), "b2": self.b2.tolist(),
-            "config": vars(self.config),
-            "feature_names": self.feature_names,
-            "loss_curve": self.loss_curve,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MlpModel":
-        return cls(
-            W1=np.asarray(payload["W1"], dtype=np.float64),
-            b1=np.asarray(payload["b1"], dtype=np.float64),
-            W2=np.asarray(payload["W2"], dtype=np.float64),
-            b2=np.asarray(payload["b2"], dtype=np.float64),
-            config=MlpConfig(**payload["config"]),
-            feature_names=payload.get("feature_names"),
-            loss_curve=list(payload.get("loss_curve", [])),
-        )
-
 
 def _dense_ok(X):
     if sp.issparse(X):
@@ -90,11 +69,7 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     db2 = dz.sum(axis=0)
     dhidden = dz @ W2.T
     dhidden[pre <= 0.0] = 0.0
-    dW1 = (X.T @ dhidden)
-    if sp.issparse(dW1):  # X sparse: result may come back as matrix
-        dW1 = np.asarray(dW1.todense())
-    else:
-        dW1 = np.asarray(dW1)
+    dW1 = X.T @ dhidden
     db1 = dhidden.sum(axis=0)
     return loss, dW1, db1, dW2, db2
 
@@ -105,10 +80,8 @@ def train_mlp(X, y, config: MlpConfig | None = None,
     if config is None:
         config = MlpConfig()
     Xv = _dense_ok(X)
-    yv = check_binary_labels(y, (0, 1))
     n, d = Xv.shape
-    if n != yv.shape[0]:
-        raise ValueError(f"{n} rows vs {yv.shape[0]} labels")
+    yv = check_binary_labels(y, (0, 1), n)
 
     rng = np.random.default_rng(config.seed)
     limit1 = np.sqrt(6.0 / (d + config.hidden))

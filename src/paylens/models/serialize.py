@@ -1,8 +1,10 @@
 """Versioned JSON containers for models and pipelines.
 
 A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...}.
-Floats survive the JSON round trip exactly (shortest-repr encoding), so a
-loaded model predicts bit-identically. Models travel inside pipeline files
+A model's payload is its dataclass's init fields in declaration order, with
+ndarrays as nested lists and config dataclasses as objects. Floats survive
+the JSON round trip exactly (shortest-repr encoding), so a loaded model
+predicts bit-identically. Models travel inside pipeline files
 (`paylens.pipeline`), which use the header check, read and write here.
 """
 
@@ -10,7 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Union
+from dataclasses import fields, is_dataclass
+from typing import Union, get_type_hints
+
+import numpy as np
 
 from ..errors import CorruptError, VersionError
 from .gbdt import GbdtModel
@@ -51,9 +56,25 @@ def write_container(container: dict, path: PathLike) -> None:
     os.replace(tmp, path)
 
 
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return vars(value) if is_dataclass(value) else value
+
+
+def _decode(value, kind):
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    if kind in (int, float):
+        return kind(value)
+    return kind(**value) if is_dataclass(kind) else value
+
+
 def model_to_container(model) -> dict:
+    payload = {f.name: _encode(getattr(model, f.name))
+               for f in fields(model) if f.init}
     return {"magic": MAGIC, "version": FORMAT_VERSION, "kind": model.kind,
-            "payload": model.to_payload()}
+            "payload": payload}
 
 
 def model_from_container(container: dict):
@@ -63,7 +84,10 @@ def model_from_container(container: dict):
     if cls is None:
         raise CorruptError(f"unknown model kind {kind!r}")
     try:
-        return cls.from_payload(container["payload"])
+        payload = container["payload"]
+        types = get_type_hints(cls)
+        return cls(**{f.name: _decode(payload[f.name], types[f.name])
+                      for f in fields(cls) if f.init and f.name in payload})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptError(f"bad payload for kind {kind!r}: {exc}") from exc
 

@@ -71,33 +71,6 @@ class LinearSvmModel:
 
     kind: str = field(default="svm", init=False)
 
-    def to_payload(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "C": self.C,
-            "tol": self.tol,
-            "seed": self.seed,
-            "feature_names": self.feature_names,
-            "epochs_run": self.epochs_run,
-            "primal_objective": self.primal_objective,
-            "duality_gap": self.duality_gap,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LinearSvmModel":
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            C=float(payload["C"]),
-            tol=float(payload["tol"]),
-            seed=int(payload["seed"]),
-            feature_names=payload.get("feature_names"),
-            epochs_run=int(payload.get("epochs_run", 0)),
-            primal_objective=float(payload.get("primal_objective", 0.0)),
-            duality_gap=float(payload.get("duality_gap", 0.0)),
-        )
-
 
 def _as_csr(X) -> sp.csr_matrix:
     if sp.issparse(X):
@@ -110,9 +83,7 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
                      feature_names: list[str] | None = None) -> LinearSvmModel:
     """Fit the hinge-loss linear model to the stated relative duality gap."""
     Xc = _as_csr(X)
-    yv = check_binary_labels(y, (-1, 1))
-    if Xc.shape[0] != yv.shape[0]:
-        raise ValueError(f"{Xc.shape[0]} rows vs {yv.shape[0]} labels")
+    yv = check_binary_labels(y, (-1, 1), Xc.shape[0])
     if not np.isfinite(Xc.data).all():
         raise NonFiniteError("training matrix contains non-finite values")
     if C <= 0:

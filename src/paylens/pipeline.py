@@ -39,9 +39,10 @@ CLASSIFIERS = ("svm", "mlp", "gbdt")
 
 
 def fits_type(value, kind: type) -> bool:
-    """An int fits int; an int or a float fits float; a bool fits neither."""
-    allowed = (int,) if kind is int else (int, float)
-    return isinstance(value, allowed) and not isinstance(value, bool)
+    """Only a bool fits bool; an int fits int; an int or a float fits float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int,) if kind is int else (int, float))
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,17 @@ class PipelineConfig:
         for key, names in (("vectorizer", VECTORIZERS), ("classifier", CLASSIFIERS)):
             if getattr(self, key) not in names:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}")
+        n_range = self.n_range
+        if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2
+                and all(fits_type(n, int) for n in n_range)):
+            raise ValueError(f"n_range must be a pair of ints, got {n_range!r}")
+        object.__setattr__(self, "n_range", tuple(n_range))
+        for key, kind in get_type_hints(PipelineConfig).items():
+            value = getattr(self, key)
+            if kind in (int, float, bool) and not fits_type(value, kind):
+                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+            if kind is float:
+                object.__setattr__(self, key, float(value))
         for key, model_config in (("mlp_overrides", MlpConfig),
                                   ("gbdt_overrides", GbdtConfig)):
             value = getattr(self, key)
@@ -85,13 +97,6 @@ class PipelineConfig:
         return {**asdict(self), "n_range": list(self.n_range),
                 "mlp_overrides": dict(self.mlp_overrides),
                 "gbdt_overrides": dict(self.gbdt_overrides)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        kwargs = dict(data)
-        if "n_range" in kwargs:
-            kwargs["n_range"] = tuple(kwargs["n_range"])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -257,7 +262,7 @@ def load_pipeline(path: str) -> FittedPipeline:
             scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
                                  std=np.asarray(payload["scaler"]["std"]))
         return FittedPipeline(
-            config=PipelineConfig.from_dict(payload["config"]),
+            config=PipelineConfig(**payload["config"]),
             vocab=vocab,
             scaler=scaler,
             model=model_from_container(payload["model"]),

@@ -13,7 +13,8 @@ import scipy.sparse as sp
 from paylens.errors import EmptyProfile, NonFiniteError
 from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import check_binary_labels
-from paylens.models.gbdt import _LAMBDA, _leaf_value
+from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
+from paylens.models.mlp import MlpConfig, MlpModel
 from paylens.models.svm import LinearSvmModel, _as_csr
 
 
@@ -128,9 +129,7 @@ def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
               feature_names: list[str] | None = None) -> LinearSvmModel:
     """Fit the hinge-loss linear model to the stated relative duality gap."""
     Xc = _as_csr(X)
-    yv = check_binary_labels(y, (-1, 1))
-    if Xc.shape[0] != yv.shape[0]:
-        raise ValueError(f"{Xc.shape[0]} rows vs {yv.shape[0]} labels")
+    yv = check_binary_labels(y, (-1, 1), Xc.shape[0])
     if not np.isfinite(Xc.data).all():
         raise NonFiniteError("training matrix contains non-finite values")
     if C <= 0:
@@ -223,3 +222,82 @@ def engineered_features(profile, posts, counts=None) -> EngineeredFeatures:
         avg_len_tokens=float(np.mean([len(p.tokens) for p in posts])),
         pct_as_actor=sum(1 for r in roles if r == "actor") / n,
     )
+
+
+# Model payloads as first written: a hand-written pair per model class.
+# model_to_container must write the same JSON text, and model_from_container
+# must load the same fields.
+class SvmPayload(LinearSvmModel):
+    def to_payload(self) -> dict:
+        return {
+            "weights": self.weights.tolist(),
+            "bias": self.bias,
+            "C": self.C,
+            "tol": self.tol,
+            "seed": self.seed,
+            "feature_names": self.feature_names,
+            "epochs_run": self.epochs_run,
+            "primal_objective": self.primal_objective,
+            "duality_gap": self.duality_gap,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "LinearSvmModel":
+        return cls(
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            bias=float(payload["bias"]),
+            C=float(payload["C"]),
+            tol=float(payload["tol"]),
+            seed=int(payload["seed"]),
+            feature_names=payload.get("feature_names"),
+            epochs_run=int(payload.get("epochs_run", 0)),
+            primal_objective=float(payload.get("primal_objective", 0.0)),
+            duality_gap=float(payload.get("duality_gap", 0.0)),
+        )
+
+
+class MlpPayload(MlpModel):
+    def to_payload(self) -> dict:
+        return {
+            "W1": self.W1.tolist(), "b1": self.b1.tolist(),
+            "W2": self.W2.tolist(), "b2": self.b2.tolist(),
+            "config": vars(self.config),
+            "feature_names": self.feature_names,
+            "loss_curve": self.loss_curve,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "MlpModel":
+        return cls(
+            W1=np.asarray(payload["W1"], dtype=np.float64),
+            b1=np.asarray(payload["b1"], dtype=np.float64),
+            W2=np.asarray(payload["W2"], dtype=np.float64),
+            b2=np.asarray(payload["b2"], dtype=np.float64),
+            config=MlpConfig(**payload["config"]),
+            feature_names=payload.get("feature_names"),
+            loss_curve=list(payload.get("loss_curve", [])),
+        )
+
+
+class GbdtPayload(GbdtModel):
+    def to_payload(self) -> dict:
+        return {
+            "trees": self.trees,
+            "init_log_odds": self.init_log_odds,
+            "config": vars(self.config),
+            "feature_names": self.feature_names,
+            "loss_curve": self.loss_curve,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "GbdtModel":
+        return cls(
+            trees=payload["trees"],
+            init_log_odds=float(payload["init_log_odds"]),
+            config=GbdtConfig(**payload["config"]),
+            feature_names=payload.get("feature_names"),
+            loss_curve=list(payload.get("loss_curve", [])),
+        )
+
+
+PAYLOAD_ORACLES = {"svm": SvmPayload, "mlp": MlpPayload, "gbdt": GbdtPayload}

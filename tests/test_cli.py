@@ -276,7 +276,16 @@ class TestEvaluateCommand:
         ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
-    ], ids=["unknown_key", "not_a_mapping", "bad_value_type"])
+        ({"seed": None}, "seed must be int, got None"),
+        ({"use_engineered": "no"}, "use_engineered must be bool, got 'no'"),
+        ({"min_df": 1.7}, "min_df must be int, got 1.7"),
+        ({"C": "1"}, "C must be float, got '1'"),
+        ({"balance": "no"}, "balance must be bool, got 'no'"),
+        ({"include_actor_pct": 1}, "include_actor_pct must be bool, got 1"),
+        ({"ngram_max": "2"}, "n_range must be a pair of ints, got (1, '2')"),
+    ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "seed_null",
+            "use_engineered_str", "min_df_float", "C_str", "balance_str",
+            "include_actor_pct_int", "ngram_max_str"])
     def test_train_rejects_bad_config_overrides(self, synth_files, tmp_path,
                                                 capsys, overrides, message):
         corpus, labels = synth_files

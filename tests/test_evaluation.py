@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import paylens.evaluation
 from paylens.corpus import group_by_user
 from paylens.errors import SingleClass, TooFewSamples
 from paylens.evaluation import (FoldPlan, GridSpec, balance_classes,
@@ -120,6 +121,19 @@ def tiny_dataset(notes_by_user, labels01):
     return build_dataset(corpus, ordered)
 
 
+def record_fits(monkeypatch) -> list:
+    """The pipelines cross_validate fits, in fold order, as it fits them."""
+    fitted = []
+    fit = paylens.evaluation.fit_pipeline
+
+    def recording(*args, **kwargs):
+        fitted.append(fit(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(paylens.evaluation, "fit_pipeline", recording)
+    return fitted
+
+
 class TestCrossValidate:
     def test_perfect_on_separable(self):
         notes = {}
@@ -135,7 +149,7 @@ class TestCrossValidate:
         cv = cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
         assert cv.fold_accuracies == [1.0] * 5
 
-    def test_vocabulary_never_sees_test_tokens(self):
+    def test_vocabulary_never_sees_test_tokens(self, monkeypatch):
         # the token "leakme" appears only in the users of fold 0
         notes = {}
         labels = []
@@ -153,25 +167,27 @@ class TestCrossValidate:
             ds.posts[row] = ds.posts[row] + [tokenize_post("leakme leakme")]
         plan = FoldPlan(folds=(tuple(leak_rows), tuple(other[:3]),
                                tuple(other[3:])), seed=0)
-        cv = cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0),
-                            keep_models=True)
-        fold0 = cv.outcomes[0].fitted
+        fitted = record_fits(monkeypatch)
+        cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        assert len(fitted) == plan.k
+        fold0 = fitted[0]
         assert "leakme" not in fold0.vocab.index
         assert all("leakme" not in name for name in fold0.feature_names)
         # folds that train on the leak rows may contain it
-        fold1 = cv.outcomes[1].fitted
+        fold1 = fitted[1]
         assert "leakme" in fold1.vocab.index
 
-    def test_scaler_fit_on_training_rows_only(self):
+    def test_scaler_fit_on_training_rows_only(self, monkeypatch):
         notes = {f"u{i}": ["x" * (i + 1)] for i in range(6)}
         ds = tiny_dataset(notes, [0, 1, 0, 1, 0, 1])
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)
-        cv = cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0),
-                            keep_models=True)
-        for i, outcome in enumerate(cv.outcomes):
+        fitted = record_fits(monkeypatch)
+        cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        assert len(fitted) == plan.k
+        for i, fold in enumerate(fitted):
             train_idx, _ = plan.split(i)
             expected_mean = ds.engineered[train_idx].mean(axis=0)
-            assert np.allclose(outcome.fitted.scaler.mean, expected_mean)
+            assert np.allclose(fold.scaler.mean, expected_mean)
 
     def test_random_labels_near_chance(self):
         rng = random.Random(17)

@@ -151,14 +151,10 @@ class TestFetchUserTransactions:
         assert len({t.id for t in txns}) == 45
         assert server45.request_count - before == 3
 
-    def test_zero_transactions_single_request(self):
-        corpus = group_by_user(corpus_for_user("u1", 3))
-        config = MockServerConfig(page_size=20, extra_user_ids=("quiet",))
-        with run_mock_server(corpus, config) as srv:
-            before = srv.request_count
-            txns = fetch_user_transactions(srv.url, "quiet")
-            assert txns == []
-            assert srv.request_count - before == 1
+    def test_zero_transactions_single_request(self, stub_server):
+        srv = stub_server(200, '{"data": []}')
+        assert fetch_user_transactions(srv.url, "quiet") == []
+        assert srv.hits == 1
 
     def test_missing_user_raises(self, server45):
         with pytest.raises(UserNotFound):

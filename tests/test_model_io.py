@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from paylens.errors import CorruptError, VersionError
 from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
@@ -10,6 +12,16 @@ from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
 from paylens.models.serialize import (MAGIC, model_from_container,
                                       model_to_container, read_container,
                                       write_container)
+
+from oracles import PAYLOAD_ORACLES
+
+REQUIRED = {"svm": ("weights", "bias", "C", "tol", "seed"),
+            "mlp": ("W1", "b1", "W2", "b2", "config"),
+            "gbdt": ("trees", "init_log_odds", "config")}
+OPTIONAL = {"svm": {"feature_names": None, "epochs_run": 0,
+                    "primal_objective": 0.0, "duality_gap": 0.0},
+            "mlp": {"feature_names": None, "loss_curve": []},
+            "gbdt": {"feature_names": None, "loss_curve": []}}
 
 
 def save_model(model, path):
@@ -30,6 +42,57 @@ def trained_models():
     mlp = train_mlp(X, y01, MlpConfig(hidden=4, epochs=15, seed=1))
     gbdt = train_gbdt(X, y01, GbdtConfig(rounds=5, max_depth=2))
     return X, [(svm, svm_decision), (mlp, mlp_proba), (gbdt, gbdt_raw)]
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 6))
+    Xs = sp.csr_matrix(np.where(np.abs(X) > 0.7, X, 0.0))
+    y01 = (X[:, 0] + X[:, 1] > 0).astype(int)
+    names = [f"t{i}" for i in range(6)]
+    mlp_config = MlpConfig(hidden=5, epochs=12, seed=2)
+    return {
+        "svm-dense": train_linear_svm(X, 2 * y01 - 1, feature_names=names),
+        "svm-csr": train_linear_svm(Xs, 2 * y01 - 1, C=10.0, feature_names=names),
+        "svm-no-names": train_linear_svm(X, 2 * y01 - 1, C=0.1),
+        "mlp-dense": train_mlp(X, y01, mlp_config, feature_names=names),
+        "mlp-csr": train_mlp(Xs, y01, mlp_config),
+        "gbdt": train_gbdt(X, y01, GbdtConfig(rounds=6, max_depth=2),
+                           feature_names=names),
+    }
+
+
+def assert_same_fields(loaded, expected):
+    for f in fields(expected):
+        a, b = getattr(loaded, f.name), getattr(expected, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestPayloadOracle:
+    CASES = ["svm-dense", "svm-csr", "svm-no-names", "mlp-dense", "mlp-csr", "gbdt"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_payload_text_matches_oracle(self, oracle_cases, case):
+        model = oracle_cases[case]
+        payload = model_to_container(model)["payload"]
+        oracle = PAYLOAD_ORACLES[model.kind].to_payload(model)
+        assert json.dumps(payload) == json.dumps(oracle)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_loaded_fields_match_oracle(self, oracle_cases, case):
+        model = oracle_cases[case]
+        container = json.loads(json.dumps(model_to_container(model)))
+        loaded = model_from_container(container)
+        assert type(loaded) is type(model)
+        expected = PAYLOAD_ORACLES[model.kind].from_payload(container["payload"])
+        assert_same_fields(loaded, expected)
+        assert_same_fields(loaded, model)
 
 
 class TestRoundTrip:
@@ -94,10 +157,43 @@ class TestFailureModes:
         with pytest.raises(CorruptError):
             load_model(path)
 
-    def test_missing_payload_field(self, trained_models, tmp_path):
-        path = self._good_file(trained_models, tmp_path)
-        container = json.loads(path.read_text())
-        del container["payload"]["weights"]
-        path.write_text(json.dumps(container))
-        with pytest.raises(CorruptError):
-            load_model(path)
+    @staticmethod
+    def _container(trained_models, kind):
+        _, models = trained_models
+        model = next(m for m, _ in models if m.kind == kind)
+        return json.loads(json.dumps(model_to_container(model)))
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, keys in REQUIRED.items() for key in keys])
+    def test_missing_payload_field(self, trained_models, kind, key):
+        container = self._container(trained_models, kind)
+        del container["payload"][key]
+        message = f"bad payload for kind '{kind}': .*'{key}'"
+        with pytest.raises(CorruptError, match=message):
+            model_from_container(container)
+
+    def test_mistyped_payload_value(self, trained_models):
+        container = self._container(trained_models, "svm")
+        container["payload"]["bias"] = "x"
+        with pytest.raises(CorruptError, match="bad payload for kind 'svm': "):
+            model_from_container(container)
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", None],
+                             ids=["list", "string", "null"])
+    def test_payload_not_an_object(self, trained_models, payload):
+        container = self._container(trained_models, "mlp")
+        container["payload"] = payload
+        with pytest.raises(CorruptError, match="bad payload for kind 'mlp': "):
+            model_from_container(container)
+
+    @pytest.mark.parametrize("kind", sorted(OPTIONAL))
+    def test_optional_fields_default(self, trained_models, kind):
+        container = self._container(trained_models, kind)
+        for key in OPTIONAL[kind]:
+            del container["payload"][key]
+        assert set(container["payload"]) == set(REQUIRED[kind])
+        loaded = model_from_container(container)
+        for key, default in OPTIONAL[kind].items():
+            assert getattr(loaded, key) == default
+        expected = PAYLOAD_ORACLES[kind].from_payload(container["payload"])
+        assert_same_fields(loaded, expected)

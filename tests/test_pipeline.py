@@ -89,13 +89,19 @@ class TestConfigSerialization:
         config = PipelineConfig(vectorizer="count", n_range=(1, 3), min_df=3,
                                 classifier="gbdt", C=0.5,
                                 gbdt_overrides=(("rounds", 9),), seed=5)
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig(**config.to_dict()) == config
 
     def test_valid_override_values_kept_as_given(self):
         config = PipelineConfig(mlp_overrides={"lr": 1, "epochs": 5},
                                 gbdt_overrides={"learning_rate": 0.5})
         assert config.mlp_overrides == (("epochs", 5), ("lr", 1))
         assert type(dict(config.mlp_overrides)["lr"]) is int
+
+    def test_int_for_float_field_stored_as_float(self):
+        config = PipelineConfig(C=1, svm_tol=0, n_range=[1, 3])
+        assert type(config.C) is float and type(config.svm_tol) is float
+        assert config.n_range == (1, 3)
+        assert json.dumps(config.to_dict()["C"]) == "1.0"
 
     def test_unsorted_overrides_round_trip(self):
         config = PipelineConfig(
@@ -104,7 +110,7 @@ class TestConfigSerialization:
             gbdt_overrides=(("rounds", 10), ("max_depth", 2)))
         assert config.mlp_overrides == (("epochs", 5), ("lr", 0.1))
         assert config.gbdt_overrides == (("max_depth", 2), ("rounds", 10))
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig(**config.to_dict()) == config
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
@@ -115,8 +121,17 @@ class TestConfigSerialization:
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"gbdt_overrides": {"rounds": 3.0}}, "'rounds' must be int, got 3.0"),
         ({"mlp_overrides": {"lr": True}}, "'lr' must be float, got True"),
+        ({"seed": None}, "seed must be int, got None"),
+        ({"min_df": 1.7}, "min_df must be int, got 1.7"),
+        ({"C": "1"}, "C must be float, got '1'"),
+        ({"svm_tol": False}, "svm_tol must be float, got False"),
+        ({"normalize_counts": 1}, "normalize_counts must be bool, got 1"),
+        ({"n_range": (1, "2")}, r"n_range must be a pair of ints, got \(1, '2'\)"),
+        ({"n_range": (1, 2, 3)}, "n_range must be a pair of ints"),
     ], ids=["mlp_int", "gbdt_list", "gbdt_unknown_key", "mlp_gbdt_key",
-            "gbdt_str_value", "gbdt_float_for_int", "mlp_bool_for_float"])
+            "gbdt_str_value", "gbdt_float_for_int", "mlp_bool_for_float",
+            "seed_null", "min_df_float", "C_str", "svm_tol_bool",
+            "normalize_counts_int", "n_range_str", "n_range_triple"])
     def test_bad_overrides_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**kwargs)
@@ -145,8 +160,10 @@ class TestPipelineArtifact:
 
     @pytest.mark.parametrize("key, value", [
         ("gbdt_overrides", {"bogus": 1}), ("mlp_overrides", 5),
-        ("gbdt_overrides", {"rounds": "x"}),
-    ], ids=["unknown_key", "not_a_mapping", "bad_value_type"])
+        ("gbdt_overrides", {"rounds": "x"}), ("seed", None),
+        ("use_engineered", "no"), ("min_df", 1.7), ("n_range", [1]),
+    ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "seed_null",
+            "bool_field_str", "int_field_float", "n_range_not_a_pair"])
     def test_bad_overrides_are_corrupt(self, dataset, tmp_path, key, value):
         fitted = fit_pipeline(dataset, np.arange(len(dataset)),
                               PipelineConfig(min_df=1, seed=0))

@@ -261,7 +261,7 @@ class TestConvergenceWarning:
         for part in ("C=100", "after 1 epochs", f"{model.duality_gap:.6g}",
                      f"{bound:.6g}"):
             assert part in message
-        assert set(model.to_payload()) == {
+        assert set(model_to_container(model)["payload"]) == {
             "weights", "bias", "C", "tol", "seed", "feature_names",
             "epochs_run", "primal_objective", "duality_gap"}
 
