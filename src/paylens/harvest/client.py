@@ -6,12 +6,16 @@ Transient failures (connection errors, 5xx) retry with exponential backoff
 up to a budget; 429 responses wait out the server's Retry-After and retry.
 
 Crawls checkpoint after each completed user: the user's transactions are
-appended to the output sink and the checkpoint file is replaced atomically,
-so killing and resuming a crawl converges on the same transaction set.
+appended to the output sink, then one line naming the user and its new
+transaction ids is appended to the checkpoint's journal. Each crawl call
+compacts the journal into an atomically replaced snapshot when it starts and
+when it ends, so killing and resuming a crawl converges on the same
+transaction set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -212,8 +216,13 @@ class CrawlState:
                                f"completed: {sorted(overlap)[:5]}")
 
 
+def _journal(path: str | os.PathLike) -> str:
+    return f"{path}.journal"
+
+
 def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
-    """Atomic write: temp file then rename."""
+    """Atomic snapshot write (temp file then rename), then delete the
+    journal the snapshot now holds."""
     state.checkpoint_at = datetime.now(timezone.utc)
     payload = {
         "seen": sorted(state.seen_transaction_ids),
@@ -225,24 +234,63 @@ def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
     with open(tmp, "w", encoding="utf-8") as fp:
         json.dump(payload, fp)
     os.replace(tmp, path)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_journal(path))
+
+
+def _ids(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(i, str) for i in value):
+        raise HarvestError(f"checkpoint corrupt: {what} must be a list of ids")
+    return value
+
+
+def _json(data: bytes, what: str):
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise HarvestError(f"checkpoint corrupt: {what}: {exc}") from exc
 
 
 def load_checkpoint(path: str | os.PathLike) -> CrawlState:
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
+    """The snapshot at `path` with its journal replayed onto it.
+
+    Replay is idempotent, so a journal the snapshot already holds (a crash
+    between the snapshot's rename and the journal's delete) changes nothing.
+    A last line without its newline is torn: that user never completed, so
+    it is dropped. Anything else malformed is a HarvestError.
+    """
+    with open(path, "rb") as fp:
+        payload = _json(fp.read(), str(path))
     if not isinstance(payload, dict):
         raise HarvestError(f"checkpoint corrupt: {path} is not a JSON object")
-    for key in ("seen", "pending", "completed"):
-        ids = payload.get(key)
-        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-            raise HarvestError(f"checkpoint corrupt: {key!r} must be a list of ids")
-    state = CrawlState(
-        seen_transaction_ids=set(payload["seen"]),
-        pending_user_ids=list(payload["pending"]),
-        completed_user_ids=set(payload["completed"]),
-        checkpoint_at=datetime.fromisoformat(payload["checkpoint_at"])
-        if payload.get("checkpoint_at") else None,
-    )
+    seen, pending, completed = (_ids(payload.get(key), repr(key))
+                                for key in ("seen", "pending", "completed"))
+    stamp = payload.get("checkpoint_at")
+    try:
+        checkpoint_at = None if stamp is None else datetime.fromisoformat(stamp)
+    except (TypeError, ValueError) as exc:
+        raise HarvestError(f"checkpoint corrupt: checkpoint_at {stamp!r}: "
+                           f"{exc}") from exc
+    state = CrawlState(seen_transaction_ids=set(seen),
+                       completed_user_ids=set(completed),
+                       checkpoint_at=checkpoint_at)
+    journal = _journal(path)
+    try:
+        with open(journal, "rb") as fp:
+            *lines, _partial = fp.read().split(b"\n")
+    except FileNotFoundError:
+        lines = []
+    replayed = set()
+    for number, line in enumerate(lines, 1):
+        what = f"{journal} line {number}"
+        entry = _json(line, what)
+        if not (isinstance(entry, dict) and isinstance(entry.get("user"), str)):
+            raise HarvestError(f"checkpoint corrupt: {what}: not a "
+                               '{"user": id, "seen": [ids]} object')
+        state.seen_transaction_ids.update(_ids(entry.get("seen"), f"{what}: 'seen'"))
+        replayed.add(entry["user"])
+    state.completed_user_ids |= replayed
+    state.pending_user_ids = [u for u in pending if u not in replayed]
     state.validate()
     return state
 
@@ -297,6 +345,8 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                     state.pending_user_ids.insert(0, user_id)
                 return
             with lock:
+                if journal is not None and journal.closed:
+                    return  # interrupted: the final snapshot is written
                 fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
                 state.seen_transaction_ids.update(t.id for t in fresh)
                 collected.extend(fresh)
@@ -304,15 +354,27 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                     dump_transactions(fresh, out)
                     out.flush()
                 state.completed_user_ids.add(user_id)
-                if checkpoint_path is not None:
-                    save_checkpoint(state, checkpoint_path)
+                if journal is not None:
+                    journal.write(json.dumps(
+                        {"user": user_id, "seen": [t.id for t in fresh]}) + "\n")
+                    journal.flush()
 
     threads = [threading.Thread(target=worker, daemon=True)
                for _ in range(max(1, workers))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    journal: IO | None = None
+    if checkpoint_path is not None:
+        save_checkpoint(state, checkpoint_path)  # no journal without a snapshot
+        journal = open(_journal(checkpoint_path), "a", encoding="utf-8")
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        if journal is not None:  # compact the journal into the snapshot
+            with lock:
+                journal.close()
+                save_checkpoint(state, checkpoint_path)
     if errors:
         raise errors[0]
     return collected

@@ -56,10 +56,17 @@ def write_container(container: dict, path: PathLike) -> None:
     os.replace(tmp, path)
 
 
+def fits_type(value, kind: type) -> bool:
+    """Only a bool fits bool; an int fits int; an int or a float fits float."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int,) if kind is int else (int, float))
+
+
 def _encode(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return vars(value) if is_dataclass(value) else value
+    return dict(vars(value)) if is_dataclass(value) else value
 
 
 def _decode(value, kind):
@@ -67,7 +74,15 @@ def _decode(value, kind):
         return np.asarray(value, dtype=np.float64)
     if kind in (int, float):
         return kind(value)
-    return kind(**value) if is_dataclass(kind) else value
+    if not is_dataclass(kind):
+        return value
+    config = kind(**value)
+    for name, field_kind in get_type_hints(kind).items():
+        v = getattr(config, name)
+        if field_kind in (int, float, bool) and not fits_type(v, field_kind):
+            raise TypeError(f"config {name!r} must be {field_kind.__name__}, "
+                            f"got {v!r}")
+    return config
 
 
 def model_to_container(model) -> dict:

@@ -23,7 +23,7 @@ from .features import (aggregate_user_features, detect_content_features,
 from .labels import CLASS_B, CLASS_NAMES, LabeledUser
 from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
                      svm_predict, train_gbdt, train_linear_svm, train_mlp)
-from .models.serialize import (check_header, model_from_container,
+from .models.serialize import (check_header, fits_type, model_from_container,
                                model_to_container, read_container,
                                write_container)
 from .tokenizer import TokenizedPost, tokenize_post
@@ -36,13 +36,6 @@ PIPELINE_VERSION = 1
 
 VECTORIZERS = ("count", "tfidf")
 CLASSIFIERS = ("svm", "mlp", "gbdt")
-
-
-def fits_type(value, kind: type) -> bool:
-    """Only a bool fits bool; an int fits int; an int or a float fits float."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int,) if kind is int else (int, float))
 
 
 @dataclass(frozen=True)

@@ -412,18 +412,25 @@ class TestHarvestCommands:
         {"seen": "t1", "completed": [], "pending": []},
         {"seen": [["t1"]], "completed": [], "pending": []},
         ["not", "an", "object"],
+        pytest.param({"seen": [], "completed": [], "pending": [],
+                      "checkpoint_at": 5}, id="checkpoint_at_int"),
+        pytest.param({"seen": [], "completed": [], "pending": [],
+                      "checkpoint_at": "garbage"}, id="checkpoint_at_garbage"),
+        pytest.param('{"seen": [], "completed": [], "pend', id="truncated"),
     ])
     def test_users_rejects_bad_checkpoint(self, tmp_path, capsys, checkpoint):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("u1\n")
         cp = tmp_path / "cp.json"
-        cp.write_text(json.dumps(checkpoint))
+        cp.write_text(checkpoint if isinstance(checkpoint, str)
+                      else json.dumps(checkpoint))
         # the checkpoint is read before any request, so nothing listens here
         code = main(["harvest", "users", "--endpoint", "http://127.0.0.1:9",
                      "--ids", str(ids_file), "--checkpoint", str(cp),
                      "--out", str(tmp_path / "crawl.jsonl")])
         assert code == 1
-        assert "checkpoint corrupt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: harvest: checkpoint corrupt")
 
 
 class TestServeMock:

@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import socket
+import socketserver
 import threading
 import time
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paylens.corpus import group_by_user, load_transactions
 from paylens.errors import (HarvestError, MalformedPage, PatternNotFound,
@@ -14,6 +18,7 @@ from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
                              TokenBucket, crawl_users, fetch_public_feed,
                              fetch_user_transactions, load_checkpoint,
                              resolve_user_id, run_mock_server, save_checkpoint)
+import paylens.harvest.client as client_mod
 from paylens.harvest.client import CrawlState
 
 from conftest import make_txn
@@ -107,6 +112,43 @@ class TestMockServerEndpoints:
             session.get(f"{srv.url}/feed")
             resp = session.get(f"{srv.url}/feed")
             assert resp.status_code == 429
+            assert float(resp.headers["Retry-After"]) > 0
+
+
+    @pytest.mark.parametrize("path, status, content_type", [
+        ("/feed", 200, "application/json"),
+        ("/users/ghost/transactions", 404, "application/json"),
+        ("/feed", 429, "application/json"),
+        ("/profile/alice", 200, "text/html"),
+    ], ids=["json_200", "404", "429", "profile_html"])
+    def test_one_write_per_response(self, monkeypatch, path, status,
+                                    content_type):
+        # headers and body sent apart stall each request on Nagle's
+        # algorithm and the client's delayed ACK
+        writes = []
+        real_write = socketserver._SocketWriter.write
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return real_write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", write)
+        corpus = group_by_user(corpus_for_user("u1", 5))
+        config = MockServerConfig(usernames={"alice": "u1"},
+                                  rate_limit=1.0 if status == 429 else 0.0)
+        with run_mock_server(corpus, config) as srv:
+            session = requests.Session()
+            if status == 429:
+                session.get(f"{srv.url}/feed")  # takes the only token
+            writes.clear()
+            resp = session.get(f"{srv.url}{path}")
+        assert resp.status_code == status
+        assert resp.headers["Content-Type"] == content_type
+        assert len(writes) == 1
+        _, body = writes[0].split(b"\r\n\r\n", 1)
+        assert body == resp.content
+        assert int(resp.headers["Content-Length"]) == len(body)
+        if status == 429:
             assert float(resp.headers["Retry-After"]) > 0
 
 
@@ -251,6 +293,22 @@ class TestResolveUserId:
                 resolve_user_id(srv.url, "u1")
 
 
+SNAPSHOT = {"seen": ["t1", "t2"], "completed": ["u1"],
+            "pending": ["u2", "u3", "u4"],
+            "checkpoint_at": "2024-03-01T12:00:00+00:00"}
+JOURNAL = [{"user": "u2", "seen": ["t3"]}, {"user": "u3", "seen": ["t4", "t5"]}]
+NOT_A_STR = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                      st.lists(st.text(max_size=3), max_size=2),
+                      st.dictionaries(st.text(max_size=3), st.integers(),
+                                      max_size=2))
+NOT_IDS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=5),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+    st.tuples(st.lists(st.text(max_size=3), max_size=2),
+              st.one_of(st.none(), st.integers(), st.lists(st.text(max_size=2))))
+    .map(lambda pair: [*pair[0], pair[1]]))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = CrawlState(seen_transaction_ids={"t1", "t2"},
@@ -283,6 +341,85 @@ class TestCheckpoint:
         state = CrawlState(pending_user_ids=["u1"])
         save_checkpoint(state, tmp_path / "cp.json")
         assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+
+    @staticmethod
+    def _write(tmp_path, snapshot=SNAPSHOT, journal=JOURNAL):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(snapshot))
+        (tmp_path / "cp.json.journal").write_text(
+            "".join(json.dumps(line) + "\n" for line in journal))
+        return path
+
+    def test_journal_replayed_idempotently(self, tmp_path):
+        path = self._write(tmp_path)
+        state = load_checkpoint(path)
+        assert state.seen_transaction_ids == {"t1", "t2", "t3", "t4", "t5"}
+        assert state.completed_user_ids == {"u1", "u2", "u3"}
+        assert state.pending_user_ids == ["u4"]
+        # a crash between the snapshot's rename and the journal's delete
+        # leaves a journal the snapshot already holds
+        save_checkpoint(state, path)
+        self._write(tmp_path, json.loads(path.read_text()))
+        again = load_checkpoint(path)
+        assert vars(again) == vars(state)
+
+    @pytest.mark.parametrize("line", [
+        "{", "[1]", '{"user": 7, "seen": []}', '{"user": "u2"}',
+        '{"user": "u2", "seen": "t3"}', '{"user": "u2", "seen": [3]}', "",
+    ], ids=["bad_json", "not_an_object", "user_not_str", "no_seen",
+            "seen_not_list", "seen_id_not_str", "blank"])
+    def test_bad_middle_line_rejected(self, tmp_path, line):
+        path = self._write(tmp_path)
+        journal = tmp_path / "cp.json.journal"
+        first, *rest = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join([first, line + "\n", *rest]))
+        with pytest.raises(HarvestError,
+                           match="checkpoint corrupt: .*journal line 2"):
+            load_checkpoint(path)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_checkpoint_is_typed_error(self, tmp_path, data):
+        """Dropped keys, changed types and truncation of the snapshot or of
+        a complete journal line all raise HarvestError, nothing else."""
+        snapshot = dict(SNAPSHOT)
+        journal = [json.dumps(line) for line in JOURNAL]
+        mutation = data.draw(st.sampled_from(
+            ["drop_key", "retype_key", "truncate_snapshot",
+             "drop_line_key", "retype_line_key", "truncate_line",
+             "line_not_object"]))
+        if mutation == "drop_key":
+            del snapshot[data.draw(st.sampled_from(["seen", "pending",
+                                                   "completed"]))]
+        elif mutation == "retype_key":
+            key = data.draw(st.sampled_from(sorted(SNAPSHOT)))
+            snapshot[key] = data.draw(
+                NOT_A_STR if key == "checkpoint_at" else NOT_IDS)
+        k = data.draw(st.integers(0, len(journal) - 1))
+        line = dict(JOURNAL[k])
+        if mutation == "drop_line_key":
+            del line[data.draw(st.sampled_from(["user", "seen"]))]
+        elif mutation == "retype_line_key":
+            key = data.draw(st.sampled_from(["user", "seen"]))
+            line[key] = data.draw(st.one_of(st.none(), NOT_A_STR)
+                                  if key == "user" else NOT_IDS)
+        journal[k] = json.dumps(line)
+        if mutation == "truncate_line":
+            journal[k] = journal[k][:data.draw(st.integers(0, len(journal[k]) - 1))]
+        elif mutation == "line_not_object":
+            journal[k] = json.dumps(data.draw(st.one_of(
+                st.none(), st.integers(), st.text(max_size=5),
+                st.lists(st.integers(), max_size=3))))
+        text = json.dumps(snapshot)
+        if mutation == "truncate_snapshot":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        path = tmp_path / "cp.json"
+        path.write_text(text)
+        (tmp_path / "cp.json.journal").write_text(
+            "".join(line + "\n" for line in journal))
+        with pytest.raises(HarvestError, match="checkpoint corrupt"):
+            load_checkpoint(path)
 
 
 class TestCrawlUsers:
@@ -324,6 +461,64 @@ class TestCrawlUsers:
             assert combined == {t.id for t in txns}
             out.seek(0)
             assert {t.id for t in load_transactions(out).transactions} == combined
+
+    def test_kill_with_torn_journal_line_resumes_same_set(self, tmp_path,
+                                                         monkeypatch):
+        txns, server = self._server()
+        ids = [f"w{u}" for u in range(6)]
+        cp = tmp_path / "cp.json"
+        journal = tmp_path / "cp.json.journal"
+        real_save = client_mod.save_checkpoint
+        saves = []
+
+        def save_at_start_only(state, path):  # killed before compaction
+            saves.append(path)
+            if len(saves) == 1:
+                real_save(state, path)
+
+        with server as srv:
+            out = io.StringIO()
+            monkeypatch.setattr(client_mod, "save_checkpoint",
+                                save_at_start_only)
+            first = crawl_users(srv.url, ids, workers=1, checkpoint_path=cp,
+                                out=out, max_users=3)
+            monkeypatch.setattr(client_mod, "save_checkpoint", real_save)
+            head, last = journal.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+            assert json.loads(last)["user"] == "w2"
+            journal.write_bytes(head + b"\n" + last[:len(last) // 2])
+            state = load_checkpoint(cp)
+            assert state.completed_user_ids == {"w0", "w1"}
+            assert state.pending_user_ids == ["w2", "w3", "w4", "w5"]
+            second = crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                                 out=out)
+        assert {t.id for t in first} | {t.id for t in second} == {t.id for t in txns}
+        assert {t.id for t in txns if t.actor_id == "w2"} <= {t.id for t in second}
+        out.seek(0)
+        assert ({t.id for t in load_transactions(out).transactions}
+                == {t.id for t in txns})
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+
+    def test_journal_compacted_when_call_ends(self, tmp_path):
+        _, server = self._server(users=3)
+        cp = tmp_path / "cp.json"
+        journal_seen = []
+
+        class Sink(io.StringIO):
+            def flush(self):  # runs before the user's journal line
+                journal_seen.append(os.path.exists(f"{cp}.journal"))
+                super().flush()
+
+        with server as srv:
+            crawl_users(srv.url, ["w0", "w1", "w2"], workers=1,
+                        checkpoint_path=cp, out=Sink())
+            assert journal_seen == [True, True, True]
+            assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+            with pytest.raises(UserNotFound):  # a worker error compacts too
+                crawl_users(srv.url, ["ghost"], workers=1, checkpoint_path=cp)
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        state = load_checkpoint(cp)
+        assert state.completed_user_ids == {"w0", "w1", "w2"}
+        assert state.pending_user_ids == ["ghost"]
 
     def test_resume_queues_repeated_new_id_once(self, tmp_path):
         _, server = self._server(users=3)

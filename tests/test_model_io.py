@@ -178,6 +178,25 @@ class TestFailureModes:
         with pytest.raises(CorruptError, match="bad payload for kind 'svm': "):
             model_from_container(container)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gbdt", "learning_rate", "x"), ("gbdt", "rounds", 2.5),
+        ("gbdt", "max_depth", True), ("mlp", "lr", None), ("mlp", "hidden", "4"),
+    ])
+    def test_mistyped_config_value(self, trained_models, kind, key, value):
+        container = self._container(trained_models, kind)
+        container["payload"]["config"][key] = value
+        with pytest.raises(CorruptError,
+                           match=f"bad payload for kind '{kind}': .*'{key}'"):
+            model_from_container(container)
+
+    @pytest.mark.parametrize("kind", ["mlp", "gbdt"])
+    def test_container_config_is_a_copy(self, trained_models, kind):
+        _, models = trained_models
+        model = next(m for m, _ in models if m.kind == kind)
+        before = vars(model.config).copy()
+        model_to_container(model)["payload"]["config"]["seed"] = 99
+        assert vars(model.config) == before
+
     @pytest.mark.parametrize("payload", [[1, 2], "x", None],
                              ids=["list", "string", "null"])
     def test_payload_not_an_object(self, trained_models, payload):
