@@ -1,13 +1,23 @@
 """Gradient boosted regression trees on the logistic loss.
 
 Each round fits a depth-limited regression tree to the gradient/curvature
-statistics of the logistic loss (g = p - y, h = p (1 - p)), searching splits
-over each feature's own histogram bins one depth level at a time, and adds it
-with learning rate eta. A halving line search on the tree's contribution
+statistics of the logistic loss (g = p - y, h = p (1 - p)) and adds it with
+learning rate eta. A halving line search on the tree's contribution
 guarantees the recorded training loss never increases from one round to the
 next; a tree that cannot help is kept with zero-scaled leaves so the ensemble
 always holds the configured number of rounds. No subsampling is used, so
 training is deterministic; the seed is recorded for config round-trips.
+
+Split search skips zeros (sparsity-aware split finding, as in XGBoost).
+Candidate (feature j, cut b) sends rows with x < cuts_j[b] left. A sparse 0/1
+matrix M, built once per fit, has a row per candidate marking the rows with a
+stored value on the side of the cut that zero is not on. Each depth level gets
+every (candidate, node)'s left sums of g, h and row count from one product
+M @ W; where zero goes left, they are the node total minus the product. So fit
+and predict memory is O(nnz), not O(n * d). A node splits when its best gain
+exceeds 1e-12; of the candidates within 1e-9 * max(|best|, 1) of the best, the
+lowest (feature, bin) wins, so a tie between equal cuts does not hang on the
+order in which their sums were added.
 """
 
 from __future__ import annotations
@@ -43,124 +53,115 @@ class GbdtModel:
     kind: str = field(default="gbdt", init=False)
 
 
-def _dense(X) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.todense(), dtype=np.float64)
-    return np.asarray(X, dtype=np.float64)
+def _split_candidates(Xc: sp.csc_matrix, n_bins: int):
+    """M, and each candidate's feature, threshold and whether zero goes left.
 
-
-def _bin_columns(Xd: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    n, d = Xd.shape
-    codes = np.zeros((n, d), dtype=np.int32)
-    cuts_list: list[np.ndarray] = []
+    A column's cuts are the midpoints of its distinct values (implicit zeros
+    included), or its inner n_bins-quantiles when it has more.
+    """
+    n, d = Xc.shape
+    cuts_list, codes, zero_bin = [], [], np.zeros(d, dtype=np.int64)
     for j in range(d):
-        col = Xd[:, j]
-        uniq = np.unique(col)
+        vals = Xc.data[Xc.indptr[j]:Xc.indptr[j + 1]]
+        uniq = np.unique(vals if vals.size == n else np.append(vals, 0.0))
         if uniq.size <= 1:
             cuts = np.empty(0)
         elif uniq.size <= n_bins:
             cuts = (uniq[:-1] + uniq[1:]) / 2.0
         else:
-            qs = np.quantile(col, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-            cuts = np.unique(qs)
-        codes[:, j] = np.searchsorted(cuts, col, side="right")
+            qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+            cuts = np.unique(np.quantile(Xc[:, j].toarray(), qs))
         cuts_list.append(cuts)
-    return codes, cuts_list
+        codes.append(np.searchsorted(cuts, vals, side="right"))
+        zero_bin[j] = np.searchsorted(cuts, 0.0, side="right")
+    sizes = np.array([cuts.size for cuts in cuts_list], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    feature = np.repeat(np.arange(d), sizes)
+    zero_left = np.arange(feature.size) - first[feature] >= zero_bin[feature]
+    # A stored value in bin c is off zero's side of the cuts between c and
+    # zero's bin z: candidates min(c, z) .. max(c, z) - 1 of its column.
+    code = np.concatenate([np.empty(0, dtype=np.int64), *codes])
+    z = np.repeat(zero_bin, np.diff(Xc.indptr))
+    runs = np.abs(code - z)
+    lo = np.repeat(first, np.diff(Xc.indptr)) + np.minimum(code, z)
+    cand = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - lo, runs)
+    M = sp.csr_matrix((np.ones(cand.size), (cand, np.repeat(Xc.indices, runs))),
+                      shape=(feature.size, n))
+    return M, feature, np.concatenate([np.empty(0), *cuts_list]), zero_left
 
 
 def _leaf_value(gsum: float, hsum: float) -> float:
     return float(np.clip(-gsum / (hsum + _LAMBDA), -_MAX_LEAF, _MAX_LEAF))
 
 
-def _bin_layout(codes: np.ndarray, cuts_list: list[np.ndarray]):
-    """Flat index over each feature's own k = len(cuts) + 1 bins, once per fit.
+def _best_splits(M: sp.csr_matrix, zero_left: np.ndarray, stats: np.ndarray,
+                 level: list, sums: list) -> list:
+    """Best candidate for each (node, idx) of a level, or None for a leaf."""
+    def score(stat):  # G^2 / (H + lambda) of stacked (G, H, count) sums
+        return stat[0] ** 2 / (stat[1] + _LAMBDA)
 
-    Features are grouped by k padded to a power of two, in feature order within
-    a group. Returns the codes plus each column's offset, the groups as (start,
-    features, width), and the flat bins in (feature, bin) order with theirs.
-    """
-    widths = np.array([1 << cuts.size.bit_length() for cuts in cuts_list])
-    kept = np.argsort(widths, kind="stable")
-    widths = widths[kept]
-    starts = np.cumsum(widths) - widths
-    groups = [(starts[widths == w][0], sum(widths == w), w) for w in np.unique(widths)]
-    feature = np.repeat(kept, widths)
-    order = np.argsort(feature, kind="stable")
-    bins = np.arange(feature.size) - np.repeat(starts, widths)
-    flat = codes[:, kept].astype(np.int64) + starts
-    return flat, groups, order, feature[order], bins[order]
-
-
-def _best_splits(layout, g: np.ndarray, h: np.ndarray, level: list,
-                 sums: list) -> list:
-    """Best (feature, bin) for each (node, idx) of a level, or None for a leaf.
-
-    Each idx is ascending, so every histogram cell adds the same values in the
-    same order as a search over that node alone. A feature's last bin has no
-    rows on its right, so it is never a candidate. The largest gain wins, ties
-    going to the lowest (feature, bin).
-    """
-    flat, groups, order, feature, bins = layout
-    m, d, cells = len(level), flat.shape[1], len(level) * order.size
-    rows = np.concatenate([idx for _, idx in level])
-    count = np.array([idx.size for _, idx in level])
-    keys = (flat[rows] * m + np.repeat(np.arange(m), count)[:, None]).ravel()
-    hist = np.stack([np.bincount(keys, weights=np.repeat(g[rows], d), minlength=cells),
-                     np.bincount(keys, weights=np.repeat(h[rows], d), minlength=cells),
-                     np.bincount(keys, minlength=cells)]).reshape(3, -1, m)
-    for start, n_feats, w in groups:  # left-of-bin sums, one feature at a time
-        block = hist[:, start:start + n_feats * w].reshape(3, n_feats, w, m)
-        np.cumsum(block, axis=2, out=block)
-    GL, HL, CL = hist[:, order]
-    gsum, hsum = (np.array(s) for s in zip(*sums))
-    parent = np.array([gs ** 2 / (hs + _LAMBDA) for gs, hs in sums])
-    GR, HR, CR = gsum - GL, hsum - HL, count - CL
-    gain = GL ** 2 / (HL + _LAMBDA) + GR ** 2 / (HR + _LAMBDA) - parent
-    gain = np.where((CL > 0) & (CR > 0), gain, -np.inf)
-    at = gain.argmax(axis=0)  # first maximum in (feature, bin) order
-    return [(int(feature[a]), int(bins[a])) if gain[a, k] > 1e-12 else None
-            for k, a in enumerate(at)]
+    m = len(level)
+    W = np.zeros((stats.shape[0], 3, m))
+    for k, (_, idx) in enumerate(level):
+        W[idx, :, k] = stats[idx]
+    off = np.ascontiguousarray((M @ W.reshape(-1, 3 * m)).T).reshape(3, m, -1)
+    total = np.array([(gs, hs, idx.size)
+                      for (_, idx), (gs, hs) in zip(level, sums)]).T[:, :, None]
+    left = np.where(zero_left, total - off, off)
+    right = total - left
+    gain = score(left) + score(right) - score(total)
+    gain[(left[2] == 0) | (right[2] == 0)] = -np.inf
+    best = gain.max(axis=1)
+    near = gain >= (best - 1e-9 * np.maximum(np.abs(best), 1.0))[:, None]
+    return [int(c) if top > 1e-12 else None for c, top in zip(near.argmax(axis=1), best)]
 
 
-def _grow_tree(codes: np.ndarray, layout, cuts_list: list[np.ndarray], g: np.ndarray,
-               h: np.ndarray, max_depth: int) -> tuple[dict, list[dict]]:
-    """A regression tree grown one depth level at a time, and its leaves."""
+def _grow_tree(candidates, g: np.ndarray, h: np.ndarray,
+               max_depth: int) -> tuple[dict, list[tuple[dict, np.ndarray]]]:
+    """A regression tree grown one depth level at a time, and its leaves with their rows."""
+    M, feature, threshold, zero_left = candidates
+    stats = np.column_stack([g, h, np.ones(g.size)])
     root, leaves = {}, []
     level, depth = [(root, np.arange(g.size))], 0
     while level:
         sums = [(float(g[idx].sum()), float(h[idx].sum())) for _, idx in level]
-        splits = (_best_splits(layout, g, h, level, sums) if depth < max_depth
-                  else [None] * len(level))
+        splits = (_best_splits(M, zero_left, stats, level, sums)
+                  if depth < max_depth and feature.size else [None] * len(level))
         children = []
-        for (node, idx), (gsum, hsum), split in zip(level, sums, splits):
-            if split is None:
+        for (node, idx), (gsum, hsum), c in zip(level, sums, splits):
+            if c is None:
                 node["value"] = _leaf_value(gsum, hsum)
-                leaves.append(node)
+                leaves.append((node, idx))
                 continue
-            feature, b = split
-            mask = codes[idx, feature] <= b
-            node.update(feature=feature, threshold=float(cuts_list[feature][b]),
+            off_zero = np.zeros(g.size, dtype=bool)
+            off_zero[M.indices[M.indptr[c]:M.indptr[c + 1]]] = True
+            mask = off_zero[idx] != zero_left[c]  # rows going left
+            node.update(feature=int(feature[c]), threshold=float(threshold[c]),
                         left={}, right={})
             children += [(node["left"], idx[mask]), (node["right"], idx[~mask])]
         level, depth = children, depth + 1
     return root, leaves
 
 
-def _tree_apply(node: dict, Xd: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+def _tree_apply(node: dict, Xc: sp.csc_matrix, idx: np.ndarray, out: np.ndarray) -> None:
     if "value" in node:
         out[idx] = node["value"]
         return
-    mask = Xd[idx, node["feature"]] < node["threshold"]
-    _tree_apply(node["left"], Xd, idx[mask], out)
-    _tree_apply(node["right"], Xd, idx[~mask], out)
+    lo, hi = Xc.indptr[node["feature"]], Xc.indptr[node["feature"] + 1]
+    col = np.zeros(Xc.shape[0])
+    col[Xc.indices[lo:hi]] = Xc.data[lo:hi]
+    mask = col[idx] < node["threshold"]
+    _tree_apply(node["left"], Xc, idx[mask], out)
+    _tree_apply(node["right"], Xc, idx[~mask], out)
 
 
 def train_gbdt(X, y, config: GbdtConfig | None = None,
                feature_names: list[str] | None = None) -> GbdtModel:
     if config is None:
         config = GbdtConfig()
-    Xd = _dense(X)
-    n = Xd.shape[0]
+    Xc = sp.csc_matrix(X, dtype=np.float64)
+    Xc.sum_duplicates()  # sorted, unique rows in every column
+    n = Xc.shape[0]
     yv = check_binary_labels(y, (0, 1), n)
 
     p_bar = float(np.clip(yv.mean(), 1e-12, 1 - 1e-12))
@@ -168,9 +169,7 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
     F = np.full(n, init)
     eta = config.learning_rate
 
-    codes, cuts_list = _bin_columns(Xd, config.n_bins)
-    layout = _bin_layout(codes, cuts_list)
-    all_idx = np.arange(n)
+    candidates = _split_candidates(Xc, config.n_bins)
     trees: list[dict] = []
     loss = bce_with_logits(F, yv)
     loss_curve = [loss]
@@ -179,9 +178,10 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
         p = 1.0 / (1.0 + np.exp(-np.clip(F, -500, 500)))
         g = p - yv
         h = p * (1.0 - p)
-        tree, leaves = _grow_tree(codes, layout, cuts_list, g, h, config.max_depth)
+        tree, leaves = _grow_tree(candidates, g, h, config.max_depth)
         contrib = np.zeros(n)
-        _tree_apply(tree, Xd, all_idx, contrib)
+        for leaf, idx in leaves:
+            contrib[idx] = leaf["value"]
 
         scale = 1.0 if eta != 0.0 else 0.0
         while scale > 1e-8:
@@ -191,7 +191,7 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
             scale *= 0.5
         else:
             scale = 0.0
-        for leaf in leaves:
+        for leaf, _ in leaves:
             leaf["value"] *= scale
         F = F + eta * scale * contrib
         if scale:
@@ -206,13 +206,13 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
 
 def gbdt_raw(model: GbdtModel, X) -> np.ndarray:
     """Accumulated log-odds: init + eta * sum of tree outputs."""
-    Xd = _dense(X)
-    n = Xd.shape[0]
-    idx = np.arange(n)
-    out = np.full(n, model.init_log_odds)
-    buf = np.zeros(n)
+    Xc = sp.csc_matrix(X, dtype=np.float64)
+    Xc.sum_duplicates()
+    idx = np.arange(Xc.shape[0])
+    out = np.full(idx.size, model.init_log_odds)
+    buf = np.zeros(idx.size)
     for tree in model.trees:
-        _tree_apply(tree, Xd, idx, buf)
+        _tree_apply(tree, Xc, idx, buf)
         out += model.config.learning_rate * buf
     return out
 

@@ -69,18 +69,20 @@ def _encode(value):
     return dict(vars(value)) if is_dataclass(value) else value
 
 
-def _decode(value, kind):
+def _decode(name: str, value, kind):
     if kind is np.ndarray:
         return np.asarray(value, dtype=np.float64)
     if kind in (int, float):
+        if not fits_type(value, kind):
+            raise TypeError(f"{name!r} must be {kind.__name__}, got {value!r}")
         return kind(value)
     if not is_dataclass(kind):
         return value
     config = kind(**value)
-    for name, field_kind in get_type_hints(kind).items():
-        v = getattr(config, name)
+    for key, field_kind in get_type_hints(kind).items():
+        v = getattr(config, key)
         if field_kind in (int, float, bool) and not fits_type(v, field_kind):
-            raise TypeError(f"config {name!r} must be {field_kind.__name__}, "
+            raise TypeError(f"config {key!r} must be {field_kind.__name__}, "
                             f"got {v!r}")
     return config
 
@@ -101,7 +103,7 @@ def model_from_container(container: dict):
     try:
         payload = container["payload"]
         types = get_type_hints(cls)
-        return cls(**{f.name: _decode(payload[f.name], types[f.name])
+        return cls(**{f.name: _decode(f.name, payload[f.name], types[f.name])
                       for f in fields(cls) if f.init and f.name in payload})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptError(f"bad payload for kind {kind!r}: {exc}") from exc

@@ -67,8 +67,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = self.server.body.encode("utf-8")
         self.send_response(self.server.status)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # one write, as serve-mock does: a body written apart from its headers
+        # waits ~40 ms on Nagle's algorithm and the client's delayed ACK
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def log_message(self, fmt, *args):
         pass
@@ -87,7 +89,9 @@ def stub_server():
         httpd.daemon_threads = True
         httpd.status, httpd.body, httpd.hits = status, body, 0
         httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}"
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        # shutdown() waits out the poll interval, 0.5 s by default
+        threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.02},
+                         daemon=True).start()
         servers.append(httpd)
         return httpd
 

@@ -51,8 +51,29 @@ def within_post_ngrams(posts_lemmas, n_range):
     return set(term_counts_oracle(posts_lemmas, n_range))
 
 
-# Per-node dense GBDT split search as first written (one histogram over
-# d x n_bins cells per node, recursive). train_gbdt must grow the same trees.
+# Per-node dense GBDT split search (one histogram over d x n_bins cells per
+# node, recursive) over its own dense binning. Of the candidates whose gain is
+# within 1e-9 * max(|best|, 1) of the best, the lowest (feature, bin) wins.
+# train_gbdt must grow the same trees.
+def gbdt_bin_columns(Xd: np.ndarray, n_bins: int):
+    n, d = Xd.shape
+    codes = np.zeros((n, d), dtype=np.int32)
+    cuts_list: list[np.ndarray] = []
+    for j in range(d):
+        col = Xd[:, j]
+        uniq = np.unique(col)
+        if uniq.size <= 1:
+            cuts = np.empty(0)
+        elif uniq.size <= n_bins:
+            cuts = (uniq[:-1] + uniq[1:]) / 2.0
+        else:
+            qs = np.quantile(col, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+            cuts = np.unique(qs)
+        codes[:, j] = np.searchsorted(cuts, col, side="right")
+        cuts_list.append(cuts)
+    return codes, cuts_list
+
+
 def _histograms(codes: np.ndarray, g: np.ndarray, h: np.ndarray, n_bins: int):
     m, d = codes.shape
     offsets = (np.arange(d, dtype=np.int64) * n_bins)[None, :]
@@ -83,11 +104,11 @@ def gbdt_build_tree(codes: np.ndarray, cuts_list: list[np.ndarray],
             - gsum ** 2 / (hsum + _LAMBDA))
     gain = np.where((CL > 0) & (CR > 0), gain, -np.inf)
 
-    best = int(np.argmax(gain))  # ties: lowest feature index, lowest bin
-    best_gain = gain.flat[best]
+    best_gain = gain.max()
     if not np.isfinite(best_gain) or best_gain <= 1e-12:
         return {"value": _leaf_value(gsum, hsum)}
-    feature, b = divmod(best, n_bins - 1)
+    near = gain >= best_gain - 1e-9 * max(abs(best_gain), 1.0)
+    feature, b = divmod(int(np.argmax(near)), n_bins - 1)  # row-major: lowest first
     threshold = float(cuts_list[feature][b])
 
     mask = codes[idx, feature] <= b

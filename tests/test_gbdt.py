@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from paylens.models import GbdtConfig, gbdt, gbdt_predict, gbdt_raw, train_gbdt
 from paylens.models.serialize import model_to_container
 from paylens.pipeline import build_dataset
 from paylens.synth import SynthSpec, generate_synthetic_corpus
-from paylens.vectorizer import count_transform, fit_vocabulary, tfidf_transform
+from paylens.vectorizer import (assemble_feature_matrix, count_transform,
+                                fit_vocabulary, tfidf_transform)
 
-from oracles import gbdt_build_tree
+from oracles import gbdt_bin_columns, gbdt_build_tree
 
 
 def noisy_data(n=120, d=6, seed=0):
@@ -98,25 +100,31 @@ class TestTrainGbdt:
         assert model.init_log_odds == pytest.approx(expected)
 
 
-def _leaves(node):
+def _leaf_rows(node, Xd, idx):
     if "value" in node:
-        return [node]
-    return _leaves(node["left"]) + _leaves(node["right"])
+        return [(node, idx)]
+    mask = Xd[idx, node["feature"]] < node["threshold"]
+    return (_leaf_rows(node["left"], Xd, idx[mask])
+            + _leaf_rows(node["right"], Xd, idx[~mask]))
 
 
 def reference_gbdt(monkeypatch, X, y, config):
     """train_gbdt with the split search swapped for the per-node oracle."""
-    def grow(codes, layout, cuts_list, g, h, max_depth):
-        tree = gbdt_build_tree(codes, cuts_list, g, h, np.arange(g.size), 0,
-                               max_depth, config.n_bins)
-        return tree, _leaves(tree)
+    Xd = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    codes, cuts_list = gbdt_bin_columns(Xd, config.n_bins)
+
+    def grow(candidates, g, h, max_depth):
+        rows = np.arange(g.size)
+        tree = gbdt_build_tree(codes, cuts_list, g, h, rows, 0, max_depth,
+                               config.n_bins)
+        return tree, _leaf_rows(tree, Xd, rows)
 
     with monkeypatch.context() as m:
         m.setattr(gbdt, "_grow_tree", grow)
         return train_gbdt(X, y, config)
 
 
-def tfidf_data():
+def _synth_tfidf():
     spec = SynthSpec(n_users_per_class=40, posts_per_user=(6, 6),
                      p_signal=0.5, p_noise=0.1, seed=4)
     result = generate_synthetic_corpus(spec)
@@ -124,7 +132,20 @@ def tfidf_data():
     dataset = build_dataset(corpus, build_labeled_dataset(
         corpus, "politics", political_labels=dict(result.labels)))
     vocab = fit_vocabulary(dataset.posts, (1, 2), min_df=2)
-    return tfidf_transform(count_transform(dataset.posts, vocab), vocab), dataset.labels01
+    return tfidf_transform(count_transform(dataset.posts, vocab), vocab), dataset
+
+
+def tfidf_data():
+    X, dataset = _synth_tfidf()
+    return X, dataset.labels01
+
+
+def tfidf_engineered_data():
+    """tf-idf CSR with the z-scored engineered columns, as the pipeline builds it."""
+    X, dataset = _synth_tfidf()
+    X, _ = assemble_feature_matrix(X, dataset.engineered)
+    assert sp.issparse(X) and X.format == "csr" and X.min() < 0
+    return X, dataset.labels01
 
 
 def quantile_data():
@@ -143,15 +164,29 @@ def constant_and_negative_data():
     return X, (X[:, 1] - X[:, 3] + rng.standard_normal(60) > 0).astype(int)
 
 
+def sparse_signed_data():
+    """Mostly-zero CSR columns with stored values on both sides of zero."""
+    rng = np.random.default_rng(6)
+    X = rng.integers(-3, 4, (90, 4)) * (rng.random((90, 4)) < 0.3)
+    X = X + 0.1 * rng.standard_normal((90, 4)) * (X != 0)
+    return sp.csr_matrix(X), (X[:, 0] - X[:, 1] + rng.standard_normal(90) > 0).astype(int)
+
+
 def duplicated_data():
     X, y = noisy_data(80, d=3, seed=5)
     return np.column_stack([X[:, 1], X[:, 0], X[:, 0], X[:, 2]]), y
 
 
-@pytest.mark.parametrize("make", [noisy_data, tfidf_data, quantile_data,
-                                  constant_and_negative_data, duplicated_data])
+@pytest.mark.parametrize("make", [noisy_data, tfidf_data, tfidf_engineered_data,
+                                  quantile_data, constant_and_negative_data,
+                                  sparse_signed_data, duplicated_data])
 def test_trees_match_per_node_oracle(monkeypatch, make):
     X, y = make()
+    Xd = X.toarray() if sp.issparse(X) else X
+    for n_bins in (64, 10):  # the same cuts as dense binning, bit for bit
+        threshold = gbdt._split_candidates(sp.csc_matrix(X), n_bins)[2]
+        _, cuts_list = gbdt_bin_columns(Xd, n_bins)
+        assert threshold.tobytes() == np.concatenate([np.empty(0), *cuts_list]).tobytes()
     for config in (GbdtConfig(rounds=25, max_depth=3),
                    GbdtConfig(rounds=8, max_depth=5, n_bins=10)):
         got = json.dumps(model_to_container(train_gbdt(X, y, config)))
@@ -180,3 +215,55 @@ def test_all_constant_columns_give_single_leaves(monkeypatch):
     assert all("value" in tree for tree in model.trees)
     want = reference_gbdt(monkeypatch, X, y, config)
     assert model_to_container(model) == model_to_container(want)
+
+
+def test_equal_cuts_tie_to_the_lower_feature():
+    # Both columns cut the rows into the same halves. Zero falls right of
+    # column 0's cut and left of column 1's, so column 0's left sums add the
+    # left rows while column 1's subtract the right rows from the node total:
+    # equal gains in exact arithmetic, not always in floats.
+    def added(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def gain(gl, hl, gs, hs):
+        def score(a, b):
+            return a ** 2 / (b + gbdt._LAMBDA)
+        return score(gl, hl) + score(gs - gl, hs - hl) - score(gs, hs)
+
+    n, left = 12, np.arange(12) < 5
+    X = np.column_stack([-3.0 * left, 2.0 * ~left])
+    candidates = gbdt._split_candidates(sp.csc_matrix(X), 64)
+    codes, cuts_list = gbdt_bin_columns(X, 64)
+    higher_wins_in_floats = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        g, h = rng.standard_normal(n) + 2.0 * left, rng.random(n)
+        gs, hs = float(g.sum()), float(h.sum())
+        gain0 = gain(added(g[left]), added(h[left]), gs, hs)
+        gain1 = gain(gs - added(g[~left]), hs - added(h[~left]), gs, hs)
+        higher_wins_in_floats += gain1 > gain0
+        tree, _ = gbdt._grow_tree(candidates, g, h, max_depth=1)
+        assert (tree["feature"], tree["threshold"]) == (0, -1.5)
+        oracle = gbdt_build_tree(codes, cuts_list, g, h, np.arange(n), 0, 1, 64)
+        assert oracle["feature"] == 0
+    assert higher_wins_in_floats > 0
+
+
+def test_wide_sparse_fit_and_predict_never_densify():
+    n, d, nnz = 2000, 20000, 40000
+    rng = np.random.default_rng(0)
+    X = sp.csr_matrix((rng.random(nnz), (rng.integers(0, n, nnz),
+                                         rng.integers(0, d, nnz))), shape=(n, d))
+    y = (np.asarray(X[:, :200].sum(axis=1)).ravel() > 0).astype(int)
+    tracemalloc.start()
+    try:
+        model = train_gbdt(X, y, GbdtConfig(rounds=3, max_depth=3))
+        pred = gbdt_predict(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (n,) and '"feature"' in json.dumps(model.trees)
+    assert peak < n * d * 8 / 10  # a dense copy alone would take 320 MB

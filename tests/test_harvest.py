@@ -270,6 +270,22 @@ class TestRetries:
         assert srv.hits == 1
 
 
+def test_stub_server_answers_in_one_write(monkeypatch, stub_server):
+    writes = []
+    real_write = socketserver._SocketWriter.write
+
+    def write(self, data):
+        writes.append(bytes(data))
+        return real_write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", write)
+    srv = stub_server(503, '{"error": "down"}')
+    resp = requests.get(srv.url)
+    assert (resp.status_code, resp.text) == (503, '{"error": "down"}')
+    assert len(writes) == 1
+    assert writes[0].endswith(b"\r\n\r\n" + resp.content)
+
+
 class TestResolveUserId:
     def test_resolves(self):
         corpus = group_by_user(corpus_for_user("u123", 2))

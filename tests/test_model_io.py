@@ -178,6 +178,18 @@ class TestFailureModes:
         with pytest.raises(CorruptError, match="bad payload for kind 'svm': "):
             model_from_container(container)
 
+    # a value that int() or float() would coerce is still the wrong type
+    @pytest.mark.parametrize("kind, key, value", [
+        ("svm", "seed", 1.7), ("svm", "bias", True), ("svm", "epochs_run", "3"),
+        ("gbdt", "init_log_odds", True),
+    ])
+    def test_coercible_scalar_rejected(self, trained_models, kind, key, value):
+        container = self._container(trained_models, kind)
+        container["payload"][key] = value
+        with pytest.raises(CorruptError, match=f"bad payload for kind '{kind}': "
+                                               f"'{key}' must be "):
+            model_from_container(container)
+
     @pytest.mark.parametrize("kind, key, value", [
         ("gbdt", "learning_rate", "x"), ("gbdt", "rounds", 2.5),
         ("gbdt", "max_depth", True), ("mlp", "lr", None), ("mlp", "hidden", "4"),
