@@ -142,7 +142,9 @@ class MockServer:
         self._httpd.mock = self  # type: ignore[attr-defined]
         self.port = self._httpd.server_address[1]
         self.url = f"http://127.0.0.1:{self.port}"
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits up to one poll interval for the serving loop to notice
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.02}, daemon=True)
         self._thread.start()
 
     def _window_index(self) -> int:

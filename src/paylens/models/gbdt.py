@@ -143,16 +143,14 @@ def _grow_tree(candidates, g: np.ndarray, h: np.ndarray,
     return root, leaves
 
 
-def _tree_apply(node: dict, Xc: sp.csc_matrix, idx: np.ndarray, out: np.ndarray) -> None:
+def _tree_apply(node: dict, column, idx: np.ndarray, out: np.ndarray) -> None:
+    """Write the tree's output for rows idx into out[idx]; column(j) is X[:, j]."""
     if "value" in node:
         out[idx] = node["value"]
         return
-    lo, hi = Xc.indptr[node["feature"]], Xc.indptr[node["feature"] + 1]
-    col = np.zeros(Xc.shape[0])
-    col[Xc.indices[lo:hi]] = Xc.data[lo:hi]
-    mask = col[idx] < node["threshold"]
-    _tree_apply(node["left"], Xc, idx[mask], out)
-    _tree_apply(node["right"], Xc, idx[~mask], out)
+    mask = column(node["feature"])[idx] < node["threshold"]
+    _tree_apply(node["left"], column, idx[mask], out)
+    _tree_apply(node["right"], column, idx[~mask], out)
 
 
 def train_gbdt(X, y, config: GbdtConfig | None = None,
@@ -205,14 +203,29 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
 
 
 def gbdt_raw(model: GbdtModel, X) -> np.ndarray:
-    """Accumulated log-odds: init + eta * sum of tree outputs."""
+    """Accumulated log-odds: init + eta * sum of tree outputs.
+
+    A column is made dense the first time a split tests it and reused by
+    every later tree, so memory is rows x the distinct split features, at
+    most one column per split node rather than X's full width.
+    """
     Xc = sp.csc_matrix(X, dtype=np.float64)
     Xc.sum_duplicates()
-    idx = np.arange(Xc.shape[0])
-    out = np.full(idx.size, model.init_log_odds)
-    buf = np.zeros(idx.size)
+    n = Xc.shape[0]
+    dense: dict[int, np.ndarray] = {}
+
+    def column(j: int) -> np.ndarray:
+        if j not in dense:
+            lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
+            dense[j] = np.zeros(n)
+            dense[j][Xc.indices[lo:hi]] = Xc.data[lo:hi]
+        return dense[j]
+
+    idx = np.arange(n)
+    out = np.full(n, model.init_log_odds)
+    buf = np.zeros(n)
     for tree in model.trees:
-        _tree_apply(tree, Xc, idx, buf)
+        _tree_apply(tree, column, idx, buf)
         out += model.config.learning_rate * buf
     return out
 

@@ -69,9 +69,40 @@ def _encode(value):
     return dict(vars(value)) if is_dataclass(value) else value
 
 
+_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
+
+
+def _check_tree(root) -> None:
+    """TypeError unless every node is {"value": number} or a split
+    {"feature": int >= 0, "threshold": number, "left": node, "right": node}."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else None
+        if keys == {"value"}:
+            ok = fits_type(node["value"], float)
+        else:
+            ok = (keys == _SPLIT_KEYS and fits_type(node["feature"], int)
+                  and node["feature"] >= 0 and fits_type(node["threshold"], float))
+            if ok:
+                stack += [node["left"], node["right"]]
+        if not ok:
+            raise TypeError(f"'trees' holds a malformed node: {str(node)[:80]}")
+
+
 def _decode(name: str, value, kind):
     if kind is np.ndarray:
         return np.asarray(value, dtype=np.float64)
+    if kind == list[float]:
+        if not (isinstance(value, list) and all(fits_type(v, float) for v in value)):
+            raise TypeError(f"{name!r} must be a list of numbers")
+        return value
+    if kind == list[dict]:  # GbdtModel.trees
+        if not isinstance(value, list):
+            raise TypeError(f"{name!r} must be a list of trees")
+        for tree in value:
+            _check_tree(tree)
+        return value
     if kind in (int, float):
         if not fits_type(value, kind):
             raise TypeError(f"{name!r} must be {kind.__name__}, got {value!r}")

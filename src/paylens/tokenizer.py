@@ -3,16 +3,27 @@
 A note decomposes into word, emoji, shortcode, emoticon, number and punct
 tokens. Emoji segmentation follows extended-pictographic code points plus
 ZWJ/variation-selector/skin-tone continuation, so multi-code-point glyphs
-stay single tokens. N-grams are generated per post and never span two posts
-of the same user.
+stay single tokens. One compiled alternation of named groups finds each
+token in a single match.
+
+N-grams are generated per post and never span two posts of the same user.
+A post builds its n-grams on first use and keeps them (`TokenizedPost.ngrams`),
+so the vocabulary and count refits of every CV fold and n-range reuse them:
+order 1 is the lemma tuple, higher orders are interned space-joined strings.
+The cache is not part of a post's value (equality, hash, repr). To keep it
+from raising memory, the token classes use slots and repeated surfaces and
+lemmas share one string.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 
 from . import emoji_data
 
@@ -29,20 +40,39 @@ _VOWELS = set("aeiou")
 _UNDOUBLE_KEEP = {"ll", "ss", "zz", "ff"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     lemma: str
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedPost:
     tokens: tuple[Token, ...]
     raw: str
+    # this post's n-grams of orders 1..len(_grams); not part of its value
+    _grams: tuple[tuple[str, ...], ...] = field(
+        default=(), init=False, compare=False, repr=False)
 
     def lemmas(self) -> list[str]:
         return [t.lemma for t in self.tokens]
+
+    def ngrams(self, n: int) -> tuple[str, ...]:
+        """This post's n-grams of order n by position, built on first use.
+
+        Orders 1..n are built together; order 1 is the lemma tuple.
+        """
+        grams = self._grams
+        if len(grams) < n:
+            if not grams:
+                grams = (tuple([t.lemma for t in self.tokens]),)
+            lemmas = grams[0]
+            for k in range(len(grams) + 1, n + 1):
+                windows = zip(*[lemmas[i:] for i in range(k)]) if len(lemmas) >= k else ()
+                grams += (tuple(map(sys.intern, map(" ".join, windows))),)
+            object.__setattr__(self, "_grams", grams)  # a cache, not the value
+        return grams[n - 1]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -63,7 +93,7 @@ def default_lemma_exceptions() -> dict[str, str]:
     return table
 
 
-def _emoticon_pattern(emoticons: list[str]) -> re.Pattern:
+def _emoticon_pattern(emoticons: list[str]) -> str:
     # longest first; alphanumeric-final emoticons must not run into a word
     parts = []
     for e in sorted(emoticons, key=len, reverse=True):
@@ -71,39 +101,38 @@ def _emoticon_pattern(emoticons: list[str]) -> re.Pattern:
         if e[-1].isalnum():
             pat += r"(?!\w)"
         parts.append(pat)
-    return re.compile("|".join(parts))
+    return "|".join(parts)
 
 
 _PICTO = f"[{emoji_data.pictographic_class()}]"
 _MODS = "[\U0001F3FB-\U0001F3FF︎️]"
 _RI = "[\U0001F1E6-\U0001F1FF]"
-_EMOJI_RE = re.compile(
-    "|".join([
-        rf"[0-9#*]️?⃣",                      # keycap
-        rf"{_RI}{_RI}",                                # flag pair
-        rf"{_RI}",                                     # lone regional indicator
-        rf"{_PICTO}{_MODS}*(?:‍{_PICTO}{_MODS}*)*",  # ZWJ sequence
-    ])
-)
-_SHORTCODE_RE = re.compile(r":[a-z0-9_]+:")
-_WORD_RE = re.compile(r"[^\W\d_]+(?:['’][^\W\d_]+)*")
-_NUMBER_RE = re.compile(r"\d+(?:[.,]\d+)*")
-_PUNCT_RE = re.compile(r"(\S)\1*")
-_WS_RE = re.compile(r"\s+")
+_EMOJI = "|".join([
+    rf"[0-9#*]️?⃣",                      # keycap
+    rf"{_RI}{_RI}",                                # flag pair
+    rf"{_RI}",                                     # lone regional indicator
+    rf"{_PICTO}{_MODS}*(?:‍{_PICTO}{_MODS}*)*",  # ZWJ sequence
+])
+
+_WS = "ws"
 
 
 @lru_cache(maxsize=1)
-def _matchers():
-    return (
-        (SHORTCODE, _SHORTCODE_RE),
+def _scanner() -> re.Pattern:
+    """Every token kind as one named group, in priority order."""
+    kinds = (
+        (_WS, r"\s+"),
+        (SHORTCODE, r":[a-z0-9_]+:"),
         (EMOTICON, _emoticon_pattern(_read_data_lines("emoticons.txt"))),
-        (EMOJI, _EMOJI_RE),
-        (WORD, _WORD_RE),
-        (NUMBER, _NUMBER_RE),
-        (PUNCT, _PUNCT_RE),
+        (EMOJI, _EMOJI),
+        (WORD, r"[^\W\d_]+(?:['’][^\W\d_]+)*"),
+        (NUMBER, r"\d+(?:[.,]\d+)*"),
+        (PUNCT, r"(?P<punct_char>\S)(?P=punct_char)*"),  # a run of one character
     )
+    return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in kinds))
 
 
+@lru_cache(maxsize=2 ** 16)
 def lemma_for_word(surface: str) -> str:
     """Lowercase a word and strip common inflections.
 
@@ -160,33 +189,38 @@ def lemmatize(token: Token) -> Token:
 def tokenize_post(note: str) -> TokenizedPost:
     """Segment a note into typed tokens. Total and deterministic.
 
-    Match priority at each position: shortcode, emoticon, emoji sequence,
-    word, number, then a run of identical punctuation characters.
+    Match priority at each position: whitespace (skipped), shortcode,
+    emoticon, emoji sequence, word, number, then a run of identical
+    punctuation characters. Every position matches one of them, so the
+    matches tile the note.
     """
-    matchers = _matchers()
     tokens: list[Token] = []
-    pos, end = 0, len(note)
-    while pos < end:
-        ws = _WS_RE.match(note, pos)
-        if ws:
-            pos = ws.end()
+    for m in _scanner().finditer(note):
+        kind = m.lastgroup
+        if kind == _WS:
             continue
-        for kind, pattern in matchers:
-            m = pattern.match(note, pos)
-            if m:
-                surface = m.group(0)
-                token = Token(surface=surface, lemma=surface, kind=kind)
-                if kind == WORD:
-                    token = lemmatize(token)
-                tokens.append(token)
-                pos = m.end()
-                break
-        else:
-            # unreachable: _PUNCT_RE matches any non-space character
-            surface = note[pos]
-            tokens.append(Token(surface=surface, lemma=surface, kind=PUNCT))
-            pos += 1
+        surface = sys.intern(m.group())  # repeated tokens share one string
+        lemma = lemma_for_word(surface) if kind == WORD else surface
+        tokens.append(Token(surface, lemma, kind))
     return TokenizedPost(tokens=tuple(tokens), raw=note)
+
+
+def ngram_orders(n_range: tuple[int, int]) -> range:
+    """The n-gram orders of an n_range; ValueError unless 1 <= low <= high <= 3."""
+    low, high = n_range
+    if not (1 <= low <= high <= 3):
+        raise ValueError(f"n_range must satisfy 1 <= low <= high <= 3, got {n_range}")
+    return range(low, high + 1)
+
+
+def ngrams_by_post(posts: Iterable[TokenizedPost], orders: range) -> list[tuple[str, ...]]:
+    """`post.ngrams(n)` for each post and each order in turn.
+
+    Orders a post has already built are read without a method call, which
+    is most of the cost when a fold refit gathers them again.
+    """
+    return [grams[n - 1] if len(grams := post._grams) >= n else post.ngrams(n)
+            for post in posts for n in orders]
 
 
 def generate_ngrams(post: TokenizedPost, n_range: tuple[int, int] = (1, 2)) -> list[str]:
@@ -195,15 +229,7 @@ def generate_ngrams(post: TokenizedPost, n_range: tuple[int, int] = (1, 2)) -> l
     Emitted by n ascending, then by position. Never crosses post boundaries
     because it only ever sees one post.
     """
-    low, high = n_range
-    if not (1 <= low <= high <= 3):
-        raise ValueError(f"n_range must satisfy 1 <= low <= high <= 3, got {n_range}")
-    lemmas = post.lemmas()
-    grams: list[str] = []
-    for n in range(low, high + 1):
-        for i in range(len(lemmas) - n + 1):
-            grams.append(" ".join(lemmas[i:i + n]))
-    return grams
+    return list(chain.from_iterable(ngrams_by_post([post], ngram_orders(n_range))))
 
 
 def user_ngrams(posts: list[TokenizedPost], n_range: tuple[int, int] = (1, 2)) -> list[str]:

@@ -5,17 +5,23 @@ plain dicts, math.log and explicit loops only.
 """
 
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from paylens.errors import EmptyProfile, NonFiniteError
+from paylens import tokenizer
+from paylens.errors import EmptyCorpus, EmptyProfile, NonFiniteError
 from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import check_binary_labels
 from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
 from paylens.models.mlp import MlpConfig, MlpModel
 from paylens.models.svm import LinearSvmModel, _as_csr
+from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE, WORD,
+                               Token, TokenizedPost, lemmatize)
+from paylens.vectorizer import Vocabulary
 
 
 def tfidf_oracle(user_term_counts, document_frequency, n_documents):
@@ -49,6 +55,135 @@ def term_counts_oracle(posts_lemmas, n_range):
 def within_post_ngrams(posts_lemmas, n_range):
     """Set of n-grams that legitimately occur inside single posts."""
     return set(term_counts_oracle(posts_lemmas, n_range))
+
+
+# The text path as it was before posts cached their n-grams: one
+# pattern.match per token kind and position, n-grams rebuilt from the lemma
+# list on every call, and a per-occurrence dict count. Copied verbatim; the
+# per-kind patterns are the tokenizer's own, so the oracle checks the scanning
+# and counting, not the pattern text.
+_WS_RE = re.compile(r"\s+")
+
+
+@lru_cache(maxsize=1)
+def _matchers():
+    return (
+        (SHORTCODE, re.compile(r":[a-z0-9_]+:")),
+        (EMOTICON, re.compile(tokenizer._emoticon_pattern(
+            tokenizer._read_data_lines("emoticons.txt")))),
+        (EMOJI, re.compile(tokenizer._EMOJI)),
+        (WORD, re.compile(r"[^\W\d_]+(?:['’][^\W\d_]+)*")),
+        (NUMBER, re.compile(r"\d+(?:[.,]\d+)*")),
+        (PUNCT, re.compile(r"(\S)\1*")),
+    )
+
+
+def tokenize_post_oracle(note: str) -> TokenizedPost:
+    matchers = _matchers()
+    tokens: list[Token] = []
+    pos, end = 0, len(note)
+    while pos < end:
+        ws = _WS_RE.match(note, pos)
+        if ws:
+            pos = ws.end()
+            continue
+        for kind, pattern in matchers:
+            m = pattern.match(note, pos)
+            if m:
+                surface = m.group(0)
+                token = Token(surface=surface, lemma=surface, kind=kind)
+                if kind == WORD:
+                    token = lemmatize(token)
+                tokens.append(token)
+                pos = m.end()
+                break
+        else:
+            # unreachable: _PUNCT_RE matches any non-space character
+            surface = note[pos]
+            tokens.append(Token(surface=surface, lemma=surface, kind=PUNCT))
+            pos += 1
+    return TokenizedPost(tokens=tuple(tokens), raw=note)
+
+
+def generate_ngrams_oracle(post: TokenizedPost, n_range=(1, 2)) -> list[str]:
+    low, high = n_range
+    if not (1 <= low <= high <= 3):
+        raise ValueError(f"n_range must satisfy 1 <= low <= high <= 3, got {n_range}")
+    lemmas = post.lemmas()
+    grams: list[str] = []
+    for n in range(low, high + 1):
+        for i in range(len(lemmas) - n + 1):
+            grams.append(" ".join(lemmas[i:i + n]))
+    return grams
+
+
+def user_ngrams_oracle(posts, n_range=(1, 2)) -> list[str]:
+    grams: list[str] = []
+    for post in posts:
+        grams.extend(generate_ngrams_oracle(post, n_range))
+    return grams
+
+
+def fit_vocabulary_oracle(user_posts, n_range=(1, 2), min_df=2) -> Vocabulary:
+    if len(user_posts) == 0:
+        raise EmptyCorpus("cannot fit a vocabulary on zero users")
+    df: dict[str, int] = {}
+    for posts in user_posts:
+        for term in set(user_ngrams_oracle(list(posts), n_range)):
+            df[term] = df.get(term, 0) + 1
+    kept = sorted(t for t, c in df.items() if c >= min_df)
+    return Vocabulary(
+        index={t: i for i, t in enumerate(kept)},
+        document_frequency={t: df[t] for t in kept},
+        n_documents=len(user_posts),
+        n_range=n_range,
+        min_df=min_df,
+    )
+
+
+def count_transform_oracle(user_posts, vocab: Vocabulary) -> sp.csr_matrix:
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for posts in user_posts:
+        row: dict[int, float] = {}
+        for term in user_ngrams_oracle(list(posts), vocab.n_range):
+            col = vocab.index.get(term)
+            if col is not None:
+                row[col] = row.get(col, 0.0) + 1.0
+        for col in sorted(row):
+            indices.append(col)
+            data.append(row[col])
+        indptr.append(len(indices))
+    mat = sp.csr_matrix((data, indices, indptr),
+                        shape=(len(user_posts), len(vocab)), dtype=np.float64)
+    mat.eliminate_zeros()
+    return mat
+
+
+def gbdt_raw_oracle(model, X) -> np.ndarray:
+    """gbdt_raw with each internal node scattering its column to dense."""
+    Xc = sp.csc_matrix(X, dtype=np.float64)
+    Xc.sum_duplicates()
+
+    def apply(node, idx, out):
+        if "value" in node:
+            out[idx] = node["value"]
+            return
+        lo, hi = Xc.indptr[node["feature"]], Xc.indptr[node["feature"] + 1]
+        col = np.zeros(Xc.shape[0])
+        col[Xc.indices[lo:hi]] = Xc.data[lo:hi]
+        mask = col[idx] < node["threshold"]
+        apply(node["left"], idx[mask], out)
+        apply(node["right"], idx[~mask], out)
+
+    idx = np.arange(Xc.shape[0])
+    out = np.full(idx.size, model.init_log_odds)
+    buf = np.zeros(idx.size)
+    for tree in model.trees:
+        apply(tree, idx, buf)
+        out += model.config.learning_rate * buf
+    return out
 
 
 # Per-node dense GBDT split search (one histogram over d x n_bins cells per

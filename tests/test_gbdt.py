@@ -15,7 +15,7 @@ from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.vectorizer import (assemble_feature_matrix, count_transform,
                                 fit_vocabulary, tfidf_transform)
 
-from oracles import gbdt_bin_columns, gbdt_build_tree
+from oracles import gbdt_bin_columns, gbdt_build_tree, gbdt_raw_oracle
 
 
 def noisy_data(n=120, d=6, seed=0):
@@ -193,6 +193,16 @@ def test_trees_match_per_node_oracle(monkeypatch, make):
         want = json.dumps(model_to_container(reference_gbdt(monkeypatch, X, y, config)))
         assert got == want
         assert '"feature"' in got  # the trees do split
+
+
+@pytest.mark.parametrize("make", [noisy_data, tfidf_engineered_data,
+                                  constant_and_negative_data, sparse_signed_data])
+def test_raw_matches_dense_apply_oracle(make):
+    X, y = make()
+    model = train_gbdt(X, y, GbdtConfig(rounds=20, max_depth=4))
+    rows = sp.csr_matrix(X)[::-1]  # rows the model did not see in this order
+    for data in (X, rows, sp.csr_matrix((3, X.shape[1]))):
+        assert gbdt_raw(model, data).tobytes() == gbdt_raw_oracle(model, data).tobytes()
 
 
 def test_duplicate_columns_split_on_lower_index():

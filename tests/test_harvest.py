@@ -104,6 +104,14 @@ class TestMockServerEndpoints:
         with run_mock_server(corpus, config) as srv:
             assert requests.get(f"{srv.url}/feed").status_code == 200
 
+    def test_stop_returns_promptly(self):
+        srv = run_mock_server(group_by_user(corpus_for_user("u1", 5)))
+        assert requests.get(f"{srv.url}/feed").status_code == 200
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < 0.2
+        assert not srv._thread.is_alive()
+
     def test_429_carries_retry_after(self):
         corpus = group_by_user(corpus_for_user("u1", 5))
         config = MockServerConfig(rate_limit=1.0, burst=1)

@@ -201,6 +201,29 @@ class TestFailureModes:
                            match=f"bad payload for kind '{kind}': .*'{key}'"):
             model_from_container(container)
 
+    _SPLIT = {"feature": 0, "threshold": 0.5, "left": {"value": 1.0}}
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gbdt", "trees", [{"feature": "a"}]),
+        ("gbdt", "trees", [_SPLIT]),
+        ("gbdt", "trees", [{**_SPLIT, "feature": -1, "right": {"value": 0.0}}]),
+        ("gbdt", "trees", [{**_SPLIT, "right": {"value": None}}]),
+        ("gbdt", "trees", [{**_SPLIT, "right": {"value": 0.0, "extra": 1}}]),
+        ("gbdt", "trees", [{**_SPLIT, "threshold": True, "right": {"value": 0.0}}]),
+        ("gbdt", "trees", [[]]),
+        ("gbdt", "trees", {"value": 1.0}),
+        ("gbdt", "loss_curve", ["x", None]),
+        ("gbdt", "loss_curve", 0.5),
+        ("mlp", "loss_curve", [0.5, True]),
+    ], ids=["feature-not-int", "no-right", "negative-feature", "null-leaf",
+            "extra-key", "bool-threshold", "tree-not-object", "trees-not-list",
+            "curve-not-numbers", "curve-not-list", "mlp-curve-bool"])
+    def test_malformed_trees_or_curve(self, trained_models, kind, key, value):
+        container = self._container(trained_models, kind)
+        container["payload"][key] = value
+        with pytest.raises(CorruptError, match=f"bad payload for kind '{kind}': "):
+            model_from_container(container)
+
     @pytest.mark.parametrize("kind", ["mlp", "gbdt"])
     def test_container_config_is_a_copy(self, trained_models, kind):
         _, models = trained_models

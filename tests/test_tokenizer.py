@@ -2,9 +2,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE,
-                               WORD, Token, generate_ngrams, lemma_for_word,
-                               lemmatize, tokenize_post, user_ngrams)
+                               WORD, Token, TokenizedPost, generate_ngrams,
+                               lemma_for_word, lemmatize, tokenize_post,
+                               user_ngrams)
+
+from oracles import generate_ngrams_oracle, tokenize_post_oracle, user_ngrams_oracle
+
+N_RANGES = [(1, 1), (1, 2), (2, 3), (1, 3), (3, 3)]
+
+# characters at the edges between token kinds: emoticon parts, shortcode
+# colons, emoji with their joiners and modifiers, digits, apostrophes
+_EDGE_ALPHABET = (list("ab xXD:)(-;P<3/_^o!?.,'’09#*\t") +
+                  ["🍕", "👍", "🏽", "\u200d", "\ufe0f", "\u20e3", "🇺", "🇸",
+                   "👨", "👩", "é"])
+
+
+def synth_notes(seed=3, per_class=20):
+    result = generate_synthetic_corpus(SynthSpec(n_users_per_class=per_class,
+                                                 seed=seed))
+    return [t.note for t in result.transactions]
 
 
 def kinds_and_surfaces(note):
@@ -79,6 +97,21 @@ class TestTokenizePost:
         first = tokenize_post(note)
         second = tokenize_post(note)
         assert first == second
+
+    @given(st.text(alphabet=st.sampled_from(_EDGE_ALPHABET), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_kind_scan_oracle(self, note):
+        assert tokenize_post(note) == tokenize_post_oracle(note)
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_any_text(self, note):
+        assert tokenize_post(note) == tokenize_post_oracle(note)
+
+    def test_matches_oracle_on_synth_notes(self):
+        notes = synth_notes() + ["xD xDx :uber: :-) 3.50 $20 don't 🇺🇸 1️⃣ 👩‍👩‍👧 👍🏽 ...!!"]
+        for note in notes:
+            assert tokenize_post(note) == tokenize_post_oracle(note), note
 
     def test_word_lemma_is_lowercase(self):
         for tok in tokenize_post("Huge PIZZA Party").tokens:
@@ -161,9 +194,46 @@ class TestGenerateNgrams:
                        for n in range(low, high + 1))
         assert len(grams) == expected
 
+    @pytest.mark.parametrize("n_range", N_RANGES)
+    def test_matches_oracle(self, n_range):
+        posts = [tokenize_post(n) for n in synth_notes(seed=4, per_class=5)]
+        posts += [tokenize_post(n) for n in ("", "solo", "two words")]
+        for post in posts:
+            assert generate_ngrams(post, n_range) == generate_ngrams_oracle(post, n_range)
+        assert user_ngrams(posts, n_range) == user_ngrams_oracle(posts, n_range)
+
     def test_user_multiset_equals_union_of_posts(self):
         notes = ["pizza night out", "rent", "coffee run club", ""]
         posts = [tokenize_post(n) for n in notes]
         combined = sorted(user_ngrams(posts, (1, 2)))
         per_post = sorted(g for p in posts for g in generate_ngrams(p, (1, 2)))
         assert combined == per_post
+
+
+class TestNgramCache:
+    def test_token_classes_have_no_instance_dict(self):
+        post = tokenize_post("pizza night 🍕")
+        assert not hasattr(post, "__dict__")
+        assert not any(hasattr(t, "__dict__") for t in post.tokens)
+
+    def test_cache_leaves_value_unchanged(self):
+        cached, fresh = tokenize_post("pizza night out"), tokenize_post("pizza night out")
+        before = (repr(cached), hash(cached))
+        for n in (3, 1, 2):
+            cached.ngrams(n)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert (repr(cached), hash(cached)) == before == (repr(fresh), hash(fresh))
+        assert cached == TokenizedPost(tokens=fresh.tokens, raw=fresh.raw)
+
+    def test_orders_built_once_and_interned(self):
+        post = tokenize_post("a b c d")
+        assert post.ngrams(1) == ("a", "b", "c", "d")
+        assert post.ngrams(2) is post.ngrams(2)
+        assert post.ngrams(3) == ("a b c", "b c d")
+        other = tokenize_post("b c")
+        assert other.ngrams(2)[0] is post.ngrams(2)[1]
+
+    def test_short_posts(self):
+        assert tokenize_post("").ngrams(1) == ()
+        assert tokenize_post("one").ngrams(2) == ()
+        assert tokenize_post("one two").ngrams(3) == ()

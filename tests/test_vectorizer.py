@@ -1,16 +1,27 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import paylens
+from paylens.corpus import group_by_user
 from paylens.errors import DimensionMismatch, EmptyCorpus
+from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.tokenizer import tokenize_post
 from paylens.vectorizer import (ScalerStats, assemble_feature_matrix,
                                 count_transform, fit_vocabulary,
                                 tfidf_transform)
 
-from oracles import term_counts_oracle, tfidf_oracle, within_post_ngrams
+from oracles import (count_transform_oracle, fit_vocabulary_oracle,
+                     term_counts_oracle, tfidf_oracle, within_post_ngrams)
+
+N_RANGES = [(1, 1), (1, 2), (2, 3), (1, 3), (3, 3)]
 
 
 def posts(*notes):
@@ -100,6 +111,127 @@ class TestCountTransform:
             expected = term_counts_oracle([p.lemmas() for p in user], (1, 2))
             for term, col in vocab.index.items():
                 assert row[col] == expected.get(term, 0)
+
+
+def oracle_users(seed=5, per_class=30, n_random=60):
+    """Users' tokenized posts: a synth corpus (short notes), users whose
+    posts draw from a few tokens (so bigrams and trigrams recur), and users
+    with no posts, a post of 0 tokens and posts of 1 and 2 tokens."""
+    result = generate_synthetic_corpus(SynthSpec(
+        n_users_per_class=per_class, posts_per_user=(1, 6), seed=seed))
+    corpus = group_by_user(result.transactions)
+    users = [[tokenize_post(t.note) for t, _ in corpus.users[uid].posts]
+             for uid, _ in result.labels]
+    rng = random.Random(seed)
+    pool = ["pizza", "Rent", "rents", "🍕", ":-)", "!!"]
+    for _ in range(n_random):
+        users.append(posts(*(" ".join(rng.choices(pool, k=rng.randint(0, 7)))
+                             for _ in range(rng.randint(0, 5)))))
+    return users + [[], posts(""), posts("solo", "two words"), posts("!!", "solo")]
+
+
+def assert_same_vocab(got, want):
+    assert list(got.index.items()) == list(want.index.items())
+    assert list(got.document_frequency.items()) == list(want.document_frequency.items())
+    assert (got.n_documents, got.n_range, got.min_df) == (
+        want.n_documents, want.n_range, want.min_df)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices and want.has_sorted_indices
+
+
+class TestTextPathOracle:
+    """fit_vocabulary and count_transform against the uncached per-occurrence
+    copies, with every n-range run on the same post objects in both orders."""
+
+    @pytest.mark.parametrize("ranges", [N_RANGES, N_RANGES[::-1]],
+                             ids=["forward", "reverse"])
+    @pytest.mark.parametrize("min_df", [1, 3])
+    def test_same_vocabulary_and_counts(self, ranges, min_df):
+        users = oracle_users()
+        train = users[::2]
+        for n_range in ranges:
+            vocab = fit_vocabulary(train, n_range, min_df=min_df)
+            want = fit_vocabulary_oracle(train, n_range, min_df=min_df)
+            assert_same_vocab(vocab, want)
+            assert len(vocab) > 0
+            for rows in (train, users, users[-4:], []):
+                assert_same_csr(count_transform(rows, vocab),
+                                count_transform_oracle(rows, want))
+
+    def test_empty_vocabulary(self):
+        users = oracle_users(per_class=3, n_random=5)
+        vocab = fit_vocabulary(users, (3, 3), min_df=10 ** 6)
+        assert len(vocab) == 0
+        assert_same_csr(count_transform(users, vocab),
+                        count_transform_oracle(users, vocab))
+
+    def test_invalid_range_rejected(self):
+        users = [posts("a b")]
+        vocab = fit_vocabulary(users, (1, 2), min_df=1)
+        for bad in ((0, 1), (2, 1), (1, 4)):
+            with pytest.raises(ValueError):
+                fit_vocabulary(users, bad)
+            with pytest.raises(ValueError):
+                count_transform(users, dataclasses.replace(vocab, n_range=bad))
+
+
+# build_dataset plus 5 folds x 2 n-ranges of fit and count, as the ingest
+# benchmark runs them; prints the traced peak in bytes.
+_INGEST_PEAK_SCRIPT = """
+import tracemalloc
+from paylens.corpus import group_by_user
+from paylens.evaluation import stratified_kfold
+from paylens.labels import build_labeled_dataset
+from paylens.pipeline import build_dataset
+from paylens.synth import SynthSpec, generate_synthetic_corpus
+from paylens.tokenizer import tokenize_post
+from paylens.vectorizer import count_transform, fit_vocabulary
+
+result = generate_synthetic_corpus(SynthSpec(
+    n_users_per_class=200, posts_per_user=(5, 12), seed=11))
+corpus = group_by_user(result.transactions)
+labeled = build_labeled_dataset(corpus, "politics",
+                                political_labels=dict(result.labels))
+tokenize_post("warm :-) 🍕")  # compile the patterns outside the peak
+tracemalloc.start()
+dataset = build_dataset(corpus, labeled)
+plan = stratified_kfold(dataset.labels01.tolist(), 5)
+folds = []
+for i in range(plan.k):
+    train, test = plan.split(i)
+    train_posts = [dataset.posts[j] for j in train]
+    test_posts = [dataset.posts[j] for j in test]
+    for n_range in ((1, 1), (1, 2)):
+        vocab = fit_vocabulary(train_posts, n_range)
+        folds.append((vocab, count_transform(train_posts, vocab),
+                      count_transform(test_posts, vocab)))
+assert len(folds) == 10 and all(len(f[0]) for f in folds)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+# The script's peak on the code before posts cached their n-grams, 3,355,514
+# bytes (CPython 3.11, numpy 2.4), plus 5%: the cache must not cost more
+# memory than the token slots and shared strings save.
+INGEST_PEAK_BOUND = int(3_355_514 * 1.05)
+
+
+def test_ngram_cache_keeps_ingest_peak_memory():
+    # a fresh interpreter: interning grows the process-wide table of interned
+    # strings, so a peak taken after other tests would depend on them
+    src = str(Path(paylens.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _INGEST_PEAK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= INGEST_PEAK_BOUND
 
 
 class TestTfidfTransform:
