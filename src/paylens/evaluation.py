@@ -2,9 +2,10 @@
 
 Folds are disjoint, cover every row, and keep per-fold class counts within
 one of the proportional share. Every fitted component (vocabulary, scaler,
-classifier) is refit inside each fold on training rows only. Grid search
-evaluates every expanded config, picks the best mean accuracy with ties
-broken by expansion order, and refits the winner on all rows.
+classifier) is refit inside each fold on training rows only; configs that
+share a featurization share each fold's vocabulary, scaler and matrices.
+Grid search cross-validates every expanded config, picks the best mean
+accuracy (first wins ties), and refits the winner on all rows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .errors import SingleClass, TooFewSamples
 from .labels import LabeledUser
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
-                       fit_pipeline, fits_type, pipeline_predict,
-                       pipeline_transform)
+                       fit_features, fit_model, fit_pipeline, fits_type,
+                       pipeline_predict, pipeline_transform)
 
 
 @dataclass(frozen=True)
@@ -105,28 +106,36 @@ class CvResult:
         return tuple(int(v) for v in total)
 
 
-def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
+def _outcome(y_true: np.ndarray, y_pred: np.ndarray) -> FoldOutcome:
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     fn = int(np.sum((y_true == 1) & (y_pred == 0)))
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    return tn, fp, fn, tp
+    return FoldOutcome(accuracy=(tn + tp) / len(y_true) if len(y_true) else 0.0,
+                       confusion=(tn, fp, fn, tp))
 
 
 def cross_validate(dataset: UserDataset, plan: FoldPlan,
-                   config: PipelineConfig) -> CvResult:
-    """Held-out accuracy per fold; all fitted state comes from training rows."""
-    outcomes: list[FoldOutcome] = []
+                   configs: Sequence[PipelineConfig]) -> list[CvResult]:
+    """Held-out accuracy per fold for each config, in input order; all fitted
+    state comes from training rows, and one featurization's at a time."""
+    groups: dict[tuple, list[int]] = {}  # configs by the fields featurization reads
+    for j, c in enumerate(configs):
+        groups.setdefault((c.vectorizer, c.n_range, c.min_df, c.use_engineered,
+                           c.include_actor_pct, c.normalize_counts), []).append(j)
+    outcomes: list[list[FoldOutcome]] = [[] for _ in configs]
     for i in range(plan.k):
         train_idx, test_idx = plan.split(i)
-        fitted = fit_pipeline(dataset, train_idx, config)
-        X_test = pipeline_transform(fitted, dataset, test_idx)
-        y_pred = pipeline_predict(fitted, X_test)
-        y_true = dataset.labels01[test_idx]
-        acc = float(np.mean(y_pred == y_true)) if len(test_idx) else 0.0
-        outcomes.append(FoldOutcome(accuracy=acc,
-                                    confusion=_confusion(y_true, y_pred)))
-    return CvResult(config=config, outcomes=outcomes)
+        y_train, y_true = dataset.labels01[train_idx], dataset.labels01[test_idx]
+        for members in groups.values():
+            features, X = fit_features(dataset, train_idx, configs[members[0]])
+            X_test = pipeline_transform(features, dataset, test_idx)
+            for j in members:
+                model = fit_model(X, y_train, configs[j], features.feature_names)
+                fitted = replace(features, config=configs[j], model=model)
+                outcomes[j].append(_outcome(y_true, pipeline_predict(fitted, X_test)))
+            del features, X, X_test, fitted
+    return [CvResult(config=c, outcomes=o) for c, o in zip(configs, outcomes)]
 
 
 @dataclass(frozen=True)
@@ -230,11 +239,10 @@ def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
     configs = grid.expand(base)
     if not configs:
         raise ValueError("empty grid")
-    results = [cross_validate(dataset, plan, cfg) for cfg in configs]
+    results = cross_validate(dataset, plan, configs)
     means = [r.mean_accuracy for r in results]
     best_index = int(np.argmax(means))  # first best wins ties
-    all_rows = np.arange(len(dataset))
-    best_model = fit_pipeline(dataset, all_rows, configs[best_index])
+    best_model = fit_pipeline(dataset, np.arange(len(dataset)), configs[best_index])
     return EvalReport(task=dataset.task, seed=plan.seed, k=plan.k,
                       results=results, best_index=best_index,
                       best_model=best_model, class_names=dataset.class_names)

@@ -40,11 +40,12 @@ def check_header(container, magic: str, version: int, what: str) -> None:
 
 
 def read_container(path: PathLike, what: str):
-    """Parsed JSON of a container file; a decode error is a CorruptError."""
+    """Parsed JSON of a container file; a decode error, nesting too deep to
+    decode included, is a CorruptError."""
     try:
         with open(path, encoding="utf-8") as fp:
             return json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptError(f"unreadable {what} file: {exc}") from exc
 
 

@@ -26,7 +26,7 @@ from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
 from .models.serialize import (check_header, fits_type, model_from_container,
                                model_to_container, read_container,
                                write_container)
-from .tokenizer import TokenizedPost, tokenize_post
+from .tokenizer import TokenizedPost, ngram_orders, tokenize_post
 from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
                          count_transform, fit_vocabulary, l2_normalize_rows,
                          tfidf_transform)
@@ -142,30 +142,23 @@ class FittedPipeline:
     class_names: tuple[str, str]
 
 
-def _text_matrix(posts: Sequence[Sequence[TokenizedPost]], vocab: Vocabulary,
-                 config: PipelineConfig) -> sp.csr_matrix:
-    counts = count_transform(posts, vocab)
-    if config.vectorizer == "tfidf":
-        return tfidf_transform(counts, vocab)
-    if config.normalize_counts:
-        return l2_normalize_rows(counts)
-    return counts
-
-
 def _features_for(dataset: UserDataset, idx: np.ndarray, vocab: Vocabulary,
                   scaler: ScalerStats | None, config: PipelineConfig
                   ) -> tuple[sp.csr_matrix, ScalerStats | None]:
-    posts = [dataset.posts[i] for i in idx]
-    text = _text_matrix(posts, vocab, config)
+    text = count_transform([dataset.posts[i] for i in idx], vocab)
+    if config.vectorizer == "tfidf":
+        text = tfidf_transform(text, vocab)
+    elif config.normalize_counts:
+        text = l2_normalize_rows(text)
     if not config.use_engineered:
         return text, scaler
-    rows = dataset.engineered[idx]
-    return assemble_feature_matrix(text, rows, scaler)
+    return assemble_feature_matrix(text, dataset.engineered[idx], scaler)
 
 
-def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
-                 config: PipelineConfig) -> FittedPipeline:
-    """Fit vocabulary, scaler and classifier on the given training rows only."""
+def fit_features(dataset: UserDataset, train_idx: Sequence[int],
+                 config: PipelineConfig) -> tuple[FittedPipeline, sp.csr_matrix]:
+    """Vocabulary and scaler fit on the given training rows only, as a
+    FittedPipeline with no model yet, plus the training matrix."""
     idx = np.asarray(train_idx, dtype=np.int64)
     vocab = fit_vocabulary([dataset.posts[i] for i in idx],
                            n_range=config.n_range, min_df=config.min_df)
@@ -173,31 +166,37 @@ def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
     names = vocab.terms
     if config.use_engineered:
         names = names + engineered_feature_names(config.include_actor_pct)
+    return FittedPipeline(config=config, vocab=vocab, scaler=scaler, model=None,
+                          feature_names=names, class_names=dataset.class_names), X
 
-    y01 = dataset.labels01[idx]
+
+def fit_model(X: sp.csr_matrix, y01: np.ndarray, config: PipelineConfig,
+              feature_names: list[str]):
+    """The configured classifier trained on X, which it leaves unchanged."""
     if config.classifier == "svm":
-        model = train_linear_svm(X, 2 * y01 - 1, C=config.C, tol=config.svm_tol,
-                                 seed=config.seed, feature_names=names)
-    elif config.classifier == "mlp":
-        overrides = dict(config.mlp_overrides)
-        overrides.setdefault("seed", config.seed)
-        model = train_mlp(X, y01, MlpConfig(**overrides), feature_names=names)
-    else:
-        overrides = dict(config.gbdt_overrides)
-        overrides.setdefault("seed", config.seed)
-        model = train_gbdt(X, y01, GbdtConfig(**overrides), feature_names=names)
+        return train_linear_svm(X, 2 * y01 - 1, C=config.C, tol=config.svm_tol,
+                                seed=config.seed, feature_names=feature_names)
+    train, model_config, overrides = (
+        (train_mlp, MlpConfig, config.mlp_overrides) if config.classifier == "mlp"
+        else (train_gbdt, GbdtConfig, config.gbdt_overrides))
+    return train(X, y01, model_config(**{"seed": config.seed, **dict(overrides)}),
+                 feature_names=feature_names)
 
-    return FittedPipeline(config=config, vocab=vocab, scaler=scaler,
-                          model=model, feature_names=names,
-                          class_names=dataset.class_names)
+
+def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
+                 config: PipelineConfig) -> FittedPipeline:
+    """Fit vocabulary, scaler and classifier on the given training rows only."""
+    fitted, X = fit_features(dataset, train_idx, config)
+    y01 = dataset.labels01[np.asarray(train_idx, dtype=np.int64)]
+    fitted.model = fit_model(X, y01, config, fitted.feature_names)
+    return fitted
 
 
 def pipeline_transform(fitted: FittedPipeline, dataset: UserDataset,
                        idx: Sequence[int]) -> sp.csr_matrix:
     """Feature rows for held-out users using only the fitted state."""
-    X, _ = _features_for(dataset, np.asarray(idx, dtype=np.int64),
-                         fitted.vocab, fitted.scaler, fitted.config)
-    return X
+    return _features_for(dataset, np.asarray(idx, dtype=np.int64),
+                         fitted.vocab, fitted.scaler, fitted.config)[0]
 
 
 def pipeline_predict(fitted: FittedPipeline, X) -> np.ndarray:
@@ -250,6 +249,7 @@ def load_pipeline(path: str) -> FittedPipeline:
             n_range=tuple(vocab_data["n_range"]),
             min_df=vocab_data["min_df"],
         )
+        ngram_orders(vocab.n_range)
         scaler = None
         if payload.get("scaler"):
             scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),

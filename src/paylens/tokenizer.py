@@ -231,10 +231,3 @@ def generate_ngrams(post: TokenizedPost, n_range: tuple[int, int] = (1, 2)) -> l
     """
     return list(chain.from_iterable(ngrams_by_post([post], ngram_orders(n_range))))
 
-
-def user_ngrams(posts: list[TokenizedPost], n_range: tuple[int, int] = (1, 2)) -> list[str]:
-    """Concatenated post-wise n-grams for one user's posts."""
-    grams: list[str] = []
-    for post in posts:
-        grams.extend(generate_ngrams(post, n_range))
-    return grams

@@ -6,6 +6,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from paylens.corpus import Transaction, group_by_user
+from paylens.labels import build_labeled_dataset
+from paylens.pipeline import build_dataset
+from paylens.synth import SynthSpec, generate_synthetic_corpus
 
 BASE_TIME = datetime(2024, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -41,6 +44,16 @@ def txn_json(txn_id, note="", actor="ua", target="ub", minutes=0,
         "comments_count": comments,
         "audience": audience,
     })
+
+
+def synth_dataset(seed=0, n=25, p_signal=0.8, p_noise=0.05, posts=(6, 6)):
+    spec = SynthSpec(n_users_per_class=n, posts_per_user=posts,
+                     p_signal=p_signal, p_noise=p_noise, seed=seed)
+    result = generate_synthetic_corpus(spec)
+    corpus = group_by_user(result.transactions)
+    labeled = build_labeled_dataset(corpus, "politics",
+                                    political_labels=dict(result.labels))
+    return build_dataset(corpus, labeled)
 
 
 @pytest.fixture

@@ -14,11 +14,13 @@ import scipy.sparse as sp
 
 from paylens import tokenizer
 from paylens.errors import EmptyCorpus, EmptyProfile, NonFiniteError
+from paylens.evaluation import CvResult, FoldOutcome
 from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import check_binary_labels
 from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
 from paylens.models.mlp import MlpConfig, MlpModel
 from paylens.models.svm import LinearSvmModel, _as_csr
+from paylens.pipeline import fit_pipeline, pipeline_predict, pipeline_transform
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE, WORD,
                                Token, TokenizedPost, lemmatize)
 from paylens.vectorizer import Vocabulary
@@ -117,19 +119,12 @@ def generate_ngrams_oracle(post: TokenizedPost, n_range=(1, 2)) -> list[str]:
     return grams
 
 
-def user_ngrams_oracle(posts, n_range=(1, 2)) -> list[str]:
-    grams: list[str] = []
-    for post in posts:
-        grams.extend(generate_ngrams_oracle(post, n_range))
-    return grams
-
-
 def fit_vocabulary_oracle(user_posts, n_range=(1, 2), min_df=2) -> Vocabulary:
     if len(user_posts) == 0:
         raise EmptyCorpus("cannot fit a vocabulary on zero users")
     df: dict[str, int] = {}
     for posts in user_posts:
-        for term in set(user_ngrams_oracle(list(posts), n_range)):
+        for term in {g for post in posts for g in generate_ngrams_oracle(post, n_range)}:
             df[term] = df.get(term, 0) + 1
     kept = sorted(t for t, c in df.items() if c >= min_df)
     return Vocabulary(
@@ -147,7 +142,8 @@ def count_transform_oracle(user_posts, vocab: Vocabulary) -> sp.csr_matrix:
     data: list[float] = []
     for posts in user_posts:
         row: dict[int, float] = {}
-        for term in user_ngrams_oracle(list(posts), vocab.n_range):
+        for term in (g for post in posts
+                     for g in generate_ngrams_oracle(post, vocab.n_range)):
             col = vocab.index.get(term)
             if col is not None:
                 row[col] = row.get(col, 0.0) + 1.0
@@ -457,3 +453,26 @@ class GbdtPayload(GbdtModel):
 
 
 PAYLOAD_ORACLES = {"svm": SvmPayload, "mlp": MlpPayload, "gbdt": GbdtPayload}
+
+
+def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
+    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
+    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
+    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
+    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
+    return tn, fp, fn, tp
+
+
+def cross_validate_oracle(dataset, plan, config) -> CvResult:
+    """One config's cross-validation with a full pipeline refit per fold."""
+    outcomes: list[FoldOutcome] = []
+    for i in range(plan.k):
+        train_idx, test_idx = plan.split(i)
+        fitted = fit_pipeline(dataset, train_idx, config)
+        X_test = pipeline_transform(fitted, dataset, test_idx)
+        y_pred = pipeline_predict(fitted, X_test)
+        y_true = dataset.labels01[test_idx]
+        acc = float(np.mean(y_pred == y_true)) if len(test_idx) else 0.0
+        outcomes.append(FoldOutcome(accuracy=acc,
+                                    confusion=_confusion(y_true, y_pred)))
+    return CvResult(config=config, outcomes=outcomes)

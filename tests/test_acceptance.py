@@ -143,7 +143,7 @@ def test_criterion_04_planted_signal_recovery(tmp_path):
 
     dataset = _strong_dataset(4242)
     plan = stratified_kfold(dataset.labels01.tolist(), k=5, seed=4242)
-    cv = cross_validate(dataset, plan, PipelineConfig(seed=4242))
+    cv = cross_validate(dataset, plan, [PipelineConfig(seed=4242)])[0]
     assert cv.mean_accuracy >= 0.90, cv.fold_accuracies
 
     model_path = tmp_path / "model.json"
@@ -154,7 +154,7 @@ def test_criterion_04_planted_signal_recovery(tmp_path):
     assert cli_main(["report-coefficients", "--model", str(model_path),
                      "-k", "10", "--out", str(coeff_path)]) == 0
 
-    rows = list(csv.reader(coeff_path.open()))[1:]
+    rows = list(csv.reader(coeff_path.read_text().splitlines()))[1:]
     planted = {"republican": set(SIGNAL_TOKENS_B),
                "democrat": set(SIGNAL_TOKENS_A)}
     hits = {"republican": 0, "democrat": 0}
@@ -179,7 +179,7 @@ def test_criterion_05_weak_signal_band():
                                     political_labels=dict(result.labels))
     dataset = build_dataset(corpus, labeled)
     plan = stratified_kfold(dataset.labels01.tolist(), k=5, seed=5150)
-    cv = cross_validate(dataset, plan, PipelineConfig(seed=5150))
+    cv = cross_validate(dataset, plan, [PipelineConfig(seed=5150)])[0]
     assert 0.55 <= cv.mean_accuracy <= 0.75, cv.fold_accuracies
     _ok(5, f"weak-signal accuracy {cv.mean_accuracy:.3f} inside [0.55, 0.75]")
 
@@ -189,10 +189,9 @@ def test_criterion_06_tfidf_vs_count_ordering():
     for seed in (101, 102, 103):
         dataset = _strong_dataset(seed)
         plan = stratified_kfold(dataset.labels01.tolist(), k=5, seed=seed)
-        tfidf = cross_validate(dataset, plan,
-                               PipelineConfig(vectorizer="tfidf", seed=seed))
-        count = cross_validate(dataset, plan,
-                               PipelineConfig(vectorizer="count", seed=seed))
+        tfidf, count = cross_validate(dataset, plan, [
+            PipelineConfig(vectorizer="tfidf", seed=seed),
+            PipelineConfig(vectorizer="count", seed=seed)])
         margin = tfidf.mean_accuracy - count.mean_accuracy
         margins.append(margin)
         assert tfidf.mean_accuracy >= count.mean_accuracy - 0.02, \

@@ -68,7 +68,7 @@ class TestIngestAndStats:
         corpus, _ = synth_files
         out = tmp_path / "hist.csv"
         assert main(["stats", "--in", str(corpus), "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["length", "count"]
         histogram = {int(r[0]): int(r[1]) for r in rows[1:]}
         assert sum(histogram.values()) == 480
@@ -80,7 +80,7 @@ class TestFeaturizeCommand:
         out = tmp_path / "features.csv"
         assert main(["featurize", "--in", str(corpus), "--out", str(out),
                      "--min-posts", "8"]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "user_id"
         assert "emoji_avg" in rows[0] and "avg_len_tokens" in rows[0]
         assert len(rows) == 61  # 60 labeled users pass the threshold
@@ -90,7 +90,7 @@ class TestFeaturizeCommand:
         out = tmp_path / "features.csv"
         main(["featurize", "--in", str(corpus), "--out", str(out),
               "--min-posts", "8", "--include-actor-pct"])
-        header = out.open().readline().strip().split(",")
+        header = out.read_text().splitlines()[0].split(",")
         assert header[-1] == "pct_as_actor"
 
 
@@ -100,7 +100,7 @@ class TestLabelCommand:
         out = tmp_path / "labeled.csv"
         assert main(["label", "--task", "gender", "--in", str(corpus),
                      "--out", str(out), "--min-posts", "8"]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["user_id", "label", "class_name"]
         names = {r[2] for r in rows[1:]}
         assert names == {"female", "male"}
@@ -119,7 +119,7 @@ class TestLabelCommand:
         assert main(["label", "--task", "politics", "--in", str(corpus),
                      "--labels-file", str(labels), "--out", str(out),
                      "--min-posts", "8"]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 61
 
 
@@ -138,7 +138,7 @@ class TestTrainAndReport:
         code = main(["report-coefficients", "--model", str(model),
                      "-k", "15", "--out", str(coeffs)])
         assert code == 0
-        rows = list(csv.reader(coeffs.open()))
+        rows = list(csv.reader(coeffs.read_text().splitlines()))
         assert rows[0] == ["feature", "weight", "class"]
         assert len(rows) == 1 + 15 + 15
         classes = {r[2] for r in rows[1:]}
@@ -186,7 +186,8 @@ class TestTrainAndReport:
         ('{"magic": "paylens-pipeline", "version": 1, "payl',
          "unreadable pipeline file"),
         (["paylens-pipeline", 1], "not a pipeline file (bad magic)"),
-    ], ids=[f"container{i}" for i in range(8)])
+        ("[" * 200_000 + "]" * 200_000, "unreadable pipeline file"),
+    ], ids=[f"container{i}" for i in range(8)] + ["deeply_nested"])
     def test_report_rejects_bad_payload(self, tmp_path, capsys, container,
                                         message):
         model = tmp_path / "model.json"
@@ -195,6 +196,7 @@ class TestTrainAndReport:
         assert main(["report-coefficients", "--model", str(model)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model: ") and message in err
+        assert "Traceback" not in err
 
 
 def _gbdt_config(tmp_path):
@@ -318,13 +320,13 @@ class TestEvaluateCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"classifiers": ["gbdt"], **grid_overrides}))
         fits = []
-        fit = evaluation.fit_pipeline
+        fit = evaluation.fit_features
 
         def counted_fit(*args):
             fits.append(args)
             return fit(*args)
 
-        monkeypatch.setattr(evaluation, "fit_pipeline", counted_fit)
+        monkeypatch.setattr(evaluation, "fit_features", counted_fit)
         report = tmp_path / "report.json"
         code = main(["evaluate", "--task", "politics", "--in", str(corpus),
                      "--labels-file", str(labels), "--grid", str(grid),

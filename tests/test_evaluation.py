@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from paylens.labels import CLASS_A, CLASS_B, LabeledUser, build_labeled_dataset
 from paylens.pipeline import PipelineConfig, build_dataset
 from paylens.tokenizer import tokenize_post
 
-from conftest import make_txn
+from conftest import make_txn, synth_dataset
+from oracles import cross_validate_oracle
 
 
 def labeled(n_a, n_b):
@@ -122,15 +124,17 @@ def tiny_dataset(notes_by_user, labels01):
 
 
 def record_fits(monkeypatch) -> list:
-    """The pipelines cross_validate fits, in fold order, as it fits them."""
+    """The featurizations cross_validate fits (pipelines without a model), in
+    call order, as it fits them."""
     fitted = []
-    fit = paylens.evaluation.fit_pipeline
+    fit = paylens.evaluation.fit_features
 
     def recording(*args, **kwargs):
-        fitted.append(fit(*args, **kwargs))
-        return fitted[-1]
+        features, X = fit(*args, **kwargs)
+        fitted.append(features)
+        return features, X
 
-    monkeypatch.setattr(paylens.evaluation, "fit_pipeline", recording)
+    monkeypatch.setattr(paylens.evaluation, "fit_features", recording)
     return fitted
 
 
@@ -146,7 +150,7 @@ class TestCrossValidate:
             labels.append(1)
         ds = tiny_dataset(notes, labels)
         plan = stratified_kfold(ds.labels01.tolist(), k=5, seed=0)
-        cv = cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        cv = cross_validate(ds, plan, [PipelineConfig(min_df=1, seed=0)])[0]
         assert cv.fold_accuracies == [1.0] * 5
 
     def test_vocabulary_never_sees_test_tokens(self, monkeypatch):
@@ -168,7 +172,7 @@ class TestCrossValidate:
         plan = FoldPlan(folds=(tuple(leak_rows), tuple(other[:3]),
                                tuple(other[3:])), seed=0)
         fitted = record_fits(monkeypatch)
-        cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        cross_validate(ds, plan, [PipelineConfig(min_df=1, seed=0)])
         assert len(fitted) == plan.k
         fold0 = fitted[0]
         assert "leakme" not in fold0.vocab.index
@@ -182,7 +186,7 @@ class TestCrossValidate:
         ds = tiny_dataset(notes, [0, 1, 0, 1, 0, 1])
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)
         fitted = record_fits(monkeypatch)
-        cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        cross_validate(ds, plan, [PipelineConfig(min_df=1, seed=0)])
         assert len(fitted) == plan.k
         for i, fold in enumerate(fitted):
             train_idx, _ = plan.split(i)
@@ -200,16 +204,46 @@ class TestCrossValidate:
             labels.append(i % 2)
         ds = tiny_dataset(notes, labels)
         plan = stratified_kfold(ds.labels01.tolist(), k=5, seed=0)
-        cv = cross_validate(ds, plan, PipelineConfig(min_df=2, seed=0))
+        cv = cross_validate(ds, plan, [PipelineConfig(min_df=2, seed=0)])[0]
         assert 0.4 <= cv.mean_accuracy <= 0.6
 
     def test_mean_is_arithmetic_mean(self):
         notes = {f"u{i}": ["alpha" if i % 2 else "bravo"] for i in range(10)}
         ds = tiny_dataset(notes, [i % 2 for i in range(10)])
         plan = stratified_kfold(ds.labels01.tolist(), k=5, seed=0)
-        cv = cross_validate(ds, plan, PipelineConfig(min_df=1, seed=0))
+        cv = cross_validate(ds, plan, [PipelineConfig(min_df=1, seed=0)])[0]
         assert cv.mean_accuracy == pytest.approx(
             sum(cv.fold_accuracies) / len(cv.fold_accuracies), abs=1e-12)
+
+    def test_shared_featurizations_match_per_config_oracle(self, monkeypatch):
+        ds = synth_dataset(seed=6, n=15)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=6)
+        base = PipelineConfig(
+            min_df=1, seed=6, mlp_overrides=(("epochs", 15), ("hidden", 4)),
+            gbdt_overrides=(("max_depth", 2), ("rounds", 5)))
+        count = replace(base, vectorizer="count")
+        configs = [
+            base, count, replace(base, classifier="mlp"),
+            replace(base, n_range=(1, 1), classifier="gbdt"),
+            replace(base, C=0.1), replace(count, normalize_counts=True),
+            replace(base, min_df=2, classifier="gbdt"),
+            replace(base, use_engineered=False, classifier="mlp"),
+            replace(base, include_actor_pct=True), base,
+            replace(count, classifier="gbdt"),
+        ]
+        fitted = record_fits(monkeypatch)
+        results = cross_validate(ds, plan, configs)
+        # {0, 2, 4, 9}, {1, 10}, and one group for each other config
+        assert len(fitted) == plan.k * 7
+        assert [r.config for r in results] == configs
+        for result, config in zip(results, configs):
+            oracle = cross_validate_oracle(ds, plan, config)
+            assert result.outcomes == oracle.outcomes, config
+
+    def test_no_configs(self):
+        ds = synth_dataset(seed=6, n=5)
+        plan = stratified_kfold(ds.labels01.tolist(), k=2)
+        assert cross_validate(ds, plan, []) == []
 
 
 class TestGridSearch:
@@ -233,17 +267,18 @@ class TestGridSearch:
                         classifiers=("svm",), svm_c=(1.0,))
         report = grid_search(grid, plan, ds, base=base)
         assert len(report.results) == 1
-        direct = cross_validate(
-            ds, plan, grid.expand(base)[0])
+        direct = cross_validate(ds, plan, grid.expand(base))[0]
         assert report.results[0].fold_accuracies == direct.fold_accuracies
         assert report.best_index == 0
 
-    def test_best_config_selected_and_refit(self):
+    def test_best_config_selected_and_refit(self, monkeypatch):
         ds = self._dataset()
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)
         grid = GridSpec(vectorizers=("count", "tfidf"), n_ranges=((1, 1),),
                         classifiers=("svm",), svm_c=(0.01, 1.0))
+        fitted = record_fits(monkeypatch)
         report = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1))
+        assert len(fitted) == plan.k * 2  # one per fold and vectorizer
         means = [r.mean_accuracy for r in report.results]
         assert report.best.mean_accuracy == max(means)
         assert report.best_index == means.index(max(means))  # first tie wins

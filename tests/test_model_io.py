@@ -149,6 +149,12 @@ class TestFailureModes:
         with pytest.raises(CorruptError):
             load_model(path)
 
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(CorruptError, match="unreadable model file"):
+            load_model(path)
+
     def test_unknown_kind(self, trained_models, tmp_path):
         path = self._good_file(trained_models, tmp_path)
         container = json.loads(path.read_text())

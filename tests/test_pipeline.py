@@ -3,24 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from paylens.corpus import group_by_user
 from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
-from paylens.labels import build_labeled_dataset
-from paylens.pipeline import (PipelineConfig, build_dataset, fit_pipeline,
-                              load_pipeline, pipeline_predict,
+from paylens.pipeline import (PipelineConfig, fit_features, fit_model,
+                              fit_pipeline, load_pipeline, pipeline_predict,
                               pipeline_transform, save_pipeline)
-from paylens.synth import SynthSpec, generate_synthetic_corpus
 
-
-def synth_dataset(seed=0, n=25, p_signal=0.8, p_noise=0.05, posts=(6, 6)):
-    spec = SynthSpec(n_users_per_class=n, posts_per_user=posts,
-                     p_signal=p_signal, p_noise=p_noise, seed=seed)
-    result = generate_synthetic_corpus(spec)
-    corpus = group_by_user(result.transactions)
-    labeled = build_labeled_dataset(corpus, "politics",
-                                    political_labels=dict(result.labels))
-    return build_dataset(corpus, labeled)
+from conftest import synth_dataset
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +65,21 @@ class TestFitPipeline:
         X = pipeline_transform(fitted, dataset, idx)
         accuracy = np.mean(pipeline_predict(fitted, X) == dataset.labels01)
         assert accuracy >= 0.9
+
+    @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
+    def test_fit_model_leaves_shared_matrix_unchanged(self, dataset, classifier):
+        config = PipelineConfig(
+            classifier=classifier, min_df=1, seed=0,
+            mlp_overrides=(("epochs", 5), ("hidden", 4)),
+            gbdt_overrides=(("max_depth", 2), ("rounds", 5)))
+        idx = np.arange(len(dataset))
+        features, X = fit_features(dataset, idx, config)
+        assert features.model is None
+        before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+        fit_model(X, dataset.labels01, config, features.feature_names)
+        after = (X.data, X.indices, X.indptr)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(before, after))
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown vectorizer 'hashing'"):
@@ -175,6 +179,18 @@ class TestPipelineArtifact:
         with pytest.raises(CorruptError, match=key):
             load_pipeline(str(path))
 
+    @pytest.mark.parametrize("n_range", [[0, 5], [2, 1], [1, 4]])
+    def test_bad_vocabulary_n_range_is_corrupt(self, dataset, tmp_path, n_range):
+        fitted = fit_pipeline(dataset, np.arange(len(dataset)),
+                              PipelineConfig(min_df=1, seed=0))
+        path = tmp_path / "pipeline.json"
+        save_pipeline(fitted, str(path))
+        container = json.loads(path.read_text())
+        container["payload"]["vocab"]["n_range"] = n_range
+        path.write_text(json.dumps(container))
+        with pytest.raises(CorruptError, match="n_range must satisfy"):
+            load_pipeline(str(path))
+
 
 class TestGeneratorRecoverability:
     def test_accuracy_decays_toward_chance(self):
@@ -185,7 +201,7 @@ class TestGeneratorRecoverability:
             ds = synth_dataset(seed=31, n=150, p_signal=p_signal,
                                p_noise=p_noise, posts=(8, 8))
             plan = stratified_kfold(ds.labels01.tolist(), k=5, seed=31)
-            cv = cross_validate(ds, plan, PipelineConfig(seed=31))
+            cv = cross_validate(ds, plan, [PipelineConfig(seed=31)])[0]
             means.append(cv.mean_accuracy)
         assert means[0] > means[1] > means[2]
         assert abs(means[2] - 0.5) <= 0.12

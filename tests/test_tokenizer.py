@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE,
                                WORD, Token, TokenizedPost, generate_ngrams,
-                               lemma_for_word, lemmatize, tokenize_post,
-                               user_ngrams)
+                               lemma_for_word, lemmatize, tokenize_post)
 
-from oracles import generate_ngrams_oracle, tokenize_post_oracle, user_ngrams_oracle
+from oracles import generate_ngrams_oracle, tokenize_post_oracle
 
 N_RANGES = [(1, 1), (1, 2), (2, 3), (1, 3), (3, 3)]
 
@@ -166,12 +165,6 @@ class TestGenerateNgrams:
         post = tokenize_post("pizza")
         assert generate_ngrams(post, (1, 2)) == ["pizza"]
 
-    def test_separate_posts_never_combine(self):
-        posts = [tokenize_post("a"), tokenize_post("b")]
-        grams = user_ngrams(posts, (1, 2))
-        assert "a b" not in grams
-        assert sorted(grams) == ["a", "b"]
-
     def test_emission_order_by_n_then_position(self):
         post = tokenize_post("a b c")
         assert generate_ngrams(post, (1, 3)) == [
@@ -200,14 +193,6 @@ class TestGenerateNgrams:
         posts += [tokenize_post(n) for n in ("", "solo", "two words")]
         for post in posts:
             assert generate_ngrams(post, n_range) == generate_ngrams_oracle(post, n_range)
-        assert user_ngrams(posts, n_range) == user_ngrams_oracle(posts, n_range)
-
-    def test_user_multiset_equals_union_of_posts(self):
-        notes = ["pizza night out", "rent", "coffee run club", ""]
-        posts = [tokenize_post(n) for n in notes]
-        combined = sorted(user_ngrams(posts, (1, 2)))
-        per_post = sorted(g for p in posts for g in generate_ngrams(p, (1, 2)))
-        assert combined == per_post
 
 
 class TestNgramCache:
