@@ -53,10 +53,9 @@ def _open_out(path: str):
     return open(_resolve_path(path), "w", encoding="utf-8")
 
 
-def _load_corpus(path: str, strict: bool = False,
-                 min_posts: int | None = None) -> corpus_mod.Corpus:
+def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
     with _open_in(path) as fp:
-        result = corpus_mod.load_transactions(fp, strict=strict)
+        result = corpus_mod.load_transactions(fp)
     if result.skipped:
         print(f"warning: skipped {result.skipped} malformed line(s)",
               file=sys.stderr)
@@ -207,13 +206,18 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _config_and_dataset(args):
+    """The pipeline config and the labeled dataset train and evaluate share."""
     cfg = _file_config(args)
     grouped = _load_corpus(args.infile, min_posts=args.min_posts)
     labeled = _labeled_users(grouped, args, cfg)
     config = _pipeline_config(args, cfg)
-    dataset = build_dataset(grouped, labeled,
-                            include_actor_pct=config.include_actor_pct)
+    return config, build_dataset(grouped, labeled,
+                                 include_actor_pct=config.include_actor_pct)
+
+
+def cmd_train(args) -> int:
+    config, dataset = _config_and_dataset(args)
     fitted = fit_pipeline(dataset, np.arange(len(dataset)), config)
     save_pipeline(fitted, _resolve_path(args.out))
     print(f"trained {config.classifier} on {len(dataset)} users "
@@ -222,12 +226,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _file_config(args)
-    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
-    labeled = _labeled_users(grouped, args, cfg)
-    config = _pipeline_config(args, cfg)
-    dataset = build_dataset(grouped, labeled,
-                            include_actor_pct=config.include_actor_pct)
+    config, dataset = _config_and_dataset(args)
     if args.grid:
         with _open_in(args.grid) as fp:
             grid = GridSpec.from_dict(json.load(fp))

@@ -230,10 +230,9 @@ def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
         "pending": list(state.pending_user_ids),
         "checkpoint_at": state.checkpoint_at.isoformat(),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp)
-    os.replace(tmp, path)
+    # imported here: at module level it would load numpy into the mock server
+    from ..models.serialize import write_container
+    write_container(payload, path)
     with contextlib.suppress(FileNotFoundError):
         os.remove(_journal(path))
 

@@ -1,11 +1,13 @@
-"""Versioned JSON containers for models and pipelines.
+"""Versioned JSON containers and the one codec for every paylens artifact.
 
 A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...}.
-A model's payload is its dataclass's init fields in declaration order, with
-ndarrays as nested lists and config dataclasses as objects. Floats survive
-the JSON round trip exactly (shortest-repr encoding), so a loaded model
-predicts bit-identically. Models travel inside pipeline files
-(`paylens.pipeline`), which use the header check, read and write here.
+A payload is a dataclass's init fields in declaration order, read back by
+their type hints: ndarrays and tuples travel as lists, dataclasses as
+objects (through `to_dict` when they have one), a field typed `object` as a
+nested model container. On read, a missing field with a default takes it;
+a missing required field, an unknown key or a mistyped value is a
+CorruptError. Floats survive the JSON round trip exactly (shortest-repr
+encoding), so a loaded model or pipeline predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import fields, is_dataclass
-from typing import Union, get_type_hints
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,10 +67,21 @@ def fits_type(value, kind: type) -> bool:
     return isinstance(value, (int,) if kind is int else (int, float))
 
 
-def _encode(value):
+def encode(value, kind=None):
+    """The JSON form of a value held in a field of type `kind`."""
+    if kind is object:
+        return model_to_container(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return dict(vars(value)) if is_dataclass(value) else value
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        types = get_type_hints(type(value))
+        return {f.name: encode(getattr(value, f.name), types[f.name])
+                for f in fields(value) if f.init}
+    return value
 
 
 _SPLIT_KEYS = {"feature", "threshold", "left", "right"}
@@ -92,51 +106,56 @@ def _check_tree(root) -> None:
 
 
 def _decode(name: str, value, kind):
-    if kind is np.ndarray:
-        return np.asarray(value, dtype=np.float64)
-    if kind == list[float]:
-        if not (isinstance(value, list) and all(fits_type(v, float) for v in value)):
-            raise TypeError(f"{name!r} must be a list of numbers")
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):  # X | None
+        return None if value is None else _decode(name, value, args[0])
+    if kind is object:  # a model container
+        check_header(value, MAGIC, FORMAT_VERSION, "model")
+        if value.get("kind") not in _KINDS:
+            raise CorruptError(f"unknown model kind {value.get('kind')!r}")
+        return _decode(name, value.get("payload"), _KINDS[value["kind"]])
+    if kind is dict:  # a GbdtModel tree
+        _check_tree(value)
         return value
-    if kind == list[dict]:  # GbdtModel.trees
+    if kind is np.ndarray or origin in (list, tuple):
         if not isinstance(value, list):
-            raise TypeError(f"{name!r} must be a list of trees")
-        for tree in value:
-            _check_tree(tree)
-        return value
-    if kind in (int, float):
-        if not fits_type(value, kind):
-            raise TypeError(f"{name!r} must be {kind.__name__}, got {value!r}")
-        return kind(value)
-    if not is_dataclass(kind):
-        return value
-    config = kind(**value)
-    for key, field_kind in get_type_hints(kind).items():
-        v = getattr(config, key)
-        if field_kind in (int, float, bool) and not fits_type(v, field_kind):
-            raise TypeError(f"config {key!r} must be {field_kind.__name__}, "
-                            f"got {v!r}")
-    return config
+            raise TypeError(f"{name!r} must be a list, got {str(value)[:80]}")
+        if kind is np.ndarray:
+            return np.asarray(value, dtype=np.float64)
+        if origin is list or args[-1] is Ellipsis:
+            return origin(_decode(name, v, args[0]) for v in value)
+        if len(value) != len(args):
+            raise TypeError(f"{name!r} must hold {len(args)} entries, got {value!r}")
+        return origin(_decode(name, v, k) for v, k in zip(value, args))
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise TypeError(f"{name!r} must be an object, got {str(value)[:80]}")
+        if hasattr(kind, "to_dict"):
+            return kind(**value)
+        unknown = value.keys() - {f.name for f in fields(kind) if f.init}
+        if unknown:
+            raise TypeError(f"{name!r} has unknown keys {sorted(unknown)}")
+        types = get_type_hints(kind)
+        return kind(**{k: _decode(k, v, types[k]) for k, v in value.items()})
+    if not (fits_type(value, kind) if kind in (int, float, bool)
+            else isinstance(value, kind)):
+        raise TypeError(f"{name!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def decode(value, kind, what: str):
+    """`value` read as a `kind`; any mismatch is a CorruptError "bad {what}"."""
+    try:
+        return _decode("payload", value, kind)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptError(f"bad {what}: {exc}") from exc
 
 
 def model_to_container(model) -> dict:
-    payload = {f.name: _encode(getattr(model, f.name))
-               for f in fields(model) if f.init}
     return {"magic": MAGIC, "version": FORMAT_VERSION, "kind": model.kind,
-            "payload": payload}
+            "payload": encode(model)}
 
 
 def model_from_container(container: dict):
     check_header(container, MAGIC, FORMAT_VERSION, "model")
-    kind = container.get("kind")
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise CorruptError(f"unknown model kind {kind!r}")
-    try:
-        payload = container["payload"]
-        types = get_type_hints(cls)
-        return cls(**{f.name: _decode(f.name, payload[f.name], types[f.name])
-                      for f in fields(cls) if f.init and f.name in payload})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptError(f"bad payload for kind {kind!r}: {exc}") from exc
-
+    return decode(container, object, f"payload for kind {container.get('kind')!r}")

@@ -4,8 +4,9 @@ A UserDataset holds the tokenized posts, raw engineered feature rows and
 binary labels for the users a task kept. A FittedPipeline owns every piece
 of fitted state (vocabulary, scaler, classifier); fitting only ever sees
 training rows, so held-out rows cannot leak into the vocabulary or scaler.
-save_pipeline and load_pipeline store a FittedPipeline in the container
-format of `paylens.models.serialize`.
+Its feature names must cover the vocabulary and then the scaled engineered
+columns exactly. save_pipeline and load_pipeline store a FittedPipeline with
+the codec of `paylens.models.serialize`.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .errors import CorruptError
 from .features import (aggregate_user_features, detect_content_features,
                        engineered_feature_names)
 from .labels import CLASS_B, CLASS_NAMES, LabeledUser
 from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
                      svm_predict, train_gbdt, train_linear_svm, train_mlp)
-from .models.serialize import (check_header, fits_type, model_from_container,
-                               model_to_container, read_container,
-                               write_container)
-from .tokenizer import TokenizedPost, ngram_orders, tokenize_post
+from .models.serialize import (check_header, decode, encode, fits_type,
+                               read_container, write_container)
+from .tokenizer import TokenizedPost, tokenize_post
 from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
                          count_transform, fit_vocabulary, l2_normalize_rows,
                          tfidf_transform)
@@ -141,6 +140,14 @@ class FittedPipeline:
     feature_names: list[str]
     class_names: tuple[str, str]
 
+    def __post_init__(self):
+        means, stds = ((), ()) if self.scaler is None else (self.scaler.mean,
+                                                            self.scaler.std)
+        if not len(self.feature_names) - len(self.vocab) == len(means) == len(stds):
+            raise ValueError(f"{len(self.feature_names)} feature names for "
+                             f"{len(self.vocab)} terms, {len(means)} scaler means "
+                             f"and {len(stds)} stds")
+
 
 def _features_for(dataset: UserDataset, idx: np.ndarray, vocab: Vocabulary,
                   scaler: ScalerStats | None, config: PipelineConfig
@@ -163,7 +170,7 @@ def fit_features(dataset: UserDataset, train_idx: Sequence[int],
     vocab = fit_vocabulary([dataset.posts[i] for i in idx],
                            n_range=config.n_range, min_df=config.min_df)
     X, scaler = _features_for(dataset, idx, vocab, None, config)
-    names = vocab.terms
+    names = list(vocab.terms)
     if config.use_engineered:
         names = names + engineered_feature_names(config.include_actor_pct)
     return FittedPipeline(config=config, vocab=vocab, scaler=scaler, model=None,
@@ -210,57 +217,11 @@ def pipeline_predict(fitted: FittedPipeline, X) -> np.ndarray:
 
 
 def save_pipeline(fitted: FittedPipeline, path: str) -> None:
-    vocab = fitted.vocab
-    write_container({
-        "magic": PIPELINE_MAGIC,
-        "version": PIPELINE_VERSION,
-        "kind": "pipeline",
-        "payload": {
-            "config": fitted.config.to_dict(),
-            "vocab": {
-                "terms": vocab.terms,
-                "df": [vocab.document_frequency[t] for t in vocab.terms],
-                "n_documents": vocab.n_documents,
-                "n_range": list(vocab.n_range),
-                "min_df": vocab.min_df,
-            },
-            "scaler": None if fitted.scaler is None else {
-                "mean": fitted.scaler.mean.tolist(),
-                "std": fitted.scaler.std.tolist(),
-            },
-            "model": model_to_container(fitted.model),
-            "feature_names": fitted.feature_names,
-            "class_names": list(fitted.class_names),
-        },
-    }, path)
+    write_container({"magic": PIPELINE_MAGIC, "version": PIPELINE_VERSION,
+                     "kind": "pipeline", "payload": encode(fitted)}, path)
 
 
 def load_pipeline(path: str) -> FittedPipeline:
     container = read_container(path, "pipeline")
     check_header(container, PIPELINE_MAGIC, PIPELINE_VERSION, "pipeline")
-    try:
-        payload = container["payload"]
-        vocab_data = payload["vocab"]
-        terms = vocab_data["terms"]
-        vocab = Vocabulary(
-            index={t: i for i, t in enumerate(terms)},
-            document_frequency=dict(zip(terms, vocab_data["df"])),
-            n_documents=vocab_data["n_documents"],
-            n_range=tuple(vocab_data["n_range"]),
-            min_df=vocab_data["min_df"],
-        )
-        ngram_orders(vocab.n_range)
-        scaler = None
-        if payload.get("scaler"):
-            scaler = ScalerStats(mean=np.asarray(payload["scaler"]["mean"]),
-                                 std=np.asarray(payload["scaler"]["std"]))
-        return FittedPipeline(
-            config=PipelineConfig(**payload["config"]),
-            vocab=vocab,
-            scaler=scaler,
-            model=model_from_container(payload["model"]),
-            feature_names=payload["feature_names"],
-            class_names=tuple(payload["class_names"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptError(f"bad pipeline payload: {exc!r}") from exc
+    return decode(container.get("payload"), FittedPipeline, "pipeline payload")

@@ -6,6 +6,8 @@ built (`TokenizedPost.ngrams`), so refitting per fold and per n-range only
 counts them: document frequencies with one set per user and a Counter, row
 counts with one vectorized pass over every occurrence.
 
+A Vocabulary's fields (terms in column order, their document frequencies,
+N, n_range, min_df) are what the pipeline file stores; `index` is derived.
 TF-IDF uses the smoothed formula idf(t) = ln((1 + N) / (1 + df(t))) + 1
 followed by L2 row normalization.
 Engineered feature columns are z-scored with training-row statistics and
@@ -15,7 +17,7 @@ appended after the text columns.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -28,26 +30,26 @@ from .tokenizer import TokenizedPost, ngram_orders, ngrams_by_post
 
 @dataclass(frozen=True)
 class Vocabulary:
-    index: dict[str, int]              # term -> contiguous column index
-    document_frequency: dict[str, int]
+    terms: list[str]                   # column order
+    df: list[int]                      # document frequency of each term
     n_documents: int
     n_range: tuple[int, int]
     min_df: int
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ngram_orders(self.n_range)
+        index = {t: i for i, t in enumerate(self.terms)}
+        if not len(index) == len(self.terms) == len(self.df):
+            raise ValueError(f"{len(self.terms)} terms ({len(index)} distinct) "
+                             f"with {len(self.df)} df entries")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def terms(self) -> list[str]:
-        out = [""] * len(self.index)
-        for term, i in self.index.items():
-            out[i] = term
-        return out
+        return len(self.terms)
 
     def idf(self) -> np.ndarray:
-        df = np.empty(len(self.index))
-        for term, i in self.index.items():
-            df[i] = self.document_frequency[term]
+        df = np.asarray(self.df, dtype=np.float64)
         return np.log((1.0 + self.n_documents) / (1.0 + df)) + 1.0
 
 
@@ -81,13 +83,8 @@ def fit_vocabulary(user_posts: Sequence[Sequence[TokenizedPost]],
     for posts in user_posts:
         df.update(set(chain.from_iterable(ngrams_by_post(posts, orders))))
     kept = sorted(t for t, c in df.items() if c >= min_df)
-    return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        document_frequency={t: df[t] for t in kept},
-        n_documents=len(user_posts),
-        n_range=n_range,
-        min_df=min_df,
-    )
+    return Vocabulary(terms=kept, df=[df[t] for t in kept],
+                      n_documents=len(user_posts), n_range=n_range, min_df=min_df)
 
 
 def count_transform(user_posts: Sequence[Sequence[TokenizedPost]],

@@ -128,8 +128,8 @@ def fit_vocabulary_oracle(user_posts, n_range=(1, 2), min_df=2) -> Vocabulary:
             df[term] = df.get(term, 0) + 1
     kept = sorted(t for t, c in df.items() if c >= min_df)
     return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        document_frequency={t: df[t] for t in kept},
+        terms=kept,
+        df=[df[t] for t in kept],
         n_documents=len(user_posts),
         n_range=n_range,
         min_df=min_df,

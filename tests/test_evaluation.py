@@ -228,7 +228,7 @@ class TestCrossValidate:
             replace(base, C=0.1), replace(count, normalize_counts=True),
             replace(base, min_df=2, classifier="gbdt"),
             replace(base, use_engineered=False, classifier="mlp"),
-            replace(base, include_actor_pct=True), base,
+            replace(base, n_range=(1, 3)), base,
             replace(count, classifier="gbdt"),
         ]
         fitted = record_fits(monkeypatch)
@@ -239,6 +239,10 @@ class TestCrossValidate:
         for result, config in zip(results, configs):
             oracle = cross_validate_oracle(ds, plan, config)
             assert result.outcomes == oracle.outcomes, config
+        # ds has no pct_as_actor column, so this config gets its own
+        # featurization, and that fails the feature-layout check
+        with pytest.raises(ValueError, match="feature names for"):
+            cross_validate(ds, plan, [base, replace(base, include_actor_pct=True)])
 
     def test_no_configs(self):
         ds = synth_dataset(seed=6, n=5)

@@ -221,9 +221,13 @@ class TestFailureModes:
         ("gbdt", "loss_curve", ["x", None]),
         ("gbdt", "loss_curve", 0.5),
         ("mlp", "loss_curve", [0.5, True]),
+        ("svm", "bogus", 1), ("mlp", "bogus", 1), ("gbdt", "bogus", 1),
+        ("svm", "weights", None), ("mlp", "b2", 0.5),
     ], ids=["feature-not-int", "no-right", "negative-feature", "null-leaf",
             "extra-key", "bool-threshold", "tree-not-object", "trees-not-list",
-            "curve-not-numbers", "curve-not-list", "mlp-curve-bool"])
+            "curve-not-numbers", "curve-not-list", "mlp-curve-bool",
+            "svm-unknown-key", "mlp-unknown-key", "gbdt-unknown-key",
+            "weights-null", "array-not-list"])
     def test_malformed_trees_or_curve(self, trained_models, kind, key, value):
         container = self._container(trained_models, kind)
         container["payload"][key] = value

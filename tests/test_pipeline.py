@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from paylens.cli import main
 from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
 from paylens.pipeline import (PipelineConfig, fit_features, fit_model,
@@ -81,6 +82,12 @@ class TestFitPipeline:
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(before, after))
 
+    def test_feature_layout_mismatch_rejected(self, dataset):
+        # the dataset's engineered rows have no pct_as_actor column
+        config = PipelineConfig(min_df=1, include_actor_pct=True)
+        with pytest.raises(ValueError, match="feature names for"):
+            fit_features(dataset, np.arange(len(dataset)), config)
+
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown vectorizer 'hashing'"):
             PipelineConfig(vectorizer="hashing")
@@ -141,7 +148,56 @@ class TestConfigSerialization:
             PipelineConfig(**kwargs)
 
 
+@pytest.fixture(scope="module")
+def saved_pipelines(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipelines")
+    paths = {}
+    for classifier in ("svm", "mlp", "gbdt"):
+        config = PipelineConfig(
+            classifier=classifier, min_df=1, seed=0,
+            mlp_overrides=(("epochs", 5), ("hidden", 4)),
+            gbdt_overrides=(("max_depth", 2), ("rounds", 5)))
+        paths[classifier] = out / f"{classifier}.json"
+        save_pipeline(fit_pipeline(dataset, np.arange(len(dataset)), config),
+                      str(paths[classifier]))
+    return paths
+
+
 class TestPipelineArtifact:
+    @pytest.mark.parametrize("classifier, path, change", [
+        ("svm", ("vocab", "df"), lambda df: df[:-1]),
+        ("svm", ("vocab", "terms"), lambda terms: [5] + terms[1:]),
+        ("svm", ("vocab", "terms"), lambda terms: terms[1:2] + terms[1:]),
+        ("svm", ("vocab", "df"), lambda df: [1.5] + df[1:]),
+        ("svm", ("vocab", "n_documents"), str),
+        ("svm", ("feature_names",), lambda names: 5),
+        ("svm", ("feature_names",), lambda names: [names[:1]] + names[1:]),
+        ("svm", ("class_names",), lambda names: names[:1]),
+        ("svm", ("scaler", "mean"), lambda mean: mean[:-1]),
+        ("svm", ("config",), lambda config: {**config, "bogus": 1}),
+        ("mlp", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
+        ("gbdt", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
+    ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int", "n_documents_str",
+            "feature_names_int", "feature_name_nested", "one_class_name",
+            "scaler_mean_short", "config_unknown_key", "mlp_config_unknown_key",
+            "gbdt_config_unknown_key"])
+    def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
+                                       classifier, path, change):
+        container = json.loads(saved_pipelines[classifier].read_text())
+        *parents, key = path
+        node = container["payload"]
+        for parent in parents:
+            node = node[parent]
+        node[key] = change(node[key])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(container))
+        with pytest.raises(CorruptError, match="bad pipeline payload"):
+            load_pipeline(str(bad))
+        assert main(["report-coefficients", "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: bad pipeline payload")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
     def test_round_trip_is_bit_identical(self, dataset, tmp_path, classifier):
         config = PipelineConfig(

@@ -31,7 +31,7 @@ def posts(*notes):
 class TestFitVocabulary:
     def test_df_counts_users(self):
         vocab = fit_vocabulary([posts("a b"), posts("a")], (1, 1), min_df=1)
-        assert vocab.document_frequency == {"a": 2, "b": 1}
+        assert dict(zip(vocab.terms, vocab.df)) == {"a": 2, "b": 1}
         assert vocab.n_documents == 2
 
     def test_min_df_threshold(self):
@@ -54,7 +54,7 @@ class TestFitVocabulary:
 
     def test_df_within_document_counted_once(self):
         vocab = fit_vocabulary([posts("a a a")], (1, 1), min_df=1)
-        assert vocab.document_frequency["a"] == 1
+        assert vocab.df[vocab.index["a"]] == 1
 
     def test_random_corpora_post_wise_guarantee(self):
         rng = random.Random(7)
@@ -101,7 +101,7 @@ class TestCountTransform:
         mat = count_transform(users, vocab)
         nonzero_rows = (mat.toarray() > 0).sum(axis=0)
         for term, col in vocab.index.items():
-            assert nonzero_rows[col] == vocab.document_frequency[term]
+            assert nonzero_rows[col] == vocab.df[col]
 
     def test_matches_bruteforce_counts(self):
         users = [posts("a b a", "b c"), posts("c c", "a")]
@@ -132,7 +132,7 @@ def oracle_users(seed=5, per_class=30, n_random=60):
 
 def assert_same_vocab(got, want):
     assert list(got.index.items()) == list(want.index.items())
-    assert list(got.document_frequency.items()) == list(want.document_frequency.items())
+    assert list(zip(got.terms, got.df)) == list(zip(want.terms, want.df))
     assert (got.n_documents, got.n_range, got.min_df) == (
         want.n_documents, want.n_range, want.min_df)
 
@@ -271,7 +271,7 @@ class TestTfidfTransform:
         out = tfidf_transform(count_transform(users, vocab), vocab).toarray()
         counts = [term_counts_oracle([p.lemmas() for p in u], (1, 1))
                   for u in users]
-        expected = tfidf_oracle(counts, vocab.document_frequency,
+        expected = tfidf_oracle(counts, dict(zip(vocab.terms, vocab.df)),
                                 vocab.n_documents)
         for row, exp in zip(out, expected):
             for term, col in vocab.index.items():
