@@ -3,9 +3,10 @@
 Subcommands: synth, ingest, stats, featurize, label, train, evaluate,
 report-coefficients, harvest feed, harvest users, serve-mock,
 tokenize-debug. Every command exits 0 on success and nonzero with a
-module-prefixed diagnostic on failure. A JSON file passed with --config
-supplies defaults for pipeline options; explicit flags win. Relative input
-and output paths resolve against $PAYLENS_DATA_DIR when it is set.
+module-prefixed diagnostic on failure. A JSON object passed with --config
+supplies defaults for label and pipeline options; explicit flags win.
+Relative input and output paths resolve against $PAYLENS_DATA_DIR when it
+is set.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,68 +67,54 @@ def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
     return grouped
 
 
-def _file_config(args) -> dict:
-    if getattr(args, "config", None):
+# Every key --config may set, each the dest of a label or pipeline flag, with
+# the type the CLI checks; `object` marks a key that PipelineConfig checks.
+_OPTIONS = {"balance": bool, "labels_file": str, "region": str, "seed": int,
+            **dict.fromkeys(("vectorizer", "ngram_min", "ngram_max", "min_df",
+                             "use_engineered", "include_actor_pct", "classifier",
+                             "C", "mlp_overrides", "gbdt_overrides"), object)}
+
+
+def _options(args) -> dict:
+    """The --config object with the given flags laid over it; a file that is
+    not an object, an unknown key or a mistyped label key is a ValueError."""
+    opts = {}
+    if args.config:
         with _open_in(args.config) as fp:
-            return json.load(fp)
-    return {}
+            opts = json.load(fp)
+        if not isinstance(opts, dict):
+            raise ValueError(f"config must be a JSON object, got {str(opts)[:80]}")
+    opts.update((k, v) for k, v in vars(args).items()
+                if k in _OPTIONS and v is not None)
+    for key, value in opts.items():
+        if key not in _OPTIONS:
+            raise ValueError(f"config: unknown key {key!r} (keys: {list(_OPTIONS)})")
+        if not fits_type(value, _OPTIONS[key]):
+            raise ValueError(f"{key} must be {_OPTIONS[key].__name__}, got {value!r}")
+    return opts
 
 
-def _pick(cli_value, cfg: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _pipeline_config(args, cfg: dict) -> PipelineConfig:
-    d = PipelineConfig()
-    n_lo = _pick(args.ngram_min, cfg, "ngram_min", d.n_range[0])
-    n_hi = _pick(args.ngram_max, cfg, "ngram_max", d.n_range[1])
-    return PipelineConfig(
-        vectorizer=_pick(args.vectorizer, cfg, "vectorizer", d.vectorizer),
-        n_range=(n_lo, n_hi),
-        min_df=_pick(args.min_df, cfg, "min_df", d.min_df),
-        use_engineered=_pick(args.use_engineered, cfg, "use_engineered",
-                             d.use_engineered),
-        include_actor_pct=_pick(args.include_actor_pct, cfg,
-                                "include_actor_pct", d.include_actor_pct),
-        classifier=_pick(args.classifier, cfg, "classifier", d.classifier),
-        C=_pick(args.C, cfg, "C", d.C),
-        mlp_overrides=cfg.get("mlp_overrides", {}),
-        gbdt_overrides=cfg.get("gbdt_overrides", {}),
-        seed=_pick(args.seed, cfg, "seed", d.seed),
-    )
-
-
-def _labeled_users(grouped: corpus_mod.Corpus, args, cfg: dict):
-    task = args.task
-    balance = _pick(getattr(args, "balance", None), cfg, "balance", True)
-    seed = _pick(getattr(args, "seed", None), cfg, "seed", 0)
-    for key, value, kind in (("balance", balance, bool), ("seed", seed, int)):
-        if not fits_type(value, kind):
-            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-    name_corpus = None
-    if getattr(args, "name_corpus", None):
+def _labeled_users(args):
+    """The options, the corpus and its labeled users for label, train and
+    evaluate."""
+    opts = _options(args)
+    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
+    name_corpus = political = None
+    if args.name_corpus:
         with _open_in(args.name_corpus) as fp:
             name_corpus = labels_mod.load_name_corpus(fp)
-    political = None
-    if task == "politics":
-        labels_path = _pick(getattr(args, "labels_file", None), cfg,
-                            "labels_file", None)
-        if labels_path is None:
+    if args.task == "politics":
+        if "labels_file" not in opts:
             raise labels_mod.LabelFileError(
                 "politics task requires --labels-file")
-        with _open_in(labels_path) as fp:
+        with _open_in(opts["labels_file"]) as fp:
             political = labels_mod.load_political_labels(fp)
     labeled = labels_mod.build_labeled_dataset(
-        grouped, task, name_corpus=name_corpus,
-        region=_pick(getattr(args, "region", None), cfg, "region", "us"),
-        political_labels=political)
-    if balance:
-        labeled = balance_classes(labeled, seed=seed)
-    return labeled
+        grouped, args.task, name_corpus=name_corpus,
+        region=opts.get("region", "us"), political_labels=political)
+    if opts.get("balance", True):
+        labeled = balance_classes(labeled, seed=opts.get("seed", 0))
+    return opts, grouped, labeled
 
 
 # ---------------------------------------------------------------- commands
@@ -194,9 +182,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_label(args) -> int:
-    cfg = _file_config(args)
-    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
-    labeled = _labeled_users(grouped, args, cfg)
+    labeled = _labeled_users(args)[2]
     class_names = labels_mod.CLASS_NAMES[args.task]
     with _open_out(args.out) as fp:
         fp.write("user_id,label,class_name\n")
@@ -208,10 +194,11 @@ def cmd_label(args) -> int:
 
 def _config_and_dataset(args):
     """The pipeline config and the labeled dataset train and evaluate share."""
-    cfg = _file_config(args)
-    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
-    labeled = _labeled_users(grouped, args, cfg)
-    config = _pipeline_config(args, cfg)
+    opts, grouped, labeled = _labeled_users(args)
+    n_lo, n_hi = PipelineConfig.n_range
+    config = PipelineConfig(
+        n_range=(opts.get("ngram_min", n_lo), opts.get("ngram_max", n_hi)),
+        **{f.name: opts[f.name] for f in fields(PipelineConfig) if f.name in opts})
     return config, build_dataset(grouped, labeled,
                                  include_actor_pct=config.include_actor_pct)
 
@@ -292,13 +279,15 @@ def cmd_harvest_users(args) -> int:
 
 
 def cmd_serve_mock(args) -> int:
-    with _open_in(args.corpus) as fp:
-        result = corpus_mod.load_transactions(fp)
-    grouped = corpus_mod.group_by_user(result.transactions)
+    grouped = _load_corpus(args.corpus)
     usernames = {}
     if args.usernames:
         with _open_in(args.usernames) as fp:
             usernames = json.load(fp)
+        if not (isinstance(usernames, dict)
+                and all(isinstance(v, str) for v in usernames.values())):
+            raise ValueError(f"usernames must map strings to strings, "
+                             f"got {str(usernames)[:80]}")
     config = MockServerConfig(page_size=args.page_size,
                               refresh_interval=args.refresh_interval,
                               rate_limit=args.rate_limit,
@@ -307,7 +296,7 @@ def cmd_serve_mock(args) -> int:
     stop_note = (f"stopping after {args.duration}s" if args.duration
                  else "Ctrl-C to stop")
     print(f"mock server on {server.url} "
-          f"({len(result.transactions)} transactions); {stop_note}",
+          f"({len(grouped)} transactions); {stop_note}",
           flush=True)
     try:
         if args.duration:

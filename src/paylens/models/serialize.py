@@ -5,9 +5,10 @@ A payload is a dataclass's init fields in declaration order, read back by
 their type hints: ndarrays and tuples travel as lists, dataclasses as
 objects (through `to_dict` when they have one), a field typed `object` as a
 nested model container. On read, a missing field with a default takes it;
-a missing required field, an unknown key or a mistyped value is a
-CorruptError. Floats survive the JSON round trip exactly (shortest-repr
-encoding), so a loaded model or pipeline predicts bit-identically.
+a missing required field, an unknown key, a mistyped value or a non-finite
+number in an ndarray or float field is a CorruptError. Floats survive the
+JSON round trip exactly (shortest-repr encoding), so a loaded model or
+pipeline predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .svm import LinearSvmModel
 MAGIC = "paylens-model"
 FORMAT_VERSION = 1
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 _KINDS = {"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel}
 
 PathLike = Union[str, os.PathLike]
@@ -61,10 +63,13 @@ def write_container(container: dict, path: PathLike) -> None:
 
 
 def fits_type(value, kind: type) -> bool:
-    """Only a bool fits bool; an int fits int; an int or a float fits float."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int,) if kind is int else (int, float))
+    """Only a bool fits bool, and a bool fits no other number type; a finite
+    int or float fits float; any other type is an isinstance check."""
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    return isinstance(value, kind)
 
 
 def encode(value, kind=None):
@@ -121,7 +126,10 @@ def _decode(name: str, value, kind):
         if not isinstance(value, list):
             raise TypeError(f"{name!r} must be a list, got {str(value)[:80]}")
         if kind is np.ndarray:
-            return np.asarray(value, dtype=np.float64)
+            array = np.asarray(value, dtype=np.float64)
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name!r} holds a non-finite entry")
+            return array
         if origin is list or args[-1] is Ellipsis:
             return origin(_decode(name, v, args[0]) for v in value)
         if len(value) != len(args):
@@ -137,8 +145,7 @@ def _decode(name: str, value, kind):
             raise TypeError(f"{name!r} has unknown keys {sorted(unknown)}")
         types = get_type_hints(kind)
         return kind(**{k: _decode(k, v, types[k]) for k, v in value.items()})
-    if not (fits_type(value, kind) if kind in (int, float, bool)
-            else isinstance(value, kind)):
+    if not fits_type(value, kind):
         raise TypeError(f"{name!r} must be {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -147,7 +154,7 @@ def decode(value, kind, what: str):
     """`value` read as a `kind`; any mismatch is a CorruptError "bad {what}"."""
     try:
         return _decode("payload", value, kind)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptError(f"bad {what}: {exc}") from exc
 
 

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paylens import evaluation
 from paylens.cli import load_pipeline, main
@@ -113,6 +117,20 @@ class TestLabelCommand:
         assert code == 1
         assert "label:" in capsys.readouterr().err
 
+    def test_rejects_mistyped_region_in_config(self, synth_files, tmp_path,
+                                               capsys):
+        corpus, _ = synth_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"region": 5}))
+        out = tmp_path / "labeled.csv"
+        code = main(["label", "--task", "gender", "--in", str(corpus),
+                     "--out", str(out), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: region must be str, got 5")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_politics_joins_file(self, synth_files, tmp_path):
         corpus, labels = synth_files
         out = tmp_path / "labeled.csv"
@@ -196,6 +214,28 @@ class TestTrainAndReport:
         assert main(["report-coefficients", "--model", str(model)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [("model", "payload", "weights"),
+                                      ("scaler", "std")],
+                             ids=["svm_weights", "scaler_std"])
+    def test_report_rejects_null_in_array(self, synth_files, tmp_path, capsys,
+                                          path):
+        corpus, labels = synth_files
+        model = tmp_path / "model.json"
+        assert main(["train", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--out", str(model),
+                     "--min-posts", "8"]) == 0
+        container = json.loads(model.read_text())
+        node = container["payload"]
+        for key in path:
+            node = node[key]
+        node[0] = None  # loads as NaN unless the codec checks finiteness
+        model.write_text(json.dumps(container))
+        assert main(["report-coefficients", "--model", str(model),
+                     "-k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: bad pipeline payload")
         assert "Traceback" not in err
 
 
@@ -285,17 +325,26 @@ class TestEvaluateCommand:
         ({"balance": "no"}, "balance must be bool, got 'no'"),
         ({"include_actor_pct": 1}, "include_actor_pct must be bool, got 1"),
         ({"ngram_max": "2"}, "n_range must be a pair of ints, got (1, '2')"),
+        ([1, 2], "config must be a JSON object, got [1, 2]"),
+        ("C", "config must be a JSON object, got C"),
+        ({"clasifier": "mlp"}, "config: unknown key 'clasifier'"),
+        ({"labels_file": 5}, "labels_file must be str, got 5"),
     ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "seed_null",
             "use_engineered_str", "min_df_float", "C_str", "balance_str",
-            "include_actor_pct_int", "ngram_max_str"])
+            "include_actor_pct_int", "ngram_max_str", "document_list",
+            "document_str", "typo_key", "labels_file_int"])
     def test_train_rejects_bad_config_overrides(self, synth_files, tmp_path,
                                                 capsys, overrides, message):
         corpus, labels = synth_files
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"classifier": "gbdt", **overrides}))
+        config.write_text(json.dumps({"classifier": "gbdt", **overrides}
+                                     if isinstance(overrides, dict)
+                                     else overrides))
+        labels_flag = ([] if "labels_file" in overrides
+                       else ["--labels-file", str(labels)])
         model = tmp_path / "model.json"
         code = main(["train", "--task", "politics", "--in", str(corpus),
-                     "--labels-file", str(labels), "--out", str(model),
+                     *labels_flag, "--out", str(model),
                      "--min-posts", "8", "--config", str(config)])
         assert code == 2
         err = capsys.readouterr().err
@@ -348,6 +397,110 @@ class TestEvaluateCommand:
               "--min-posts", "8", "--config", str(config),
               "--vectorizer", "tfidf"])
         assert load_pipeline(str(model)).config.vectorizer == "tfidf"
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the root's () first."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_RETYPED = st.one_of(st.none(), st.text(max_size=3), st.floats(),
+                     st.lists(st.integers(-1, 3), max_size=2),
+                     st.dictionaries(st.text(max_size=3), st.integers(0, 3),
+                                     max_size=1))
+
+
+@st.composite
+def _mutant(draw, doc):
+    """The text of `doc` with a key dropped, a value retyped (the whole
+    document included), an unknown key added, or the text truncated."""
+    text = json.dumps(doc)
+    doc = json.loads(text)  # a copy to mutate
+    mutation = draw(st.sampled_from(["drop", "retype", "add_key", "truncate"]))
+    if mutation == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    paths = list(_paths(doc))
+    if mutation == "add_key":
+        target = draw(st.sampled_from(
+            [p for p in paths if isinstance(_at(doc, p), dict)]))
+        _at(doc, target)["bogus"] = 1
+        return json.dumps(doc)
+    path = draw(st.sampled_from(paths if mutation == "retype" else paths[1:]))
+    if not path:
+        return json.dumps(draw(_RETYPED))
+    parent = _at(doc, path[:-1])
+    if mutation == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_RETYPED)
+    return json.dumps(doc)
+
+
+class TestMutatedConfigFiles:
+    """Hostile --config and --grid files: a run exits 0 and writes a model
+    that loads, or exits 1 or 2 with an `error: ` line and no artifact; no
+    exception escapes."""
+
+    GRID = {"vectorizers": ["count"], "n_ranges": [[1, 1]],
+            "classifiers": ["svm", "gbdt"], "svm_c": [1.0],
+            "mlp_overrides": {"epochs": 3}, "gbdt_overrides": {"rounds": 2}}
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        corpus, labels = tmp_path / "corpus.jsonl", tmp_path / "labels.csv"
+        assert main(["synth", "--users-per-class", "6", "--posts-min", "5",
+                     "--posts-max", "5", "--seed", "5", "--out", str(corpus),
+                     "--labels-out", str(labels)]) == 0
+        config = {"balance": True, "labels_file": str(labels), "region": "us",
+                  "seed": 0, "vectorizer": "count", "ngram_min": 1,
+                  "ngram_max": 1, "min_df": 1, "use_engineered": True,
+                  "include_actor_pct": False, "classifier": "svm", "C": 1.0,
+                  "mlp_overrides": {"epochs": 3},
+                  "gbdt_overrides": {"rounds": 2}}
+        return tmp_path, corpus, config
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutant_exits_cleanly(self, tiny, data):
+        work, corpus, config = tiny
+        command = data.draw(st.sampled_from(["train", "evaluate", "grid"]))
+        config_text, grid_text = json.dumps(config), json.dumps(self.GRID)
+        if command == "grid":
+            command, grid_text = "evaluate", data.draw(_mutant(self.GRID))
+        else:
+            config_text = data.draw(_mutant(config))
+        (work / "config.json").write_text(config_text)
+        (work / "grid.json").write_text(grid_text)
+        artifacts = [work / "model.json", work / "report.json"]
+        for path in artifacts:
+            path.unlink(missing_ok=True)
+        outputs = (["--out", str(artifacts[0])] if command == "train" else
+                   ["--grid", str(work / "grid.json"), "--folds", "2",
+                    "--report", str(artifacts[1]),
+                    "--model-out", str(artifacts[0])])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--task", "politics", "--in", str(corpus),
+                         "--min-posts", "5", "--config",
+                         str(work / "config.json"), *outputs])
+        if code == 0:
+            load_pipeline(str(artifacts[0]))  # what a run writes reads back
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().startswith("error: ")
+            assert not any(path.exists() for path in artifacts)
 
 
 class TestHarvestCommands:
@@ -467,6 +620,30 @@ class TestServeMock:
             thread.join(timeout=5)
         assert codes == [200]
         assert not thread.is_alive()
+
+    def test_warns_on_malformed_lines(self, synth_files, tmp_path, capsys):
+        corpus, _ = synth_files
+        with open(corpus, "a") as fp:
+            fp.write("not json\n")
+        assert main(["serve-mock", "--corpus", str(corpus),
+                     "--duration", "0.01"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: skipped 1 malformed line(s)" in captured.err
+        assert "(480 transactions)" in captured.out
+
+    @pytest.mark.parametrize("usernames", [[1, 2], {"alice": 7}, "alice"],
+                             ids=["list", "int_value", "str"])
+    def test_rejects_bad_usernames(self, synth_files, tmp_path, capsys,
+                                   usernames):
+        corpus, _ = synth_files
+        path = tmp_path / "usernames.json"
+        path.write_text(json.dumps(usernames))
+        code = main(["serve-mock", "--corpus", str(corpus), "--usernames",
+                     str(path), "--duration", "0.01"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usernames must map strings to strings")
+        assert "Traceback" not in err
 
 
 class TestTokenizeDebug:
