@@ -212,7 +212,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_evaluate(args) -> int:
+    workers = _usable_cpus() if args.workers is None else args.workers
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     config, dataset = _config_and_dataset(args)
     if args.grid:
         with _open_in(args.grid) as fp:
@@ -221,7 +231,7 @@ def cmd_evaluate(args) -> int:
         grid = GridSpec()
     plan = stratified_kfold(dataset.labels01.tolist(), k=args.folds,
                             seed=config.seed)
-    report = grid_search(grid, plan, dataset, base=config)
+    report = grid_search(grid, plan, dataset, base=config, workers=workers)
     with _open_out(args.report) as fp:
         json.dump(report.to_dict(), fp, indent=2)
         fp.write("\n")
@@ -401,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--report", required=True)
     p.add_argument("--model-out", help="save the refit best pipeline here")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; evaluation runs serially")
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes that cross-validate (default: the usable "
+                        "CPUs; 1 runs in this process); results do not "
+                        "depend on it")
     _add_common_label_args(p)
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_evaluate)

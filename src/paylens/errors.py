@@ -60,6 +60,10 @@ class TooFewSamples(PaylensError):
     module = "eval"
 
 
+class WorkerDied(PaylensError):
+    module = "eval"
+
+
 class HarvestError(PaylensError):
     module = "harvest"
 

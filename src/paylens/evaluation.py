@@ -11,12 +11,15 @@ accuracy (first wins ties), and refits the winner on all rows.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SingleClass, TooFewSamples
+from .errors import SingleClass, TooFewSamples, WorkerDied
 from .labels import LabeledUser
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
                        fit_features, fit_model, fit_pipeline, fits_type,
@@ -115,26 +118,64 @@ def _outcome(y_true: np.ndarray, y_pred: np.ndarray) -> FoldOutcome:
                        confusion=(tn, fp, fn, tp))
 
 
+_pool_state: tuple = ()  # cross_validate's inputs, inside a pool worker
+
+
+def _keep_state(*state) -> None:
+    global _pool_state
+    _pool_state = state
+
+
+def _fold_group(i: int, members: list[int],
+                state: tuple = ()) -> list[FoldOutcome]:
+    """Fold i's outcomes for the member configs, which share a featurization:
+    the featurization and the test transform once, then a model per config."""
+    dataset, plan, configs = state or _pool_state
+    train_idx, test_idx = plan.split(i)
+    y_train, y_true = dataset.labels01[train_idx], dataset.labels01[test_idx]
+    features, X = fit_features(dataset, train_idx, configs[members[0]])
+    X_test = pipeline_transform(features, dataset, test_idx)
+    outcomes = []
+    for j in members:
+        model = fit_model(X, y_train, configs[j], features.feature_names)
+        fitted = replace(features, config=configs[j], model=model)
+        outcomes.append(_outcome(y_true, pipeline_predict(fitted, X_test)))
+    return outcomes
+
+
 def cross_validate(dataset: UserDataset, plan: FoldPlan,
-                   configs: Sequence[PipelineConfig]) -> list[CvResult]:
+                   configs: Sequence[PipelineConfig],
+                   workers: int = 1) -> list[CvResult]:
     """Held-out accuracy per fold for each config, in input order; all fitted
-    state comes from training rows, and one featurization's at a time."""
+    state comes from training rows.
+
+    Each (fold, featurization) pair is one task. With more than one worker
+    and a `fork` start method, the tasks run in a pool of min(workers, tasks)
+    forked processes, which inherit the dataset instead of unpickling it;
+    otherwise they run here, one after another. The results are the same
+    either way. A task's error is raised here as it was raised in the
+    worker, and a worker that dies is a WorkerDied."""
     groups: dict[tuple, list[int]] = {}  # configs by the fields featurization reads
     for j, c in enumerate(configs):
         groups.setdefault((c.vectorizer, c.n_range, c.min_df, c.use_engineered,
                            c.include_actor_pct, c.normalize_counts), []).append(j)
+    state = (dataset, plan, configs)
+    tasks = [(i, members) for i in range(plan.k) for members in groups.values()]
+    processes = min(workers, len(tasks))
+    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
+        try:
+            with ProcessPoolExecutor(
+                    processes, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_keep_state, initargs=state) as pool:
+                done = list(pool.map(_fold_group, *zip(*tasks)))
+        except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
+            raise WorkerDied(f"a cross-validation worker died: {exc}") from None
+    else:
+        done = [_fold_group(i, members, state) for i, members in tasks]
     outcomes: list[list[FoldOutcome]] = [[] for _ in configs]
-    for i in range(plan.k):
-        train_idx, test_idx = plan.split(i)
-        y_train, y_true = dataset.labels01[train_idx], dataset.labels01[test_idx]
-        for members in groups.values():
-            features, X = fit_features(dataset, train_idx, configs[members[0]])
-            X_test = pipeline_transform(features, dataset, test_idx)
-            for j in members:
-                model = fit_model(X, y_train, configs[j], features.feature_names)
-                fitted = replace(features, config=configs[j], model=model)
-                outcomes[j].append(_outcome(y_true, pipeline_predict(fitted, X_test)))
-            del features, X, X_test, fitted
+    for (_, members), task_outcomes in zip(tasks, done):  # fold order per config
+        for j, outcome in zip(members, task_outcomes):
+            outcomes[j].append(outcome)
     return [CvResult(config=c, outcomes=o) for c, o in zip(configs, outcomes)]
 
 
@@ -232,14 +273,16 @@ class EvalReport:
 
 
 def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
-                base: PipelineConfig | None = None) -> EvalReport:
-    """Cross-validate every grid point, refit the best config on all rows."""
+                base: PipelineConfig | None = None,
+                workers: int = 1) -> EvalReport:
+    """Cross-validate every grid point with up to `workers` processes, then
+    refit the best config on all rows here."""
     if base is None:
         base = PipelineConfig()
     configs = grid.expand(base)
     if not configs:
         raise ValueError("empty grid")
-    results = cross_validate(dataset, plan, configs)
+    results = cross_validate(dataset, plan, configs, workers)
     means = [r.mean_accuracy for r in results]
     best_index = int(np.argmax(means))  # first best wins ties
     best_model = fit_pipeline(dataset, np.arange(len(dataset)), configs[best_index])

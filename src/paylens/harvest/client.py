@@ -3,7 +3,8 @@
 All requests flow through one token bucket shared by every worker thread, so
 the client never exceeds its configured rate by more than one bucket burst.
 Transient failures (connection errors, 5xx) retry with exponential backoff
-up to a budget; 429 responses wait out the server's Retry-After and retry.
+up to a budget; 429 responses wait out the server's Retry-After and retry
+until one request's 429 waits would reach max_retries × backoff_cap seconds.
 
 Crawls checkpoint after each completed user: the user's transactions are
 appended to the output sink, then one line naming the user and its new
@@ -85,7 +86,8 @@ class HarvestClient:
 
     def get(self, url: str, params: dict | None = None) -> requests.Response:
         cfg = self.config
-        attempt = 0
+        attempt = limited = 0
+        waited = 0.0  # seconds spent waiting out 429s
         while True:
             self.bucket.acquire()
             try:
@@ -94,12 +96,19 @@ class HarvestClient:
                 cause, reason = exc, str(exc)
             else:
                 if resp.status_code == 429:
+                    limited += 1
                     retry_after = resp.headers.get("Retry-After")
                     try:
                         wait = float(retry_after) if retry_after else cfg.backoff_base
                     except ValueError:
                         wait = cfg.backoff_base
-                    time.sleep(min(cfg.backoff_cap, max(wait, 0.001)))
+                    wait = min(cfg.backoff_cap, max(wait, 0.001))
+                    if waited + wait >= cfg.max_retries * cfg.backoff_cap:
+                        raise HarvestError(
+                            f"GET {url} still rate-limited after {limited} "
+                            f"429 responses and {waited:.3g} s of waiting")
+                    time.sleep(wait)
+                    waited += wait
                     continue
                 if resp.status_code < 500:
                     return resp

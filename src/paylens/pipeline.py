@@ -83,6 +83,9 @@ class PipelineConfig:
                 if not fits_type(v, types[name]):
                     raise ValueError(f"{key}: {name!r} must be "
                                      f"{types[name].__name__}, got {v!r}")
+                if name != "seed" and v <= 0:  # sizes, counts and rates
+                    raise ValueError(f"{key}: {name!r} must be positive, "
+                                     f"got {v!r}")
             object.__setattr__(self, key, tuple(sorted(overrides.items())))
 
     def to_dict(self) -> dict:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import threading
 import time
 
@@ -283,6 +284,56 @@ class TestEvaluateCommand:
         assert data["class_names"] == ["female", "male"]
         assert data["best"]["mean_accuracy"] >= 0.9
 
+    def _evaluate(self, synth_files, tmp_path, tag, grid_spec, *flags):
+        corpus, labels = synth_files
+        out = tmp_path / tag
+        out.mkdir()
+        grid = out / "grid.json"
+        grid.write_text(json.dumps(grid_spec))
+        code = main(["evaluate", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--grid", str(grid),
+                     "--folds", "3", "--report", str(out / "report.json"),
+                     "--model-out", str(out / "model.json"),
+                     "--min-posts", "8", *flags])
+        assert multiprocessing.active_children() == []
+        return code, out
+
+    def test_outputs_do_not_depend_on_workers(self, synth_files, tmp_path):
+        spec = {"vectorizers": ["count", "tfidf"], "n_ranges": [[1, 2]],
+                "classifiers": ["svm", "mlp", "gbdt"], "svm_c": [0.1, 1.0],
+                "mlp_overrides": {"epochs": 10}, "gbdt_overrides": {"rounds": 5}}
+        outputs = []
+        for flags in (["--workers", "1"], ["--workers", "2"], []):
+            code, out = self._evaluate(synth_files, tmp_path, str(len(outputs)),
+                                       spec, *flags)
+            assert code == 0
+            outputs.append(((out / "report.json").read_bytes(),
+                            (out / "model.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_finite_loss_exits_cleanly(self, synth_files, tmp_path, capsys,
+                                           workers):
+        spec = {"vectorizers": ["count", "tfidf"], "n_ranges": [[1, 1]],
+                "classifiers": ["mlp"], "mlp_overrides": {"lr": 1e300}}
+        code, out = self._evaluate(synth_files, tmp_path, "run", spec,
+                                   "--workers", workers)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: non-finite loss")
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_rejects_workers_below_one(self, synth_files, tmp_path, capsys,
+                                       workers):
+        code, out = self._evaluate(synth_files, tmp_path, "run", {},
+                                   "--workers", workers)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not (out / "report.json").exists()
+
     def test_config_file_supplies_defaults(self, synth_files, tmp_path):
         corpus, labels = synth_files
         config = tmp_path / "config.json"
@@ -329,10 +380,21 @@ class TestEvaluateCommand:
         ("C", "config must be a JSON object, got C"),
         ({"clasifier": "mlp"}, "config: unknown key 'clasifier'"),
         ({"labels_file": 5}, "labels_file must be str, got 5"),
+        ({"mlp_overrides": {"epochs": -1}}, "'epochs' must be positive, got -1"),
+        ({"mlp_overrides": {"hidden": 0}}, "'hidden' must be positive, got 0"),
+        ({"mlp_overrides": {"lr": -1}}, "'lr' must be positive, got -1"),
+        ({"mlp_overrides": {"batch": 0}}, "'batch' must be positive, got 0"),
+        ({"gbdt_overrides": {"max_depth": -1}},
+         "'max_depth' must be positive, got -1"),
+        ({"gbdt_overrides": {"n_bins": 0}}, "'n_bins' must be positive, got 0"),
+        ({"gbdt_overrides": {"learning_rate": 0.0}},
+         "'learning_rate' must be positive, got 0.0"),
     ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "seed_null",
             "use_engineered_str", "min_df_float", "C_str", "balance_str",
             "include_actor_pct_int", "ngram_max_str", "document_list",
-            "document_str", "typo_key", "labels_file_int"])
+            "document_str", "typo_key", "labels_file_int", "epochs_negative",
+            "hidden_zero", "lr_negative", "batch_zero", "max_depth_negative",
+            "n_bins_zero", "learning_rate_zero"])
     def test_train_rejects_bad_config_overrides(self, synth_files, tmp_path,
                                                 capsys, overrides, message):
         corpus, labels = synth_files

@@ -1,12 +1,17 @@
+import multiprocessing
+import os
 import random
+import signal
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import paylens.evaluation
 from paylens.corpus import group_by_user
-from paylens.errors import SingleClass, TooFewSamples
+from paylens.errors import (NonFiniteError, SingleClass, TooFewSamples,
+                            WorkerDied)
 from paylens.evaluation import (FoldPlan, GridSpec, balance_classes,
                                 cross_validate, grid_search,
                                 stratified_kfold)
@@ -248,6 +253,87 @@ class TestCrossValidate:
         ds = synth_dataset(seed=6, n=5)
         plan = stratified_kfold(ds.labels01.tolist(), k=2)
         assert cross_validate(ds, plan, []) == []
+
+
+class TestCrossValidateWorkers:
+    """The (fold, featurization) tasks in a forked pool give the outcomes of
+    the in-process run, and no worker outlives the call."""
+
+    def _configs(self):
+        base = PipelineConfig(min_df=1, seed=3, mlp_overrides=(("epochs", 10),),
+                              gbdt_overrides=(("rounds", 4),))
+        return [base, replace(base, classifier="mlp"),
+                replace(base, vectorizer="count", classifier="gbdt"),
+                replace(base, C=0.1)]
+
+    def test_pool_matches_in_process(self):
+        ds = synth_dataset(seed=3, n=12)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=3)
+        serial = cross_validate(ds, plan, self._configs(), workers=1)
+        pooled = cross_validate(ds, plan, self._configs(), workers=2)
+        assert multiprocessing.active_children() == []
+        assert [r.outcomes for r in pooled] == [r.outcomes for r in serial]
+        assert [r.config for r in pooled] == self._configs()
+
+    def test_worker_error_is_reraised_as_is(self):
+        ds = synth_dataset(seed=3, n=12)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=3)
+        config = PipelineConfig(min_df=1, classifier="mlp",
+                                mlp_overrides=(("lr", 1e300),))
+        for workers in (1, 2):
+            with pytest.raises(NonFiniteError, match="^model: non-finite loss"):
+                cross_validate(ds, plan, [config], workers=workers)
+            assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_typed_error(self, monkeypatch):
+        parent, fit = os.getpid(), paylens.evaluation.fit_model
+
+        def fit_or_die(*args):
+            if os.getpid() != parent:  # a worker, killed as the OOM killer would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit(*args)
+
+        monkeypatch.setattr(paylens.evaluation, "fit_model", fit_or_die)
+        ds = synth_dataset(seed=3, n=6)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=3)
+        with pytest.raises(WorkerDied, match="^eval: a cross-validation worker died"):
+            cross_validate(ds, plan, self._configs(), workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, start_methods, pool_size", [
+        (10**6, ["fork", "spawn"], 6),  # capped at 3 folds x 2 featurizations
+        (4, ["fork", "spawn"], 4),
+        (1, ["fork", "spawn"], None),   # in-process
+        (4, ["spawn"], None),           # no fork: in-process
+    ])
+    def test_pool_size_rule(self, monkeypatch, workers, start_methods, pool_size):
+        sizes = []
+
+        class Executor:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                assert mp_context == "fork"
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(paylens.evaluation, "_pool_state", ())
+        monkeypatch.setattr(paylens.evaluation, "ProcessPoolExecutor", Executor)
+        monkeypatch.setattr(paylens.evaluation, "multiprocessing", SimpleNamespace(
+            get_all_start_methods=lambda: start_methods,
+            get_context=lambda method: method))
+        ds = synth_dataset(seed=3, n=6)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=3)
+        configs = self._configs()[::2]  # two featurizations
+        results = cross_validate(ds, plan, configs, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert [len(r.outcomes) for r in results] == [3, 3]
 
 
 class TestGridSearch:

@@ -272,6 +272,18 @@ class TestRetries:
         assert "failed after 2 retries: " in str(info.value)
         assert isinstance(info.value.__cause__, requests.ConnectionError)
 
+    def test_persistent_429_exhausts_wait_budget(self, stub_server):
+        srv = stub_server(429, "{}")  # no Retry-After: each wait is backoff_base
+        config = ClientConfig(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
+        start = time.monotonic()
+        with pytest.raises(HarvestError) as info:
+            HarvestClient(config).get(f"{srv.url}/feed")
+        assert type(info.value) is HarvestError
+        assert f"still rate-limited after {srv.hits} 429 responses" in str(info.value)
+        # waits stop short of max_retries x backoff_cap = 0.1 s
+        assert 9 <= srv.hits <= 11
+        assert time.monotonic() - start < 2.0
+
     def test_4xx_is_returned_without_retry(self, stub_server):
         srv = stub_server(418, "{}")
         assert HarvestClient(self.CONFIG).get(srv.url).status_code == 418

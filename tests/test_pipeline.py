@@ -177,10 +177,12 @@ class TestPipelineArtifact:
         ("svm", ("config",), lambda config: {**config, "bogus": 1}),
         ("mlp", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
         ("gbdt", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
+        ("mlp", ("config", "mlp_overrides"), lambda o: {**o, "epochs": -1}),
     ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int",
             "n_documents_str", "feature_names_int", "feature_name_nested",
             "one_class_name", "scaler_mean_short", "config_unknown_key",
-            "mlp_config_unknown_key", "gbdt_config_unknown_key"])
+            "mlp_config_unknown_key", "gbdt_config_unknown_key",
+            "config_override_out_of_range"])
     def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
                                        classifier, path, change):
         container = json.loads(saved_pipelines[classifier].read_text())
