@@ -6,12 +6,14 @@ Transient failures (connection errors, 5xx) retry with exponential backoff
 up to a budget; 429 responses wait out the server's Retry-After and retry
 until one request's 429 waits would reach max_retries × backoff_cap seconds.
 
-Crawls checkpoint after each completed user: the user's transactions are
-appended to the output sink, then one line naming the user and its new
-transaction ids is appended to the checkpoint's journal. Each crawl call
-compacts the journal into an atomically replaced snapshot when it starts and
-when it ends, so killing and resuming a crawl converges on the same
-transaction set.
+Crawl workers only fetch; the calling thread records each user in queue
+order: its new transactions go to the sink, then a line with its new ids and
+the sink's offset goes to the checkpoint's journal. Each crawl call compacts
+the journal into an atomically replaced snapshot when it starts and when it
+ends, interrupted or not; unrecorded users stay pending, and a resume into
+the recorded file truncates it to the recorded offset, so each transaction is
+written once. After an error the crawl waits out its in-flight fetches; after
+an interrupt it does not.
 """
 
 from __future__ import annotations
@@ -217,6 +219,7 @@ class CrawlState:
     pending_user_ids: list[str] = field(default_factory=list)
     completed_user_ids: set[str] = field(default_factory=set)
     checkpoint_at: datetime | None = None
+    sink: tuple[str | None, int] | None = None  # (file, offset) after the last user
 
     def validate(self) -> None:
         overlap = self.completed_user_ids & set(self.pending_user_ids)
@@ -238,6 +241,7 @@ def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
         "completed": sorted(state.completed_user_ids),
         "pending": list(state.pending_user_ids),
         "checkpoint_at": state.checkpoint_at.isoformat(),
+        "sink": state.sink,
     }
     # imported here: at module level it would load numpy into the mock server
     from ..models.serialize import write_container
@@ -250,6 +254,17 @@ def _ids(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(i, str) for i in value):
         raise HarvestError(f"checkpoint corrupt: {what} must be a list of ids")
     return value
+
+
+def _sink(value, what: str) -> tuple[str | None, int] | None:
+    """A sink's [file, offset]; null or missing (no sink yet) means none."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 2
+            and isinstance(value[0], (str, type(None)))
+            and type(value[1]) is int and value[1] >= 0):
+        raise HarvestError(f"checkpoint corrupt: {what} must be [file, offset]")
+    return value[0], value[1]
 
 
 def _json(data: bytes, what: str):
@@ -281,7 +296,8 @@ def load_checkpoint(path: str | os.PathLike) -> CrawlState:
                            f"{exc}") from exc
     state = CrawlState(seen_transaction_ids=set(seen),
                        completed_user_ids=set(completed),
-                       checkpoint_at=checkpoint_at)
+                       checkpoint_at=checkpoint_at,
+                       sink=_sink(payload.get("sink"), "'sink'"))
     journal = _journal(path)
     try:
         with open(journal, "rb") as fp:
@@ -296,6 +312,7 @@ def load_checkpoint(path: str | os.PathLike) -> CrawlState:
             raise HarvestError(f"checkpoint corrupt: {what}: not a "
                                '{"user": id, "seen": [ids]} object')
         state.seen_transaction_ids.update(_ids(entry.get("seen"), f"{what}: 'seen'"))
+        state.sink = _sink(entry.get("sink"), f"{what}: 'sink'")
         replayed.add(entry["user"])
     state.completed_user_ids |= replayed
     state.pending_user_ids = [u for u in pending if u not in replayed]
@@ -314,75 +331,77 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     Resumes from checkpoint_path when it exists: completed users are skipped
     and previously seen transaction ids are never re-emitted. Returns the
     transactions newly collected by this call; each completed user's new
-    transactions are written to `out` (JSONL) before the checkpoint advances.
-    max_users bounds how many users this invocation completes.
+    transactions are written to `out` (JSONL), in queue order, before the
+    checkpoint advances; a resume first truncates a seekable `out` to the
+    checkpoint's sink offset when `out` is the file the checkpoint recorded
+    (in-memory streams cannot be told apart). max_users bounds how many
+    users this call completes.
     """
+    if max_users is not None and max_users < 0:
+        raise ValueError(f"max_users must be at least 0, got {max_users}")
     hc = _client(client)
     state = CrawlState()
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path)
+    seekable = out is not None and out.seekable()
+    if seekable:
+        try:  # a file sink is known by its device and inode
+            stat = os.fstat(out.fileno())
+            sink_file = f"{stat.st_dev}:{stat.st_ino}"
+        except (OSError, ValueError):
+            sink_file = None  # in-memory streams cannot be told apart
+        # the recorded file's lines past its offset belong to users still
+        # pending; another file's lines are not the crawl's to cut
+        end = out.seek(0, os.SEEK_END)
+        recorded_file, offset = state.sink or (None, end)
+        if recorded_file == sink_file and offset < end:
+            out.seek(offset)
+            out.truncate()
+        state.sink = sink_file, out.tell()
     # queue each id once, after the checkpoint's pending users
     known = state.completed_user_ids | set(state.pending_user_ids)
-    for uid in user_ids:
-        if uid not in known:
-            known.add(uid)
-            state.pending_user_ids.append(uid)
+    state.pending_user_ids += [u for u in dict.fromkeys(user_ids) if u not in known]
+    batch = state.pending_user_ids[:max_users]
 
-    lock = threading.Lock()
     collected: list[Transaction] = []
-    done_count = 0
-    errors: list[Exception] = []
-
-    def pull() -> str | None:
-        nonlocal done_count
-        with lock:
-            if errors or not state.pending_user_ids:
-                return None
-            if max_users is not None and done_count >= max_users:
-                return None
-            done_count += 1
-            return state.pending_user_ids.pop(0)
-
-    def worker() -> None:
-        while (user_id := pull()) is not None:
-            try:
-                txns = fetch_user_transactions(endpoint, user_id, hc)
-            except Exception as exc:  # surface after join; requeue the user
-                with lock:
-                    errors.append(exc)
-                    state.pending_user_ids.insert(0, user_id)
-                return
-            with lock:
-                if journal is not None and journal.closed:
-                    return  # interrupted: the final snapshot is written
-                fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
-                state.seen_transaction_ids.update(t.id for t in fresh)
-                collected.extend(fresh)
-                if out is not None:
-                    dump_transactions(fresh, out)
-                    out.flush()
-                state.completed_user_ids.add(user_id)
-                if journal is not None:
-                    journal.write(json.dumps(
-                        {"user": user_id, "seen": [t.id for t in fresh]}) + "\n")
-                    journal.flush()
-
-    threads = [threading.Thread(target=worker, daemon=True)
-               for _ in range(max(1, workers))]
     journal: IO | None = None
     if checkpoint_path is not None:
         save_checkpoint(state, checkpoint_path)  # no journal without a snapshot
         journal = open(_journal(checkpoint_path), "a", encoding="utf-8")
+    # ThreadPool, not concurrent.futures: its workers are daemon threads, so
+    # an interrupt returns at once instead of waiting out every in-flight
+    # user at exit. Imported here because the mock server imports this module.
+    from multiprocessing.pool import ThreadPool
+    pool = ThreadPool(max(1, workers))
+    wait = True
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        fetched = pool.imap(
+            lambda user_id: fetch_user_transactions(endpoint, user_id, hc), batch)
+        for user_id, txns in zip(batch, fetched):
+            fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
+            state.seen_transaction_ids.update(t.id for t in fresh)
+            collected.extend(fresh)
+            if out is not None:
+                dump_transactions(fresh, out)
+                out.flush()
+                if seekable:
+                    state.sink = sink_file, out.tell()
+            if journal is not None:
+                journal.write(json.dumps(
+                    {"user": user_id, "seen": [t.id for t in fresh],
+                     "sink": state.sink}) + "\n")
+                journal.flush()
+    except KeyboardInterrupt:
+        wait = False
+        raise
     finally:
-        if journal is not None:  # compact the journal into the snapshot
-            with lock:
-                journal.close()
-                save_checkpoint(state, checkpoint_path)
-    if errors:
-        raise errors[0]
+        pool.terminate()  # drops the users no worker has started
+        if journal is not None:
+            # compact from disk: an interrupt can leave a user half-recorded
+            # in memory, but each journal line is a whole user
+            journal.close()
+            del state  # free its seen set before the reload builds another
+            save_checkpoint(load_checkpoint(checkpoint_path), checkpoint_path)
+        if wait:  # after an error, let no in-flight user outlive the call
+            pool.join()
     return collected

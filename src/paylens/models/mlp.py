@@ -74,6 +74,8 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     return loss, dW1, db1, dW2, db2
 
 
+# a diverging fit overflows to inf/nan, which the loss checks turn into errors
+@np.errstate(over="ignore", invalid="ignore")
 def train_mlp(X, y, config: MlpConfig | None = None,
               feature_names: list[str] | None = None) -> MlpModel:
     """Mini-batch gradient descent; the per-epoch full-data loss is recorded."""

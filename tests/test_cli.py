@@ -606,6 +606,19 @@ class TestHarvestCommands:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
 
+    @pytest.mark.parametrize("max_users", ["-1", "-3"])
+    def test_users_rejects_negative_max_users(self, tmp_path, capsys,
+                                              max_users):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("u1\n")
+        # rejected before any request, so nothing listens here
+        code = main(["harvest", "users", "--endpoint", "http://127.0.0.1:9",
+                     "--ids", str(ids_file), "--max-users", max_users,
+                     "--out", str(tmp_path / "crawl.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: max_users must be at least 0, got {max_users}\n")
+
     @pytest.mark.parametrize("command, body", [
         (["feed", "--pages", "1"], '{"data": ['),
         (["users", "--ids", "ids.txt"], '{"data": ['),

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import socket
 import socketserver
 import threading
@@ -331,8 +332,9 @@ class TestResolveUserId:
 
 SNAPSHOT = {"seen": ["t1", "t2"], "completed": ["u1"],
             "pending": ["u2", "u3", "u4"],
-            "checkpoint_at": "2024-03-01T12:00:00+00:00"}
-JOURNAL = [{"user": "u2", "seen": ["t3"]}, {"user": "u3", "seen": ["t4", "t5"]}]
+            "checkpoint_at": "2024-03-01T12:00:00+00:00", "sink": ["8:9", 40]}
+JOURNAL = [{"user": "u2", "seen": ["t3"], "sink": ["8:9", 60]},
+           {"user": "u3", "seen": ["t4", "t5"], "sink": ["8:9", 100]}]
 NOT_A_STR = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
                       st.lists(st.text(max_size=3), max_size=2),
                       st.dictionaries(st.text(max_size=3), st.integers(),
@@ -343,13 +345,19 @@ NOT_IDS = st.one_of(
     st.tuples(st.lists(st.text(max_size=3), max_size=2),
               st.one_of(st.none(), st.integers(), st.lists(st.text(max_size=2))))
     .map(lambda pair: [*pair[0], pair[1]]))
+NOT_AN_OFFSET = st.one_of(st.booleans(), st.integers(max_value=-1),
+                          st.floats(allow_nan=False), st.text(max_size=3))
+NOT_A_SINK = st.one_of(
+    NOT_AN_OFFSET, st.lists(st.integers(0, 9), max_size=3),
+    st.tuples(st.one_of(st.none(), st.text(max_size=3)), NOT_AN_OFFSET).map(list),
+    st.tuples(st.one_of(st.booleans(), st.integers()), st.integers(0, 9)).map(list))
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = CrawlState(seen_transaction_ids={"t1", "t2"},
                            pending_user_ids=["u3", "u4"],
-                           completed_user_ids={"u1"})
+                           completed_user_ids={"u1"}, sink=("8:9", 7))
         path = tmp_path / "cp.json"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
@@ -357,13 +365,27 @@ class TestCheckpoint:
         assert loaded.pending_user_ids == ["u3", "u4"]
         assert loaded.completed_user_ids == {"u1"}
         assert loaded.checkpoint_at is not None
+        assert loaded.sink == ("8:9", 7)
+
+    def test_no_sink_recorded_without_sink(self, tmp_path):
+        # a crawl without a seekable sink records none, and a checkpoint
+        # older than the sink key has none: a resume then truncates nothing
+        path = tmp_path / "cp.json"
+        save_checkpoint(CrawlState(pending_user_ids=["u1"]), path)
+        payload = json.loads(path.read_text())
+        assert payload["sink"] is None
+        assert load_checkpoint(path).sink is None
+        del payload["sink"]
+        path.write_text(json.dumps(payload))
+        assert load_checkpoint(path).sink is None
 
     def test_schema(self, tmp_path):
         state = CrawlState(pending_user_ids=["u1"])
         path = tmp_path / "cp.json"
         save_checkpoint(state, path)
         payload = json.loads(path.read_text())
-        assert set(payload) == {"seen", "completed", "pending", "checkpoint_at"}
+        assert set(payload) == {"seen", "completed", "pending", "checkpoint_at",
+                                "sink"}
 
     def test_overlap_rejected(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -392,6 +414,7 @@ class TestCheckpoint:
         assert state.seen_transaction_ids == {"t1", "t2", "t3", "t4", "t5"}
         assert state.completed_user_ids == {"u1", "u2", "u3"}
         assert state.pending_user_ids == ["u4"]
+        assert state.sink == ("8:9", 100)  # the last journal line's
         # a crash between the snapshot's rename and the journal's delete
         # leaves a journal the snapshot already holds
         save_checkpoint(state, path)
@@ -402,8 +425,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("line", [
         "{", "[1]", '{"user": 7, "seen": []}', '{"user": "u2"}',
         '{"user": "u2", "seen": "t3"}', '{"user": "u2", "seen": [3]}', "",
+        '{"user": "u2", "seen": [], "sink": [null, -1]}',
+        '{"user": "u2", "seen": [], "sink": [null, "60"]}',
+        '{"user": "u2", "seen": [], "sink": 60}',
+        '{"user": "u2", "seen": [], "sink": [7, 60]}',
     ], ids=["bad_json", "not_an_object", "user_not_str", "no_seen",
-            "seen_not_list", "seen_id_not_str", "blank"])
+            "seen_not_list", "seen_id_not_str", "blank", "sink_negative",
+            "sink_not_int", "sink_not_pair", "sink_file_not_str"])
     def test_bad_middle_line_rejected(self, tmp_path, line):
         path = self._write(tmp_path)
         journal = tmp_path / "cp.json.journal"
@@ -431,15 +459,15 @@ class TestCheckpoint:
         elif mutation == "retype_key":
             key = data.draw(st.sampled_from(sorted(SNAPSHOT)))
             snapshot[key] = data.draw(
-                NOT_A_STR if key == "checkpoint_at" else NOT_IDS)
+                {"checkpoint_at": NOT_A_STR, "sink": NOT_A_SINK}.get(key, NOT_IDS))
         k = data.draw(st.integers(0, len(journal) - 1))
         line = dict(JOURNAL[k])
         if mutation == "drop_line_key":
             del line[data.draw(st.sampled_from(["user", "seen"]))]
         elif mutation == "retype_line_key":
-            key = data.draw(st.sampled_from(["user", "seen"]))
-            line[key] = data.draw(st.one_of(st.none(), NOT_A_STR)
-                                  if key == "user" else NOT_IDS)
+            key = data.draw(st.sampled_from(["user", "seen", "sink"]))
+            line[key] = data.draw({"user": st.one_of(st.none(), NOT_A_STR),
+                                   "sink": NOT_A_SINK}.get(key, NOT_IDS))
         journal[k] = json.dumps(line)
         if mutation == "truncate_line":
             journal[k] = journal[k][:data.draw(st.integers(0, len(journal[k]) - 1))]
@@ -529,10 +557,72 @@ class TestCrawlUsers:
                                  out=out)
         assert {t.id for t in first} | {t.id for t in second} == {t.id for t in txns}
         assert {t.id for t in txns if t.actor_id == "w2"} <= {t.id for t in second}
-        out.seek(0)
-        assert ({t.id for t in load_transactions(out).transactions}
-                == {t.id for t in txns})
+        sink_ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns)  # w2's once
         assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+
+    def test_kill_mid_sink_line_resumes_exactly_once(self, tmp_path):
+        txns, server = self._server()
+        ids = [f"w{u}" for u in range(6)]
+        cp, sink = tmp_path / "cp.json", tmp_path / "sink.jsonl"
+        with server as srv:
+            with open(sink, "w", encoding="utf-8") as out:
+                crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                            out=out, max_users=3)
+            # killed while writing w3's lines, before its journal line
+            with open(sink, "a", encoding="utf-8") as out:
+                out.write('{"id": "w3-t024", "note": "n2')
+            assert load_checkpoint(cp).pending_user_ids == ["w3", "w4", "w5"]
+            with open(sink, "a", encoding="utf-8") as out:
+                crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                            out=out)
+        sink_ids = [json.loads(line)["id"] for line in sink.read_text().splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns)
+
+    def test_resume_into_another_file_cuts_nothing(self, tmp_path):
+        _, server = self._server(users=2)
+        cp = tmp_path / "cp.json"
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(f'{{"line": {i}, "pad": "{"x" * 180}"}}\n'
+                                 for i in range(100)))
+        before = other.read_text()
+        with server as srv:
+            with open(tmp_path / "sink.jsonl", "w", encoding="utf-8") as out:
+                crawl_users(srv.url, ["w0"], workers=1, checkpoint_path=cp,
+                            out=out)
+            with open(other, "a", encoding="utf-8") as out:
+                crawl_users(srv.url, ["w0", "w1"], workers=1,
+                            checkpoint_path=cp, out=out)
+            # the checkpoint now follows the other file
+            with open(other, "a", encoding="utf-8") as out:
+                out.write('{"id": "w9-t0')
+            with open(other, "a", encoding="utf-8") as out:
+                crawl_users(srv.url, [], workers=1, checkpoint_path=cp,
+                            out=out)
+        after = other.read_text()
+        assert after.startswith(before)
+        assert [json.loads(line)["actor"]["id"]
+                for line in after[len(before):].splitlines()] == ["w1"] * 25
+
+    def test_sink_in_queue_order_whatever_the_workers(self):
+        # uneven timelines (1 to 33 transactions, 1 to 4 pages) finish out
+        # of queue order in a pool
+        txns = []
+        for u in range(10):
+            txns.extend(corpus_for_user(f"v{u}", 1 + (u * 13) % 34,
+                                        start_minute=100 * u))
+        queue = [f"v{u}" for u in (3, 0, 7, 9, 1, 5, 8, 2, 6, 4)]
+        with run_mock_server(group_by_user(txns),
+                             MockServerConfig(page_size=10)) as srv:
+            sinks = []
+            for workers in (1, 4):
+                out = io.StringIO()
+                crawl_users(srv.url, queue, workers=workers, out=out)
+                sinks.append(out.getvalue())
+        assert sinks[0] == sinks[1]
+        actors = [json.loads(line)["actor"]["id"]
+                  for line in sinks[1].splitlines()]
+        assert list(dict.fromkeys(actors)) == queue
 
     def test_journal_compacted_when_call_ends(self, tmp_path):
         _, server = self._server(users=3)
@@ -555,6 +645,75 @@ class TestCrawlUsers:
         state = load_checkpoint(cp)
         assert state.completed_user_ids == {"w0", "w1", "w2"}
         assert state.pending_user_ids == ["ghost"]
+
+    def test_interrupt_keeps_in_flight_user_pending(self, tmp_path,
+                                                    monkeypatch):
+        def fetch(endpoint, user_id, client=None, before_id=None):
+            if user_id == "slow":  # Ctrl-C while this user is in flight
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(5)
+            return []
+
+        monkeypatch.setattr(client_mod, "fetch_user_transactions", fetch)
+        cp = tmp_path / "cp.json"
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                crawl_users("http://unused", ["quick", "slow"], workers=2,
+                            checkpoint_path=cp)
+            assert time.monotonic() - start < 2.0
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        state = load_checkpoint(cp)
+        assert "slow" in state.pending_user_ids  # "quick" may be either
+        assert {*state.pending_user_ids, *state.completed_user_ids} == {"quick",
+                                                                        "slow"}
+
+    def test_interrupt_while_writing_sink_loses_nothing(self, tmp_path,
+                                                        monkeypatch):
+        txns, server = self._server()
+        ids = [f"w{u}" for u in range(6)]
+        cp, out = tmp_path / "cp.json", io.StringIO()
+        real_dump = client_mod.dump_transactions
+
+        def dump_then_interrupt(fresh, fp):  # Ctrl-C amid w2's lines
+            if fresh[0].actor_id == "w2":
+                real_dump(fresh[:5], fp)
+                raise KeyboardInterrupt
+            real_dump(fresh, fp)
+
+        with server as srv:
+            monkeypatch.setattr(client_mod, "dump_transactions",
+                                dump_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                            out=out)
+            monkeypatch.setattr(client_mod, "dump_transactions", real_dump)
+            assert load_checkpoint(cp).pending_user_ids == ["w2", "w3", "w4",
+                                                            "w5"]
+            crawl_users(srv.url, ids, workers=2, checkpoint_path=cp, out=out)
+        sink_ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns)
+
+    def test_error_lets_no_request_outlive_the_call(self):
+        _, server = self._server(users=3, per_user=300)
+        with server as srv:
+            with pytest.raises(UserNotFound):
+                crawl_users(srv.url, ["ghost", "w0", "w1", "w2"], workers=4)
+            served = srv.request_count
+            time.sleep(0.3)
+            assert srv.request_count == served
+
+    @pytest.mark.parametrize("max_users", [-1, -7])
+    def test_negative_max_users_rejected(self, tmp_path, max_users):
+        cp = tmp_path / "cp.json"
+        save_checkpoint(CrawlState(pending_user_ids=["u1", "u2"]), cp)
+        before = cp.read_bytes()
+        with pytest.raises(ValueError, match="max_users must be at least 0"):
+            crawl_users("http://unused", ["u3"], checkpoint_path=cp,
+                        max_users=max_users)
+        assert cp.read_bytes() == before
 
     def test_resume_queues_repeated_new_id_once(self, tmp_path):
         _, server = self._server(users=3)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from paylens.errors import SingleClass
+from paylens.errors import NonFiniteError, SingleClass
 from paylens.models import (MlpConfig, mlp_loss_and_grads, mlp_predict,
                             mlp_proba, train_mlp)
 from paylens.models.serialize import model_to_container
@@ -79,6 +81,13 @@ class TestTrainMlp:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             train_mlp(np.eye(2), np.array([-1, 1]), MlpConfig(epochs=1))
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        X, y = self._separable(40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite loss"):
+                train_mlp(X, y, MlpConfig(lr=1e300, epochs=3))
 
     def test_loss_curve_recorded(self):
         X, y = self._separable(20)
