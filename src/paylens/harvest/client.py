@@ -10,7 +10,8 @@ Crawl workers only fetch; the calling thread records each user in queue
 order: its new transactions go to the sink, then a line with its new ids and
 the sink's offset goes to the checkpoint's journal. Each crawl call compacts
 the journal into an atomically replaced snapshot when it starts and when it
-ends, interrupted or not; unrecorded users stay pending, and a resume into
+ends: from memory after a normal end, and from the journal on disk after an
+error or interrupt; unrecorded users stay pending, and a resume into
 the recorded file truncates it to the recorded offset, so each transaction is
 written once. After an error the crawl waits out its in-flight fetches; after
 an interrupt it does not.
@@ -19,18 +20,20 @@ an interrupt it does not.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import itertools
 import json
 import math
 import os
 import re
+import string
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import IO, Callable, Sequence
-
-import requests
+from urllib.parse import quote, urlencode
 
 from ..corpus import Transaction, dump_transactions, parse_transaction
 from ..errors import (HarvestError, MalformedPage, PatternNotFound,
@@ -78,23 +81,145 @@ class ClientConfig:
     timeout: float = 10.0
 
 
+@dataclass(frozen=True)
+class Response:
+    """A whole HTTP response: status, headers and body."""
+    status_code: int
+    headers: http.client.HTTPMessage
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+_CONNECTIONS = {"http": http.client.HTTPConnection,
+                "https": http.client.HTTPSConnection}
+# RFC 3986, appendix B, for a URL with a scheme and an authority
+_URL = re.compile(r"([^:/?#]+)://([^/?#]*)([^?#]*)(?:\?([^#]*))?", re.DOTALL)
+# characters a path may hold unescaped; a query may also hold "?"
+_PATH_SAFE = "!$&'()*+,;=:@/"
+_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
+_UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
+
+
+def _unreserved(match: re.Match) -> str:
+    char = chr(int(match[1], 16))
+    return char if char in _UNRESERVED else match[0]
+
+
+def _quote(component: str, safe: str) -> str:
+    """Percent-encode a URL component as requests (through urllib3) did:
+    escapes are kept when every "%" starts one, else every "%" is encoded;
+    other characters outside `safe` are encoded as UTF-8; then escapes of
+    unreserved characters are decoded."""
+    upper, escapes = _ESCAPE.subn(lambda m: m[0].upper(), component)
+    keep = "%" if escapes == component.count("%") else ""
+    return _ESCAPE.sub(_unreserved, quote(upper, safe=safe + keep))
+
+
+def _target(url: str, params: dict | None) -> tuple[str, str, str]:
+    """(scheme, netloc, request target) of a GET of url with query params."""
+    match = _URL.match(url)
+    if match is None or match[1].lower() not in _CONNECTIONS or not match[2]:
+        raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+    scheme, netloc, path, query = match.groups(default="")
+    query = _quote(query, _PATH_SAFE + "?")
+    if params:
+        query = "&".join(filter(None, [query, urlencode(params)]))
+    target = _quote(path, _PATH_SAFE) or "/"
+    return scheme.lower(), netloc, target + ("?" + query if query else "")
+
+
+def _close_idle(idle: list, lock: threading.Lock) -> None:
+    with lock:
+        conns = [conn for _, conn in idle]
+        idle.clear()
+    for conn in conns:
+        conn.close()
+
+
 class HarvestClient:
-    """requests.Session plus the shared limiter and retry policy."""
+    """Kept-alive HTTP connections plus the shared limiter and retry policy.
+
+    Connections wait in an idle list shared by every thread; a request takes
+    one to its origin or opens a new one, and puts it back once it has read
+    the whole response. close(), or collecting the client, closes the idle
+    ones. The client connects directly (no proxy, no .netrc), does not
+    follow redirects, and reads text as UTF-8.
+    """
 
     def __init__(self, config: ClientConfig | None = None):
         self.config = config or ClientConfig()
         self.bucket = TokenBucket(self.config.rate, self.config.burst)
-        self.session = requests.Session()
+        self._idle: list[tuple[tuple[str, str], http.client.HTTPConnection]] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
 
-    def get(self, url: str, params: dict | None = None) -> requests.Response:
+    def close(self) -> None:
+        _close_idle(self._idle, self._lock)
+
+    def __enter__(self) -> HarvestClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _take(self, origin: tuple[str, str]) -> http.client.HTTPConnection | None:
+        with self._lock:
+            for i, (key, conn) in enumerate(self._idle):
+                if key == origin:
+                    del self._idle[i]
+                    return conn
+        return None
+
+    def _send(self, url: str, params: dict | None = None) -> Response:
+        """One GET attempt. A reused connection the server dropped before
+        answering is retried once on a new one, as connection pools do;
+        any other failure closes the connection and raises."""
+        scheme, netloc, target = _target(url, params)
+        conn = self._take((scheme, netloc))
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = _CONNECTIONS[scheme](netloc, timeout=self.config.timeout)
+            try:
+                conn.request("GET", target)
+                resp = conn.getresponse()
+                break
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                conn.close()
+                if not reused:
+                    raise
+                conn, reused = None, False
+            except BaseException:
+                conn.close()
+                raise
+        with resp:
+            try:
+                content = resp.read()
+            except BaseException:
+                conn.close()
+                raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(((scheme, netloc), conn))
+        return Response(resp.status, resp.headers, content)
+
+    def get(self, url: str, params: dict | None = None) -> Response:
         cfg = self.config
         attempt = limited = 0
         waited = 0.0  # seconds spent waiting out 429s
         while True:
             self.bucket.acquire()
             try:
-                resp = self.session.get(url, params=params, timeout=cfg.timeout)
-            except requests.RequestException as exc:
+                resp = self._send(url, params)
+            except (OSError, http.client.HTTPException) as exc:
                 cause, reason = exc, str(exc)
             else:
                 if resp.status_code == 429:
@@ -122,9 +247,11 @@ class HarvestClient:
             time.sleep(min(cfg.backoff_cap, cfg.backoff_base * 2 ** (attempt - 1)))
 
 
-def _client(client: HarvestClient | ClientConfig | None) -> HarvestClient:
+def _client(client: HarvestClient | ClientConfig | None
+            ) -> contextlib.AbstractContextManager[HarvestClient]:
+    """The caller's client, left open, or a new one closed on exit."""
     if isinstance(client, HarvestClient):
-        return client
+        return contextlib.nullcontext(client)
     return HarvestClient(client)
 
 
@@ -166,17 +293,17 @@ def fetch_public_feed(endpoint: str, pages: int,
     Sleeps out the refresh interval the server advertises between polls, so
     consecutive polls see fresh windows.
     """
-    hc = _client(client)
     seen: dict[str, Transaction] = {}
     refresh = 0.0
-    for page_index in range(pages):
-        if page_index > 0 and refresh > 0:
-            time.sleep(refresh)
-        txns, refresh = _get_page(
-            hc, f"{endpoint}/feed", f"feed poll {page_index}",
-            read=_refresh_interval)
-        for t in txns:
-            seen.setdefault(t.id, t)
+    with _client(client) as hc:
+        for page_index in range(pages):
+            if page_index > 0 and refresh > 0:
+                time.sleep(refresh)
+            txns, refresh = _get_page(
+                hc, f"{endpoint}/feed", f"feed poll {page_index}",
+                read=_refresh_interval)
+            for t in txns:
+                seen.setdefault(t.id, t)
     return list(seen.values())
 
 
@@ -185,27 +312,28 @@ def fetch_user_transactions(endpoint: str, user_id: str,
                             before_id: str | None = None) -> list[Transaction]:
     """Every public transaction of a user exactly once, newest-first,
     following before_id pages from the newest page or from before_id."""
-    hc = _client(client)
     url = f"{endpoint}/users/{user_id}/transactions"
     missing = UserNotFound(f"user {user_id!r} not found")
     out: dict[str, Transaction] = {}
-    for page_index in itertools.count():
-        params = {} if before_id is None else {"before_id": before_id}
-        txns, before_id = _get_page(
-            hc, url, f"user {user_id!r} page {page_index}", missing, params,
-            read=lambda body: body.get("next_before_id"))
-        for t in txns:
-            out.setdefault(t.id, t)
-        if before_id is None:
-            return list(out.values())
+    with _client(client) as hc:
+        for page_index in itertools.count():
+            params = {} if before_id is None else {"before_id": before_id}
+            txns, before_id = _get_page(
+                hc, url, f"user {user_id!r} page {page_index}", missing,
+                params, read=lambda body: body.get("next_before_id"))
+            for t in txns:
+                out.setdefault(t.id, t)
+            if before_id is None:
+                return list(out.values())
 
 
 def resolve_user_id(endpoint: str, username: str,
                     client: HarvestClient | ClientConfig | None = None) -> str:
     """Extract the user id embedded in a profile page."""
-    text = _get_page(_client(client), f"{endpoint}/profile/{username}",
-                     f"profile {username!r}",
-                     UnknownUsername(f"no profile for username {username!r}"))
+    with _client(client) as hc:
+        text = _get_page(hc, f"{endpoint}/profile/{username}",
+                         f"profile {username!r}",
+                         UnknownUsername(f"no profile for username {username!r}"))
     match = USER_ID_PATTERN.search(text)
     if not match:
         raise PatternNotFound(
@@ -372,36 +500,41 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     # an interrupt returns at once instead of waiting out every in-flight
     # user at exit. Imported here because the mock server imports this module.
     from multiprocessing.pool import ThreadPool
-    pool = ThreadPool(max(1, workers))
-    wait = True
-    try:
-        fetched = pool.imap(
-            lambda user_id: fetch_user_transactions(endpoint, user_id, hc), batch)
-        for user_id, txns in zip(batch, fetched):
-            fresh = [t for t in txns if t.id not in state.seen_transaction_ids]
-            state.seen_transaction_ids.update(t.id for t in fresh)
-            collected.extend(fresh)
-            if out is not None:
-                dump_transactions(fresh, out)
-                out.flush()
-                if seekable:
-                    state.sink = sink_file, out.tell()
+    with _client(client) as hc, ThreadPool(max(1, workers)) as pool:
+        try:
+            fetched = pool.imap(
+                lambda user_id: fetch_user_transactions(endpoint, user_id, hc),
+                batch)
+            for user_id, txns in zip(batch, fetched):
+                fresh = [t for t in txns
+                         if t.id not in state.seen_transaction_ids]
+                state.seen_transaction_ids.update(t.id for t in fresh)
+                collected.extend(fresh)
+                if out is not None:
+                    dump_transactions(fresh, out)
+                    out.flush()
+                    if seekable:
+                        state.sink = sink_file, out.tell()
+                if journal is not None:
+                    journal.write(json.dumps(
+                        {"user": user_id, "seen": [t.id for t in fresh],
+                         "sink": state.sink}) + "\n")
+                    journal.flush()
+        except BaseException as exc:
+            pool.terminate()  # drops the users no worker has started
             if journal is not None:
-                journal.write(json.dumps(
-                    {"user": user_id, "seen": [t.id for t in fresh],
-                     "sink": state.sink}) + "\n")
-                journal.flush()
-    except KeyboardInterrupt:
-        wait = False
-        raise
-    finally:
-        pool.terminate()  # drops the users no worker has started
-        if journal is not None:
-            # compact from disk: an interrupt can leave a user half-recorded
-            # in memory, but each journal line is a whole user
-            journal.close()
-            del state  # free its seen set before the reload builds another
-            save_checkpoint(load_checkpoint(checkpoint_path), checkpoint_path)
-        if wait:  # after an error, let no in-flight user outlive the call
-            pool.join()
+                # compact from disk: an interrupt can leave a user
+                # half-recorded in memory, but each journal line is a whole user
+                journal.close()
+                del state  # free its seen set before the reload builds another
+                save_checkpoint(load_checkpoint(checkpoint_path), checkpoint_path)
+            if not isinstance(exc, KeyboardInterrupt):
+                pool.join()  # after an error, let no in-flight user outlive the call
+            raise
+    if journal is not None:
+        # compact from memory: every batch user is recorded in it
+        journal.close()
+        state.completed_user_ids.update(batch)
+        del state.pending_user_ids[:len(batch)]
+        save_checkpoint(state, checkpoint_path)
     return collected

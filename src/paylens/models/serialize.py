@@ -21,7 +21,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..errors import CorruptError, VersionError
+from ..errors import CorruptError, NonFiniteError, VersionError
 from .gbdt import GbdtModel
 from .mlp import MlpModel
 from .svm import LinearSvmModel
@@ -55,10 +55,15 @@ def read_container(path: PathLike, what: str):
 
 
 def write_container(container: dict, path: PathLike) -> None:
-    """Atomic write: temp file then rename."""
+    """Atomic write: temp file then rename. A non-finite number, which no
+    reader accepts, is a NonFiniteError and writes nothing."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(container, fp)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            json.dump(container, fp, allow_nan=False)
+    except ValueError as exc:
+        os.remove(tmp)
+        raise NonFiniteError(f"cannot write {path}: {exc}") from exc
     os.replace(tmp, path)
 
 

@@ -110,6 +110,9 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
         primal = reg + C * float(np.clip(margins, 0.0, None).sum())
         dual = float(np.asarray(alpha).sum()) - reg
         gap = primal - dual
+        if not (np.isfinite(primal) and np.isfinite(dual)):
+            raise NonFiniteError(f"linear SVM (C={C:g}): non-finite objective "
+                                 f"after epoch {epochs}")
         if gap <= tol * max(abs(primal), 1.0):
             break
     else:

@@ -75,8 +75,13 @@ def small_corpus():
 class _StubHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
     def do_GET(self):  # noqa: N802 (stdlib naming)
         self.server.hits += 1
+        self.server.paths.append(self.path)
         body = self.server.body.encode("utf-8")
         self.send_response(self.server.status)
         self.send_header("Content-Length", str(len(body)))
@@ -84,6 +89,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         # waits ~40 ms on Nagle's algorithm and the client's delayed ACK
         self._headers_buffer.append(b"\r\n" + body)
         self.flush_headers()
+        # drop: close without saying so, as a server ending an idle keep-alive
+        self.close_connection = self.server.drop
 
     def log_message(self, fmt, *args):
         pass
@@ -91,16 +98,19 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_server():
-    """start(status, body) runs a server that answers every GET alike.
+    """start(status, body, drop=False) runs a server that answers every GET
+    alike, and with drop closes each connection after its first answer.
 
-    The returned server has `url` and a `hits` request counter.
+    The returned server has `url`, a `hits` request counter, the request
+    targets in `paths`, and a `connections` counter.
     """
     servers = []
 
-    def start(status, body):
+    def start(status, body, drop=False):
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         httpd.daemon_threads = True
         httpd.status, httpd.body, httpd.hits = status, body, 0
+        httpd.drop, httpd.paths, httpd.connections = drop, [], 0
         httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}"
         # shutdown() waits out the poll interval, 0.5 s by default
         threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.02},

@@ -565,6 +565,24 @@ class TestMutatedConfigFiles:
             assert not any(path.exists() for path in artifacts)
 
 
+    def test_svm_objective_overflow_writes_nothing(self, tiny):
+        # a C this large overflows the SVM objective; the run used to exit 0
+        # and write a model whose "primal_objective" was Infinity
+        work, corpus, config = tiny
+        (work / "config.json").write_text(
+            json.dumps({**config, "C": 7.048369066263648e+307}))
+        out, err = work / "model.json", io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--task", "politics", "--in", str(corpus),
+                         "--min-posts", "5", "--config",
+                         str(work / "config.json"), "--out", str(out)])
+        assert code == 1
+        assert err.getvalue().startswith("error: model: linear SVM")
+        assert "non-finite objective" in err.getvalue()
+        assert not out.exists() and not (work / "model.json.tmp").exists()
+
+
 class TestHarvestCommands:
     def test_feed_and_users(self, tmp_path):
         spec = SynthSpec(n_users_per_class=4, posts_per_user=(6, 6), seed=2)

@@ -4,6 +4,7 @@ import os
 import signal
 import socket
 import socketserver
+import sys
 import threading
 import time
 
@@ -271,7 +272,7 @@ class TestRetries:
             HarvestClient(self.CONFIG).get(f"http://127.0.0.1:{port}/feed")
         assert type(info.value) is HarvestError
         assert "failed after 2 retries: " in str(info.value)
-        assert isinstance(info.value.__cause__, requests.ConnectionError)
+        assert isinstance(info.value.__cause__, ConnectionRefusedError)
 
     def test_persistent_429_exhausts_wait_budget(self, stub_server):
         srv = stub_server(429, "{}")  # no Retry-After: each wait is backoff_base
@@ -289,6 +290,71 @@ class TestRetries:
         srv = stub_server(418, "{}")
         assert HarvestClient(self.CONFIG).get(srv.url).status_code == 418
         assert srv.hits == 1
+
+
+class TestTransport:
+    @pytest.mark.parametrize("user_id, before_id", [
+        ("u1", None), ("two words", None), ("naïve-日本", "t ü/1"),
+        ("50%", None), ("a%41%2f", "b%zz+&="), ("%7e%7E", "%41"),
+        ("q?x=1", "c"), ("!$&'()*+,;=:@", "~-._ é"),
+    ])
+    def test_request_line_matches_requests(self, stub_server, user_id,
+                                           before_id):
+        srv = stub_server(200, '{"data": []}')
+        url = f"{srv.url}/users/{user_id}/transactions"
+        params = {} if before_id is None else {"before_id": before_id}
+        requests.get(url, params=params)
+        with HarvestClient() as hc:
+            hc.get(url, params)
+        assert srv.paths[1] == srv.paths[0]
+
+    def test_connection_kept_alive(self, stub_server):
+        srv = stub_server(200, '{"data": []}')
+        with HarvestClient() as hc:
+            for _ in range(3):
+                assert hc.get(srv.url).json() == {"data": []}
+        assert (srv.hits, srv.connections) == (3, 1)
+
+    def test_dropped_connection_reopened_without_a_retry(self, stub_server):
+        srv = stub_server(200, '{"data": []}', drop=True)
+        no_retries = ClientConfig(max_retries=0, backoff_base=60.0)
+        with HarvestClient(no_retries) as hc:
+            for _ in range(2):
+                assert hc.get(srv.url).status_code == 200
+        assert (srv.hits, srv.connections) == (2, 2)
+
+    def test_text_is_utf8(self, stub_server):
+        srv = stub_server(200, "café ☕")
+        with HarvestClient() as hc:
+            resp = hc.get(srv.url)
+        assert resp.text == "café ☕"
+        assert resp.content == "café ☕".encode("utf-8")
+
+    def test_threads_share_the_idle_connections(self, stub_server):
+        srv = stub_server(200, '{"data": []}')
+        threads, gets = 8, 25
+        codes = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with HarvestClient() as hc:
+                def work():
+                    codes.extend(hc.get(srv.url).status_code
+                                 for _ in range(gets))
+                pool = [threading.Thread(target=work) for _ in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in pool)
+                assert len(hc._idle) == srv.connections
+            assert hc._idle == []
+        finally:
+            sys.setswitchinterval(previous)
+        assert codes == [200] * threads * gets
+        assert len(srv.paths) == threads * gets  # appends are atomic, += is not
+        # a connection two threads took at once would break a response
+        assert srv.connections <= threads
 
 
 def test_stub_server_answers_in_one_write(monkeypatch, stub_server):
@@ -645,6 +711,29 @@ class TestCrawlUsers:
         state = load_checkpoint(cp)
         assert state.completed_user_ids == {"w0", "w1", "w2"}
         assert state.pending_user_ids == ["ghost"]
+
+    def test_normal_end_compacts_from_memory(self, tmp_path, monkeypatch):
+        txns, server = self._server(users=3)
+        ids = ["w0", "w1", "w2"]
+        cp = tmp_path / "cp.json"
+        real_load = client_mod.load_checkpoint
+        loads = []
+        monkeypatch.setattr(client_mod, "load_checkpoint",
+                            lambda path: loads.append(path) or real_load(path))
+        with server as srv:
+            crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                        max_users=2)
+            assert loads == []
+            state = real_load(cp)
+            assert state.completed_user_ids == {"w0", "w1"}
+            assert state.pending_user_ids == ["w2"]
+            crawl_users(srv.url, ids, workers=2, checkpoint_path=cp)
+            assert loads == [cp]  # the resume's start, and no reload at its end
+        state = real_load(cp)
+        assert state.completed_user_ids == set(ids)
+        assert state.pending_user_ids == []
+        assert state.seen_transaction_ids == {t.id for t in txns}
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
     def test_interrupt_keeps_in_flight_user_pending(self, tmp_path,
                                                     monkeypatch):

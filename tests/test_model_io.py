@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from paylens.errors import CorruptError, VersionError
+from paylens.errors import CorruptError, NonFiniteError, VersionError
 from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
                             svm_decision, train_gbdt, train_linear_svm,
                             train_mlp)
@@ -141,6 +141,16 @@ class TestFailureModes:
         path.write_text(json.dumps(container))
         with pytest.raises(VersionError):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_never_written(self, trained_models, tmp_path, value):
+        _, models = trained_models
+        model = models[0][0]
+        model.primal_objective = value
+        path = tmp_path / "m.json"
+        with pytest.raises(NonFiniteError):
+            save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file(self, trained_models, tmp_path):
         path = self._good_file(trained_models, tmp_path)

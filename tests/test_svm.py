@@ -71,6 +71,11 @@ class TestTrainLinearSvm:
         with pytest.raises(NonFiniteError):
             train_linear_svm(X, np.array([-1, 1]))
 
+    def test_overflowing_objective_rejected(self):
+        X = np.array([[-1.0], [-0.4], [0.4], [1.0]])
+        with pytest.raises(NonFiniteError, match="non-finite objective"):
+            train_linear_svm(X, np.array([1, -1, 1, -1]), C=1e308)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         X = sp.csr_matrix(rng.random((50, 20)) * (rng.random((50, 20)) > 0.7))
