@@ -9,12 +9,12 @@ until one request's 429 waits would reach max_retries × backoff_cap seconds.
 Crawl workers only fetch; the calling thread records each user in queue
 order: its new transactions go to the sink, then a line with its new ids and
 the sink's offset goes to the checkpoint's journal. Each crawl call compacts
-the journal into an atomically replaced snapshot when it starts and when it
-ends: from memory after a normal end, and from the journal on disk after an
-error or interrupt; unrecorded users stay pending, and a resume into
-the recorded file truncates it to the recorded offset, so each transaction is
-written once. After an error the crawl waits out its in-flight fetches; after
-an interrupt it does not.
+the journal into an atomically replaced snapshot only when it starts. Every
+exit (normal end, error, interrupt or kill) only closes the journal, so it
+stays beside the snapshot until the next call folds it in; unrecorded users
+stay pending, and a resume into the recorded file truncates it to the
+recorded offset, so each transaction is written once. After an error the
+crawl waits out its in-flight fetches; after an interrupt it does not.
 """
 
 from __future__ import annotations
@@ -311,20 +311,27 @@ def fetch_user_transactions(endpoint: str, user_id: str,
                             client: HarvestClient | ClientConfig | None = None,
                             before_id: str | None = None) -> list[Transaction]:
     """Every public transaction of a user exactly once, newest-first,
-    following before_id pages from the newest page or from before_id."""
+    following before_id pages from the newest page or from before_id.
+    A cursor that was already requested raises MalformedPage."""
     url = f"{endpoint}/users/{user_id}/transactions"
     missing = UserNotFound(f"user {user_id!r} not found")
     out: dict[str, Transaction] = {}
+    requested = {before_id}
     with _client(client) as hc:
         for page_index in itertools.count():
+            context = f"user {user_id!r} page {page_index}"
             params = {} if before_id is None else {"before_id": before_id}
             txns, before_id = _get_page(
-                hc, url, f"user {user_id!r} page {page_index}", missing,
-                params, read=lambda body: body.get("next_before_id"))
+                hc, url, context, missing, params,
+                read=lambda body: body.get("next_before_id"))
             for t in txns:
                 out.setdefault(t.id, t)
             if before_id is None:
                 return list(out.values())
+            if before_id in requested:
+                raise MalformedPage(f"{context}: next_before_id {before_id!r} "
+                                    "was already requested")
+            requested.add(before_id)
 
 
 def resolve_user_id(endpoint: str, username: str,
@@ -463,11 +470,12 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     checkpoint advances; a resume first truncates a seekable `out` to the
     checkpoint's sink offset when `out` is the file the checkpoint recorded
     (in-memory streams cannot be told apart). max_users bounds how many
-    users this call completes.
+    users this call completes, and workers (at least 1) how many fetch at once.
     """
     if max_users is not None and max_users < 0:
         raise ValueError(f"max_users must be at least 0, got {max_users}")
-    hc = _client(client)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     state = CrawlState()
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path)
@@ -494,13 +502,16 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     collected: list[Transaction] = []
     journal: IO | None = None
     if checkpoint_path is not None:
-        save_checkpoint(state, checkpoint_path)  # no journal without a snapshot
+        # the call's one snapshot write; every exit leaves what a kill leaves
+        save_checkpoint(state, checkpoint_path)
         journal = open(_journal(checkpoint_path), "a", encoding="utf-8")
     # ThreadPool, not concurrent.futures: its workers are daemon threads, so
     # an interrupt returns at once instead of waiting out every in-flight
     # user at exit. Imported here because the mock server imports this module.
     from multiprocessing.pool import ThreadPool
-    with _client(client) as hc, ThreadPool(max(1, workers)) as pool:
+    with contextlib.nullcontext() if journal is None else journal, \
+            _client(client) as hc, \
+            ThreadPool(min(workers, len(batch)) or 1) as pool:
         try:
             fetched = pool.imap(
                 lambda user_id: fetch_user_transactions(endpoint, user_id, hc),
@@ -520,21 +531,8 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                         {"user": user_id, "seen": [t.id for t in fresh],
                          "sink": state.sink}) + "\n")
                     journal.flush()
-        except BaseException as exc:
+        except Exception:  # an interrupt skips this: it waits for no worker
             pool.terminate()  # drops the users no worker has started
-            if journal is not None:
-                # compact from disk: an interrupt can leave a user
-                # half-recorded in memory, but each journal line is a whole user
-                journal.close()
-                del state  # free its seen set before the reload builds another
-                save_checkpoint(load_checkpoint(checkpoint_path), checkpoint_path)
-            if not isinstance(exc, KeyboardInterrupt):
-                pool.join()  # after an error, let no in-flight user outlive the call
+            pool.join()  # after an error, let no in-flight user outlive the call
             raise
-    if journal is not None:
-        # compact from memory: every batch user is recorded in it
-        journal.close()
-        state.completed_user_ids.update(batch)
-        del state.pending_user_ids[:len(batch)]
-        save_checkpoint(state, checkpoint_path)
     return collected

@@ -3,8 +3,13 @@ import csv
 import io
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,10 +18,12 @@ from hypothesis import strategies as st
 from paylens import evaluation
 from paylens.cli import load_pipeline, main
 from paylens.corpus import group_by_user, load_transactions
-from paylens.harvest import MockServerConfig, run_mock_server
+from paylens.harvest import MockServerConfig, load_checkpoint, run_mock_server
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 
-from conftest import txn_json
+from conftest import make_txn, txn_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -637,11 +644,63 @@ class TestHarvestCommands:
         assert capsys.readouterr().err == (
             f"error: max_users must be at least 0, got {max_users}\n")
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_users_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("u1\n")
+        # rejected before any request, so nothing listens here
+        code = main(["harvest", "users", "--endpoint", "http://127.0.0.1:9",
+                     "--ids", str(ids_file), "--workers", workers,
+                     "--out", str(tmp_path / "crawl.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: workers must be at least 1, got {workers}\n")
+
+    def test_users_killed_then_resumed(self, tmp_path):
+        txns = [make_txn(f"k{u}-t{i:02d}", actor=f"k{u}", target=f"c{u}{i}",
+                         minutes=25 * u + i)
+                for u in range(20) for i in range(25)]
+        users = [f"k{u}" for u in range(20)]
+        ids_file, cp = tmp_path / "ids.txt", tmp_path / "cp.json"
+        out, journal = tmp_path / "crawl.jsonl", tmp_path / "cp.json.journal"
+        ids_file.write_text("\n".join(users) + "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        with run_mock_server(group_by_user(txns),
+                             MockServerConfig(page_size=10)) as srv:
+            args = ["harvest", "users", "--endpoint", srv.url, "--ids",
+                    str(ids_file), "--workers", "2", "--checkpoint", str(cp),
+                    "--out", str(out)]
+            # 3 pages per user at 40 requests/s: about 1.5 s for the crawl
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "paylens.cli", *args, "--rate", "40"],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 60
+                while not (journal.exists()
+                           and journal.read_bytes().count(b"\n") >= 3):
+                    assert proc.poll() is None, "the crawl ended before the kill"
+                    assert time.monotonic() < deadline, "no journal lines"
+                    time.sleep(0.005)
+            finally:
+                proc.kill()  # SIGKILL
+                proc.wait()
+            assert proc.returncode == -signal.SIGKILL
+            assert main(args) == 0
+        sink_ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns)
+        state = load_checkpoint(cp)
+        assert state.completed_user_ids == set(users)
+        assert state.pending_user_ids == []
+
     @pytest.mark.parametrize("command, body", [
         (["feed", "--pages", "1"], '{"data": ['),
         (["users", "--ids", "ids.txt"], '{"data": ['),
         (["feed", "--pages", "2"], '{"data": [], "refresh_interval": Infinity}'),
-    ], ids=["feed", "users", "feed_inf_refresh_interval"])
+        (["users", "--ids", "ids.txt"], '{"data": [], "next_before_id": "x"}'),
+    ], ids=["feed", "users", "feed_inf_refresh_interval",
+            "users_repeating_cursor"])
     def test_malformed_page_exits_1(self, tmp_path, capsys, stub_server,
                                     monkeypatch, command, body):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import multiprocessing.pool
 import os
 import signal
 import socket
@@ -207,6 +209,13 @@ class TestFetchUserTransactions:
         srv = stub_server(200, '{"data": []}')
         assert fetch_user_transactions(srv.url, "quiet") == []
         assert srv.hits == 1
+
+    def test_repeating_cursor_raises(self, stub_server):
+        srv = stub_server(200, '{"data": [], "next_before_id": "x"}')
+        with pytest.raises(MalformedPage, match="user 'loop' page 1: "
+                           "next_before_id 'x' was already requested"):
+            fetch_user_transactions(srv.url, "loop")
+        assert srv.hits == 2
 
     def test_missing_user_raises(self, server45):
         with pytest.raises(UserNotFound):
@@ -592,27 +601,16 @@ class TestCrawlUsers:
             out.seek(0)
             assert {t.id for t in load_transactions(out).transactions} == combined
 
-    def test_kill_with_torn_journal_line_resumes_same_set(self, tmp_path,
-                                                         monkeypatch):
+    def test_kill_with_torn_journal_line_resumes_same_set(self, tmp_path):
         txns, server = self._server()
         ids = [f"w{u}" for u in range(6)]
         cp = tmp_path / "cp.json"
         journal = tmp_path / "cp.json.journal"
-        real_save = client_mod.save_checkpoint
-        saves = []
-
-        def save_at_start_only(state, path):  # killed before compaction
-            saves.append(path)
-            if len(saves) == 1:
-                real_save(state, path)
-
         with server as srv:
             out = io.StringIO()
-            monkeypatch.setattr(client_mod, "save_checkpoint",
-                                save_at_start_only)
+            # a call's end leaves what a kill leaves
             first = crawl_users(srv.url, ids, workers=1, checkpoint_path=cp,
                                 out=out, max_users=3)
-            monkeypatch.setattr(client_mod, "save_checkpoint", real_save)
             head, last = journal.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
             assert json.loads(last)["user"] == "w2"
             journal.write_bytes(head + b"\n" + last[:len(last) // 2])
@@ -625,7 +623,8 @@ class TestCrawlUsers:
         assert {t.id for t in txns if t.actor_id == "w2"} <= {t.id for t in second}
         sink_ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
         assert sorted(sink_ids) == sorted(t.id for t in txns)  # w2's once
-        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
+                                                              "cp.json.journal"]
 
     def test_kill_mid_sink_line_resumes_exactly_once(self, tmp_path):
         txns, server = self._server()
@@ -690,9 +689,10 @@ class TestCrawlUsers:
                   for line in sinks[1].splitlines()]
         assert list(dict.fromkeys(actors)) == queue
 
-    def test_journal_compacted_when_call_ends(self, tmp_path):
+    def test_journal_left_at_rest_when_call_ends(self, tmp_path):
         _, server = self._server(users=3)
         cp = tmp_path / "cp.json"
+        journal = tmp_path / "cp.json.journal"
         journal_seen = []
 
         class Sink(io.StringIO):
@@ -704,15 +704,20 @@ class TestCrawlUsers:
             crawl_users(srv.url, ["w0", "w1", "w2"], workers=1,
                         checkpoint_path=cp, out=Sink())
             assert journal_seen == [True, True, True]
-            assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
-            with pytest.raises(UserNotFound):  # a worker error compacts too
+            # the end leaves what a kill leaves: a journal line per user
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "cp.json", "cp.json.journal"]
+            assert len(journal.read_text().splitlines()) == 3
+            with pytest.raises(UserNotFound):  # the start folds them in
                 crawl_users(srv.url, ["ghost"], workers=1, checkpoint_path=cp)
-        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
+                                                              "cp.json.journal"]
+        assert journal.read_text() == ""
         state = load_checkpoint(cp)
         assert state.completed_user_ids == {"w0", "w1", "w2"}
         assert state.pending_user_ids == ["ghost"]
 
-    def test_normal_end_compacts_from_memory(self, tmp_path, monkeypatch):
+    def test_normal_end_reloads_nothing(self, tmp_path, monkeypatch):
         txns, server = self._server(users=3)
         ids = ["w0", "w1", "w2"]
         cp = tmp_path / "cp.json"
@@ -733,7 +738,42 @@ class TestCrawlUsers:
         assert state.completed_user_ids == set(ids)
         assert state.pending_user_ids == []
         assert state.seen_transaction_ids == {t.id for t in txns}
-        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
+                                                              "cp.json.journal"]
+
+    @pytest.mark.parametrize("exit_by", ["end", "error", "interrupt"])
+    def test_one_snapshot_write_per_call(self, tmp_path, monkeypatch, exit_by):
+        _, server = self._server(users=3)
+        cp = tmp_path / "cp.json"
+        calls = []
+
+        def counted(name):
+            real = getattr(client_mod, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        class Sink(io.StringIO):
+            def flush(self):  # Ctrl-C amid the first user's record
+                raise KeyboardInterrupt
+
+        for name in ("save_checkpoint", "load_checkpoint"):
+            monkeypatch.setattr(client_mod, name, counted(name))
+        raises, queue, out = {
+            "end": (contextlib.nullcontext(), ["w1", "w2"], None),
+            "error": (pytest.raises(UserNotFound), ["ghost", "w1"], None),
+            "interrupt": (pytest.raises(KeyboardInterrupt), ["w1"], Sink()),
+        }[exit_by]
+        with server as srv:
+            crawl_users(srv.url, ["w0"], workers=1, checkpoint_path=cp)
+            assert calls == ["save_checkpoint"]  # nothing to load yet
+            calls.clear()
+            with raises:
+                crawl_users(srv.url, queue, workers=2, checkpoint_path=cp,
+                            out=out)
+        assert calls == ["load_checkpoint", "save_checkpoint"]
 
     def test_interrupt_keeps_in_flight_user_pending(self, tmp_path,
                                                     monkeypatch):
@@ -803,6 +843,34 @@ class TestCrawlUsers:
             crawl_users("http://unused", ["u3"], checkpoint_path=cp,
                         max_users=max_users)
         assert cp.read_bytes() == before
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        cp = tmp_path / "cp.json"
+        save_checkpoint(CrawlState(pending_user_ids=["u1"]), cp)
+        before = cp.read_bytes()
+        with pytest.raises(ValueError, match="workers must be at least 1, "
+                           f"got {workers}"):
+            crawl_users("http://unused", ["u2"], workers=workers,
+                        checkpoint_path=cp)
+        assert cp.read_bytes() == before
+
+    @pytest.mark.parametrize("workers, queue, size", [
+        (64, ["a", "b", "c"], 3), (2, ["a", "b", "c"], 2), (64, [], 1)])
+    def test_pool_no_larger_than_the_batch(self, monkeypatch, workers, queue,
+                                           size):
+        sizes = []
+
+        class Recording(multiprocessing.pool.ThreadPool):
+            def __init__(self, processes=None, *args, **kwargs):
+                sizes.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "ThreadPool", Recording)
+        monkeypatch.setattr(client_mod, "fetch_user_transactions",
+                            lambda endpoint, user_id, client=None: [])
+        crawl_users("http://unused", queue, workers=workers)
+        assert sizes == [size]
 
     def test_resume_queues_repeated_new_id_once(self, tmp_path):
         _, server = self._server(users=3)
