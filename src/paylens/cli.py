@@ -55,6 +55,15 @@ def _open_out(path: str):
     return open(_resolve_path(path), "w", encoding="utf-8")
 
 
+def _load_json(path: str):
+    """A JSON input file; nesting too deep to decode is a ValueError too."""
+    with _open_in(path) as fp:
+        try:
+            return json.load(fp)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
+
+
 def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
     with _open_in(path) as fp:
         result = corpus_mod.load_transactions(fp)
@@ -80,8 +89,7 @@ def _options(args) -> dict:
     not an object, an unknown key or a mistyped label key is a ValueError."""
     opts = {}
     if args.config:
-        with _open_in(args.config) as fp:
-            opts = json.load(fp)
+        opts = _load_json(args.config)
         if not isinstance(opts, dict):
             raise ValueError(f"config must be a JSON object, got {str(opts)[:80]}")
     opts.update((k, v) for k, v in vars(args).items()
@@ -224,11 +232,7 @@ def cmd_evaluate(args) -> int:
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     config, dataset = _config_and_dataset(args)
-    if args.grid:
-        with _open_in(args.grid) as fp:
-            grid = GridSpec.from_dict(json.load(fp))
-    else:
-        grid = GridSpec()
+    grid = GridSpec.from_dict(_load_json(args.grid)) if args.grid else GridSpec()
     plan = stratified_kfold(dataset.labels01.tolist(), k=args.folds,
                             seed=config.seed)
     report = grid_search(grid, plan, dataset, base=config, workers=workers)
@@ -292,8 +296,7 @@ def cmd_serve_mock(args) -> int:
     grouped = _load_corpus(args.corpus)
     usernames = {}
     if args.usernames:
-        with _open_in(args.usernames) as fp:
-            usernames = json.load(fp)
+        usernames = _load_json(args.usernames)
         if not (isinstance(usernames, dict)
                 and all(isinstance(v, str) for v in usernames.values())):
             raise ValueError(f"usernames must map strings to strings, "

@@ -150,7 +150,7 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
             continue
         try:
             t = parse_transaction(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             if strict:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             skipped += 1

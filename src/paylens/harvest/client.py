@@ -7,14 +7,15 @@ up to a budget; 429 responses wait out the server's Retry-After and retry
 until one request's 429 waits would reach max_retries × backoff_cap seconds.
 
 Crawl workers only fetch; the calling thread records each user in queue
-order: its new transactions go to the sink, then a line with its new ids and
-the sink's offset goes to the checkpoint's journal. Each crawl call compacts
-the journal into an atomically replaced snapshot only when it starts. Every
-exit (normal end, error, interrupt or kill) only closes the journal, so it
-stays beside the snapshot until the next call folds it in; unrecorded users
-stay pending, and a resume into the recorded file truncates it to the
-recorded offset, so each transaction is written once. After an error the
-crawl waits out its in-flight fetches; after an interrupt it does not.
+order: its new transactions go to the sink, then a line with the user, its
+new ids and the sink's offset is appended to the checkpoint, an append-only
+JSONL log. Each crawl call appends one start line, its queue and sink, when
+it starts; no exit (normal end, error, interrupt or kill) writes anything,
+so every exit leaves what a kill leaves. Unrecorded users stay pending, a
+record torn by a kill is ignored and then cut, and a resume into the
+recorded file truncates it to the recorded offset, so each transaction is
+written once. After an error the crawl waits out its in-flight fetches;
+after an interrupt it does not.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import http.client
 import itertools
 import json
 import math
+import mmap
 import os
 import re
 import string
@@ -31,7 +33,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import IO, Callable, Sequence
 from urllib.parse import quote, urlencode
 
@@ -272,7 +273,7 @@ def _get_page(hc: HarvestClient, url: str, context: str,
     try:
         body = resp.json()
         return [parse_transaction(obj) for obj in body["data"]], read(body)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise MalformedPage(f"{context}: {exc}") from exc
 
 
@@ -353,36 +354,33 @@ class CrawlState:
     seen_transaction_ids: set[str] = field(default_factory=set)
     pending_user_ids: list[str] = field(default_factory=list)
     completed_user_ids: set[str] = field(default_factory=set)
-    checkpoint_at: datetime | None = None
     sink: tuple[str | None, int] | None = None  # (file, offset) after the last user
-
-    def validate(self) -> None:
-        overlap = self.completed_user_ids & set(self.pending_user_ids)
-        if overlap:
-            raise HarvestError(f"checkpoint corrupt: users both pending and "
-                               f"completed: {sorted(overlap)[:5]}")
-
-
-def _journal(path: str | os.PathLike) -> str:
-    return f"{path}.journal"
 
 
 def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
-    """Atomic snapshot write (temp file then rename), then delete the
-    journal the snapshot now holds."""
-    state.checkpoint_at = datetime.now(timezone.utc)
-    payload = {
-        "seen": sorted(state.seen_transaction_ids),
-        "completed": sorted(state.completed_user_ids),
-        "pending": list(state.pending_user_ids),
-        "checkpoint_at": state.checkpoint_at.isoformat(),
-        "sink": state.sink,
-    }
-    # imported here: at module level it would load numpy into the mock server
-    from ..models.serialize import write_container
-    write_container(payload, path)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(_journal(path))
+    """Append a call's start line, its queue and its sink, to the log at
+    `path`; seen ids and completed users reach the log only as user lines.
+
+    A new log is created whole (temp file, then rename), so it always begins
+    with a complete start line. An existing log first loses the record a
+    kill may have torn after its last newline.
+    """
+    line = json.dumps({"pending": state.pending_user_ids,
+                       "sink": state.sink}).encode() + b"\n"
+    if not os.path.exists(path):
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as fp:
+            fp.write(line)
+        os.replace(tmp, path)
+        return
+    with open(path, "r+b") as fp:
+        end = fp.seek(0, os.SEEK_END)
+        if end:  # mmap refuses an empty file
+            with mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ) as log:
+                end = log.rfind(b"\n") + 1
+        fp.truncate(end)
+        fp.seek(end)
+        fp.write(line)
 
 
 def _ids(value, what: str) -> list[str]:
@@ -402,56 +400,44 @@ def _sink(value, what: str) -> tuple[str | None, int] | None:
     return value[0], value[1]
 
 
-def _json(data: bytes, what: str):
-    try:
-        return json.loads(data)
-    except ValueError as exc:
-        raise HarvestError(f"checkpoint corrupt: {what}: {exc}") from exc
-
-
 def load_checkpoint(path: str | os.PathLike) -> CrawlState:
-    """The snapshot at `path` with its journal replayed onto it.
+    """Replay the log at `path`. Seen is the union of the user lines' ids,
+    completed is their users, pending is the last start line's queue less
+    the completed users, and the sink is the last line's.
 
-    Replay is idempotent, so a journal the snapshot already holds (a crash
-    between the snapshot's rename and the journal's delete) changes nothing.
-    A last line without its newline is torn: that user never completed, so
-    it is dropped. Anything else malformed is a HarvestError.
+    Bytes after the last newline are a record torn by a kill, so its user
+    never completed: they are ignored. A file that does not begin with a
+    start line (an older snapshot checkpoint among them) or holds any other
+    malformed line is a HarvestError.
     """
+    state, pending = CrawlState(), None
     with open(path, "rb") as fp:
-        payload = _json(fp.read(), str(path))
-    if not isinstance(payload, dict):
-        raise HarvestError(f"checkpoint corrupt: {path} is not a JSON object")
-    seen, pending, completed = (_ids(payload.get(key), repr(key))
-                                for key in ("seen", "pending", "completed"))
-    stamp = payload.get("checkpoint_at")
-    try:
-        checkpoint_at = None if stamp is None else datetime.fromisoformat(stamp)
-    except (TypeError, ValueError) as exc:
-        raise HarvestError(f"checkpoint corrupt: checkpoint_at {stamp!r}: "
-                           f"{exc}") from exc
-    state = CrawlState(seen_transaction_ids=set(seen),
-                       completed_user_ids=set(completed),
-                       checkpoint_at=checkpoint_at,
-                       sink=_sink(payload.get("sink"), "'sink'"))
-    journal = _journal(path)
-    try:
-        with open(journal, "rb") as fp:
-            *lines, _partial = fp.read().split(b"\n")
-    except FileNotFoundError:
-        lines = []
-    replayed = set()
-    for number, line in enumerate(lines, 1):
-        what = f"{journal} line {number}"
-        entry = _json(line, what)
-        if not (isinstance(entry, dict) and isinstance(entry.get("user"), str)):
-            raise HarvestError(f"checkpoint corrupt: {what}: not a "
-                               '{"user": id, "seen": [ids]} object')
-        state.seen_transaction_ids.update(_ids(entry.get("seen"), f"{what}: 'seen'"))
-        state.sink = _sink(entry.get("sink"), f"{what}: 'sink'")
-        replayed.add(entry["user"])
-    state.completed_user_ids |= replayed
-    state.pending_user_ids = [u for u in pending if u not in replayed]
-    state.validate()
+        for number, line in enumerate(fp, 1):
+            if not line.endswith(b"\n"):
+                break  # torn
+            what = f"{path} line {number}"
+            try:
+                entry = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise HarvestError(f"checkpoint corrupt: {what}: {exc}") from exc
+            if not isinstance(entry, dict):
+                raise HarvestError(f"checkpoint corrupt: {what}: not an object")
+            if "user" not in entry:
+                pending = _ids(entry.get("pending"), f"{what}: 'pending'")
+            elif pending is None:
+                break  # a user line first: refused below
+            elif isinstance(entry["user"], str):
+                state.seen_transaction_ids.update(
+                    _ids(entry.get("seen"), f"{what}: 'seen'"))
+                state.completed_user_ids.add(entry["user"])
+            else:
+                raise HarvestError(f"checkpoint corrupt: {what}: 'user' must be an id")
+            state.sink = _sink(entry.get("sink"), f"{what}: 'sink'")
+    if pending is None:
+        raise HarvestError(f"checkpoint corrupt: {path} does not begin with "
+                           "a start line")
+    state.pending_user_ids = [u for u in pending
+                              if u not in state.completed_user_ids]
     return state
 
 
@@ -500,16 +486,16 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
     batch = state.pending_user_ids[:max_users]
 
     collected: list[Transaction] = []
-    journal: IO | None = None
+    log: IO | None = None
     if checkpoint_path is not None:
-        # the call's one snapshot write; every exit leaves what a kill leaves
+        # the call's start line; every exit leaves what a kill leaves
         save_checkpoint(state, checkpoint_path)
-        journal = open(_journal(checkpoint_path), "a", encoding="utf-8")
+        log = open(checkpoint_path, "a", encoding="utf-8")
     # ThreadPool, not concurrent.futures: its workers are daemon threads, so
     # an interrupt returns at once instead of waiting out every in-flight
     # user at exit. Imported here because the mock server imports this module.
     from multiprocessing.pool import ThreadPool
-    with contextlib.nullcontext() if journal is None else journal, \
+    with contextlib.nullcontext() if log is None else log, \
             _client(client) as hc, \
             ThreadPool(min(workers, len(batch)) or 1) as pool:
         try:
@@ -526,11 +512,11 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
                     out.flush()
                     if seekable:
                         state.sink = sink_file, out.tell()
-                if journal is not None:
-                    journal.write(json.dumps(
+                if log is not None:
+                    log.write(json.dumps(
                         {"user": user_id, "seen": [t.id for t in fresh],
                          "sink": state.sink}) + "\n")
-                    journal.flush()
+                    log.flush()
         except Exception:  # an interrupt skips this: it waits for no worker
             pool.terminate()  # drops the users no worker has started
             pool.join()  # after an error, let no in-flight user outlive the call

@@ -68,7 +68,8 @@ class NameCorpus:
 
 
 def load_name_corpus(lines: Iterable[str]) -> NameCorpus:
-    """Parse TSV rows: name, region, male_count, female_count."""
+    """Parse TSV rows: name, region, male_count, female_count, with counts
+    written as digits; any other row is a LabelFileError."""
     counts: dict[str, dict[str, tuple[int, int]]] = {}
     regions: set[str] = set()
     for raw in lines:
@@ -76,7 +77,8 @@ def load_name_corpus(lines: Iterable[str]) -> NameCorpus:
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 4:
+        # counts are digits only, so a negative count is a bad row too
+        if len(parts) != 4 or not (parts[2].isdecimal() and parts[3].isdecimal()):
             raise LabelFileError(f"bad name corpus row: {line!r}")
         name, region, male, female = parts
         name = name.lower()

@@ -590,6 +590,51 @@ class TestMutatedConfigFiles:
         assert not out.exists() and not (work / "model.json.tmp").exists()
 
 
+DEEP = "[" * 200_000  # nested past any recursion limit
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("corpus", 0), ("corpus_strict", 1), ("harvested_page", 1), ("config", 2),
+    ("grid", 2), ("usernames", 2), ("checkpoint", 1)])
+def test_deeply_nested_json_exits_cleanly(synth_files, stub_server, capsys,
+                                          case, expected):
+    corpus, labels = synth_files
+    work = corpus.parent
+    deep, deep_corpus = work / "deep.json", work / "deep.jsonl"
+    deep.write_text(DEEP + "\n")
+    deep_corpus.write_text(corpus.read_text() + DEEP + "\n")
+    ids = work / "ids.txt"
+    ids.write_text("u1\n")
+    label = ["--task", "politics", "--in", str(corpus), "--labels-file",
+             str(labels)]
+    argv = {
+        "corpus": ["ingest", "--in", str(deep_corpus),
+                   "--out", str(work / "out")],
+        "corpus_strict": ["ingest", "--strict", "--in", str(deep_corpus),
+                          "--out", str(work / "out")],
+        "harvested_page": ["harvest", "feed", "--endpoint",
+                           stub_server(200, DEEP).url, "--pages", "1",
+                           "--out", str(work / "out")],
+        "config": ["label", *label, "--config", str(deep),
+                   "--out", str(work / "out")],
+        "grid": ["evaluate", *label, "--grid", str(deep),
+                 "--report", str(work / "out")],
+        "usernames": ["serve-mock", "--corpus", str(corpus), "--usernames",
+                      str(deep), "--duration", "0.01"],
+        # read before any request, so nothing listens at the endpoint
+        "checkpoint": ["harvest", "users", "--endpoint", "http://127.0.0.1:9",
+                       "--ids", str(ids), "--checkpoint", str(deep),
+                       "--out", str(work / "out")],
+    }[case]
+    assert main(argv) == expected
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if case == "corpus":
+        assert "(1 skipped)" in out
+    else:
+        assert err.startswith("error: ")
+
+
 class TestHarvestCommands:
     def test_feed_and_users(self, tmp_path):
         spec = SynthSpec(n_users_per_class=4, posts_per_user=(6, 6), seed=2)
@@ -662,7 +707,7 @@ class TestHarvestCommands:
                 for u in range(20) for i in range(25)]
         users = [f"k{u}" for u in range(20)]
         ids_file, cp = tmp_path / "ids.txt", tmp_path / "cp.json"
-        out, journal = tmp_path / "crawl.jsonl", tmp_path / "cp.json.journal"
+        out = tmp_path / "crawl.jsonl"
         ids_file.write_text("\n".join(users) + "\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -678,10 +723,10 @@ class TestHarvestCommands:
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             try:
                 deadline = time.monotonic() + 60
-                while not (journal.exists()
-                           and journal.read_bytes().count(b"\n") >= 3):
+                while not (cp.exists()
+                           and cp.read_bytes().count(b"\n") >= 3):
                     assert proc.poll() is None, "the crawl ended before the kill"
-                    assert time.monotonic() < deadline, "no journal lines"
+                    assert time.monotonic() < deadline, "no checkpoint lines"
                     time.sleep(0.005)
             finally:
                 proc.kill()  # SIGKILL
@@ -724,20 +769,35 @@ class TestHarvestCommands:
         pytest.param({"seen": [], "completed": [], "pending": [],
                       "checkpoint_at": "garbage"}, id="checkpoint_at_garbage"),
         pytest.param('{"seen": [], "completed": [], "pend', id="truncated"),
+        # a snapshot as written before the log, whose sink would cut --out
+        pytest.param({"seen": ["t1"], "completed": ["u0"], "pending": ["u1"],
+                      "checkpoint_at": "2024-03-01T12:00:00+00:00",
+                      "sink": ["OUT", 13]}, id="snapshot"),
+        pytest.param('{"user": "u0", "seen": [], "sink": null}\n'
+                     '{"pending": ["u1"], "sink": null}\n',
+                     id="log_without_start_line"),
+        pytest.param('{"pending": ["u1"], "sink": null}\n{"user": 5}\n',
+                     id="log_bad_user_line"),
     ])
     def test_users_rejects_bad_checkpoint(self, tmp_path, capsys, checkpoint):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("u1\n")
-        cp = tmp_path / "cp.json"
-        cp.write_text(checkpoint if isinstance(checkpoint, str)
-                      else json.dumps(checkpoint))
+        cp, out = tmp_path / "cp.json", tmp_path / "crawl.jsonl"
+        out.write_text('{"id": "t1"}\n{"id": "t2"}\n')
+        stat = os.stat(out)
+        text = (checkpoint if isinstance(checkpoint, str)
+                else json.dumps(checkpoint))
+        cp.write_text(text.replace("OUT", f"{stat.st_dev}:{stat.st_ino}"))
         # the checkpoint is read before any request, so nothing listens here
         code = main(["harvest", "users", "--endpoint", "http://127.0.0.1:9",
                      "--ids", str(ids_file), "--checkpoint", str(cp),
-                     "--out", str(tmp_path / "crawl.jsonl")])
+                     "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: harvest: checkpoint corrupt")
+        assert out.read_text() == '{"id": "t1"}\n{"id": "t2"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cp.json", "crawl.jsonl", "ids.txt"]
 
 
 class TestServeMock:

@@ -6,16 +6,18 @@ import os
 import signal
 import socket
 import socketserver
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paylens.corpus import group_by_user, load_transactions
+from paylens.corpus import dump_transactions, group_by_user, load_transactions
 from paylens.errors import (HarvestError, MalformedPage, PatternNotFound,
                             UnknownUsername, UserNotFound)
 from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
@@ -26,6 +28,8 @@ import paylens.harvest.client as client_mod
 from paylens.harvest.client import CrawlState
 
 from conftest import make_txn
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def corpus_for_user(user_id, n, start_minute=0):
@@ -405,11 +409,13 @@ class TestResolveUserId:
                 resolve_user_id(srv.url, "u1")
 
 
-SNAPSHOT = {"seen": ["t1", "t2"], "completed": ["u1"],
-            "pending": ["u2", "u3", "u4"],
-            "checkpoint_at": "2024-03-01T12:00:00+00:00", "sink": ["8:9", 40]}
-JOURNAL = [{"user": "u2", "seen": ["t3"], "sink": ["8:9", 60]},
-           {"user": "u3", "seen": ["t4", "t5"], "sink": ["8:9", 100]}]
+# two calls' lines: each start line queues the users, each user line records
+# one completed user
+LOG = [{"pending": ["u1", "u2"], "sink": ["8:9", 0]},
+       {"user": "u1", "seen": ["t1", "t2"], "sink": ["8:9", 40]},
+       {"pending": ["u2", "u3", "u4"], "sink": ["8:9", 40]},
+       {"user": "u2", "seen": ["t3"], "sink": ["8:9", 60]},
+       {"user": "u3", "seen": ["t4", "t5"], "sink": ["8:9", 100]}]
 NOT_A_STR = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
                       st.lists(st.text(max_size=3), max_size=2),
                       st.dictionaries(st.text(max_size=3), st.integers(),
@@ -428,74 +434,82 @@ NOT_A_SINK = st.one_of(
     st.tuples(st.one_of(st.booleans(), st.integers()), st.integers(0, 9)).map(list))
 
 
+def log_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        state = CrawlState(seen_transaction_ids={"t1", "t2"},
-                           pending_user_ids=["u3", "u4"],
-                           completed_user_ids={"u1"}, sink=("8:9", 7))
         path = tmp_path / "cp.json"
+        save_checkpoint(CrawlState(pending_user_ids=["u1", "u2"]), path)
+        state = CrawlState(pending_user_ids=["u3", "u4"], sink=("8:9", 7))
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.seen_transaction_ids == {"t1", "t2"}
-        assert loaded.pending_user_ids == ["u3", "u4"]
-        assert loaded.completed_user_ids == {"u1"}
-        assert loaded.checkpoint_at is not None
-        assert loaded.sink == ("8:9", 7)
+        assert len(path.read_text().splitlines()) == 2  # appended
+        assert vars(load_checkpoint(path)) == vars(state)
 
     def test_no_sink_recorded_without_sink(self, tmp_path):
-        # a crawl without a seekable sink records none, and a checkpoint
-        # older than the sink key has none: a resume then truncates nothing
+        # a crawl without a seekable sink records none, and a line without
+        # the sink key has none: a resume then truncates nothing
         path = tmp_path / "cp.json"
         save_checkpoint(CrawlState(pending_user_ids=["u1"]), path)
         payload = json.loads(path.read_text())
         assert payload["sink"] is None
         assert load_checkpoint(path).sink is None
         del payload["sink"]
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload) + "\n")
         assert load_checkpoint(path).sink is None
 
     def test_schema(self, tmp_path):
-        state = CrawlState(pending_user_ids=["u1"])
+        state = CrawlState(seen_transaction_ids={"t1"},
+                           pending_user_ids=["u1"], completed_user_ids={"u0"})
         path = tmp_path / "cp.json"
         save_checkpoint(state, path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"seen", "completed", "pending", "checkpoint_at",
-                                "sink"}
-
-    def test_overlap_rejected(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({"seen": [], "pending": ["u1"],
-                                    "completed": ["u1"],
-                                    "checkpoint_at": None}))
-        with pytest.raises(HarvestError):
-            load_checkpoint(path)
+        # seen ids and completed users reach the log only as user lines
+        assert path.read_text() == '{"pending": ["u1"], "sink": null}\n'
 
     def test_no_temp_file_left_behind(self, tmp_path):
         state = CrawlState(pending_user_ids=["u1"])
-        save_checkpoint(state, tmp_path / "cp.json")
-        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        for _ in range(2):  # the log's creation, then an append
+            save_checkpoint(state, tmp_path / "cp.json")
+            assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
-    @staticmethod
-    def _write(tmp_path, snapshot=SNAPSHOT, journal=JOURNAL):
+    def test_log_replayed(self, tmp_path):
         path = tmp_path / "cp.json"
-        path.write_text(json.dumps(snapshot))
-        (tmp_path / "cp.json.journal").write_text(
-            "".join(json.dumps(line) + "\n" for line in journal))
-        return path
-
-    def test_journal_replayed_idempotently(self, tmp_path):
-        path = self._write(tmp_path)
+        path.write_text(log_text(json.dumps(line) for line in LOG))
         state = load_checkpoint(path)
         assert state.seen_transaction_ids == {"t1", "t2", "t3", "t4", "t5"}
         assert state.completed_user_ids == {"u1", "u2", "u3"}
         assert state.pending_user_ids == ["u4"]
-        assert state.sink == ("8:9", 100)  # the last journal line's
-        # a crash between the snapshot's rename and the journal's delete
-        # leaves a journal the snapshot already holds
-        save_checkpoint(state, path)
-        self._write(tmp_path, json.loads(path.read_text()))
-        again = load_checkpoint(path)
-        assert vars(again) == vars(state)
+        assert state.sink == ("8:9", 100)  # the last line's
+
+    def test_torn_record_ignored_then_cut(self, tmp_path):
+        path = tmp_path / "cp.json"
+        lines = [json.dumps(line).encode() + b"\n" for line in LOG]
+        data = b"".join(lines)
+        start = json.dumps({"pending": ["u9"], "sink": None}).encode() + b"\n"
+        for cut in range(len(lines[0]), len(data) + 1):
+            kept = data[:data.rfind(b"\n", 0, cut) + 1]
+            path.write_bytes(kept)
+            whole = load_checkpoint(path)
+            path.write_bytes(data[:cut])
+            assert vars(load_checkpoint(path)) == vars(whole)
+            save_checkpoint(CrawlState(pending_user_ids=["u9"]), path)
+            assert path.read_bytes() == kept + start
+
+    @pytest.mark.parametrize("text", [
+        "", '{"pending": [], "sink": null}',
+        '{"user": "u1", "seen": [], "sink": null}\n'
+        '{"pending": [], "sink": null}\n',
+        json.dumps({"seen": ["t1"], "completed": ["u1"], "pending": ["u2"],
+                    "checkpoint_at": "2024-03-01T12:00:00+00:00",
+                    "sink": ["8:9", 40]}),
+    ], ids=["empty", "torn_start_line", "user_line_first", "snapshot"])
+    def test_must_begin_with_start_line(self, tmp_path, text):
+        path = tmp_path / "cp.json"
+        path.write_text(text)
+        with pytest.raises(HarvestError, match="checkpoint corrupt: .* does "
+                           "not begin with a start line"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("line", [
         "{", "[1]", '{"user": 7, "seen": []}', '{"user": "u2"}',
@@ -504,59 +518,49 @@ class TestCheckpoint:
         '{"user": "u2", "seen": [], "sink": [null, "60"]}',
         '{"user": "u2", "seen": [], "sink": 60}',
         '{"user": "u2", "seen": [], "sink": [7, 60]}',
+        '{"pending": "u2"}', '{"seen": []}', "[" * 200_000,
     ], ids=["bad_json", "not_an_object", "user_not_str", "no_seen",
             "seen_not_list", "seen_id_not_str", "blank", "sink_negative",
-            "sink_not_int", "sink_not_pair", "sink_file_not_str"])
+            "sink_not_int", "sink_not_pair", "sink_file_not_str",
+            "pending_not_list", "no_pending", "deeply_nested"])
     def test_bad_middle_line_rejected(self, tmp_path, line):
-        path = self._write(tmp_path)
-        journal = tmp_path / "cp.json.journal"
-        first, *rest = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join([first, line + "\n", *rest]))
+        path = tmp_path / "cp.json"
+        first, *rest = (json.dumps(line) for line in LOG)
+        path.write_text(log_text([first, line, *rest]))
         with pytest.raises(HarvestError,
-                           match="checkpoint corrupt: .*journal line 2"):
+                           match="checkpoint corrupt: .*cp.json line 2"):
             load_checkpoint(path)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_checkpoint_is_typed_error(self, tmp_path, data):
-        """Dropped keys, changed types and truncation of the snapshot or of
-        a complete journal line all raise HarvestError, nothing else."""
-        snapshot = dict(SNAPSHOT)
-        journal = [json.dumps(line) for line in JOURNAL]
+        """Dropped keys, changed types and truncation of a complete line,
+        or a user line first, all raise HarvestError, nothing else."""
+        lines = [dict(line) for line in LOG]
         mutation = data.draw(st.sampled_from(
-            ["drop_key", "retype_key", "truncate_snapshot",
-             "drop_line_key", "retype_line_key", "truncate_line",
-             "line_not_object"]))
+            ["drop_key", "retype_key", "truncate_line", "line_not_object",
+             "user_line_first"]))
+        k = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        keys = ["pending"] if "pending" in line else ["user", "seen"]
         if mutation == "drop_key":
-            del snapshot[data.draw(st.sampled_from(["seen", "pending",
-                                                   "completed"]))]
+            del line[data.draw(st.sampled_from(keys))]
         elif mutation == "retype_key":
-            key = data.draw(st.sampled_from(sorted(SNAPSHOT)))
-            snapshot[key] = data.draw(
-                {"checkpoint_at": NOT_A_STR, "sink": NOT_A_SINK}.get(key, NOT_IDS))
-        k = data.draw(st.integers(0, len(journal) - 1))
-        line = dict(JOURNAL[k])
-        if mutation == "drop_line_key":
-            del line[data.draw(st.sampled_from(["user", "seen"]))]
-        elif mutation == "retype_line_key":
-            key = data.draw(st.sampled_from(["user", "seen", "sink"]))
+            key = data.draw(st.sampled_from([*keys, "sink"]))
             line[key] = data.draw({"user": st.one_of(st.none(), NOT_A_STR),
                                    "sink": NOT_A_SINK}.get(key, NOT_IDS))
-        journal[k] = json.dumps(line)
+        elif mutation == "user_line_first":
+            lines.insert(0, lines.pop(data.draw(st.sampled_from([1, 3, 4]))))
+        text = [json.dumps(line) for line in lines]
         if mutation == "truncate_line":
-            journal[k] = journal[k][:data.draw(st.integers(0, len(journal[k]) - 1))]
+            text[k] = text[k][:data.draw(st.integers(0, len(text[k]) - 1))]
         elif mutation == "line_not_object":
-            journal[k] = json.dumps(data.draw(st.one_of(
+            text[k] = json.dumps(data.draw(st.one_of(
                 st.none(), st.integers(), st.text(max_size=5),
                 st.lists(st.integers(), max_size=3))))
-        text = json.dumps(snapshot)
-        if mutation == "truncate_snapshot":
-            text = text[:data.draw(st.integers(0, len(text) - 1))]
         path = tmp_path / "cp.json"
-        path.write_text(text)
-        (tmp_path / "cp.json.journal").write_text(
-            "".join(line + "\n" for line in journal))
+        path.write_text(log_text(text))
         with pytest.raises(HarvestError, match="checkpoint corrupt"):
             load_checkpoint(path)
 
@@ -601,19 +605,18 @@ class TestCrawlUsers:
             out.seek(0)
             assert {t.id for t in load_transactions(out).transactions} == combined
 
-    def test_kill_with_torn_journal_line_resumes_same_set(self, tmp_path):
+    def test_kill_with_torn_log_line_resumes_same_set(self, tmp_path):
         txns, server = self._server()
         ids = [f"w{u}" for u in range(6)]
         cp = tmp_path / "cp.json"
-        journal = tmp_path / "cp.json.journal"
         with server as srv:
             out = io.StringIO()
             # a call's end leaves what a kill leaves
             first = crawl_users(srv.url, ids, workers=1, checkpoint_path=cp,
                                 out=out, max_users=3)
-            head, last = journal.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+            head, last = cp.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
             assert json.loads(last)["user"] == "w2"
-            journal.write_bytes(head + b"\n" + last[:len(last) // 2])
+            cp.write_bytes(head + b"\n" + last[:len(last) // 2])
             state = load_checkpoint(cp)
             assert state.completed_user_ids == {"w0", "w1"}
             assert state.pending_user_ids == ["w2", "w3", "w4", "w5"]
@@ -623,8 +626,7 @@ class TestCrawlUsers:
         assert {t.id for t in txns if t.actor_id == "w2"} <= {t.id for t in second}
         sink_ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
         assert sorted(sink_ids) == sorted(t.id for t in txns)  # w2's once
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
-                                                              "cp.json.journal"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
     def test_kill_mid_sink_line_resumes_exactly_once(self, tmp_path):
         txns, server = self._server()
@@ -689,30 +691,29 @@ class TestCrawlUsers:
                   for line in sinks[1].splitlines()]
         assert list(dict.fromkeys(actors)) == queue
 
-    def test_journal_left_at_rest_when_call_ends(self, tmp_path):
+    def test_log_left_at_rest_when_call_ends(self, tmp_path):
         _, server = self._server(users=3)
         cp = tmp_path / "cp.json"
-        journal = tmp_path / "cp.json.journal"
-        journal_seen = []
+        lines_seen = []
 
         class Sink(io.StringIO):
-            def flush(self):  # runs before the user's journal line
-                journal_seen.append(os.path.exists(f"{cp}.journal"))
+            def flush(self):  # runs before the user's line
+                lines_seen.append(len(cp.read_text().splitlines()))
                 super().flush()
 
         with server as srv:
             crawl_users(srv.url, ["w0", "w1", "w2"], workers=1,
                         checkpoint_path=cp, out=Sink())
-            assert journal_seen == [True, True, True]
-            # the end leaves what a kill leaves: a journal line per user
-            assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "cp.json", "cp.json.journal"]
-            assert len(journal.read_text().splitlines()) == 3
-            with pytest.raises(UserNotFound):  # the start folds them in
+            assert lines_seen == [1, 2, 3]
+            # the end leaves what a kill leaves: the start line and a line
+            # per user
+            assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+            assert len(cp.read_text().splitlines()) == 4
+            with pytest.raises(UserNotFound):  # the start appends its line
                 crawl_users(srv.url, ["ghost"], workers=1, checkpoint_path=cp)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
-                                                              "cp.json.journal"]
-        assert journal.read_text() == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
+        *_, last = cp.read_text().splitlines()
+        assert json.loads(last)["pending"] == ["ghost"]
         state = load_checkpoint(cp)
         assert state.completed_user_ids == {"w0", "w1", "w2"}
         assert state.pending_user_ids == ["ghost"]
@@ -738,8 +739,7 @@ class TestCrawlUsers:
         assert state.completed_user_ids == set(ids)
         assert state.pending_user_ids == []
         assert state.seen_transaction_ids == {t.id for t in txns}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json",
-                                                              "cp.json.journal"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
     @pytest.mark.parametrize("exit_by", ["end", "error", "interrupt"])
     def test_one_snapshot_write_per_call(self, tmp_path, monkeypatch, exit_by):
@@ -774,6 +774,7 @@ class TestCrawlUsers:
                 crawl_users(srv.url, queue, workers=2, checkpoint_path=cp,
                             out=out)
         assert calls == ["load_checkpoint", "save_checkpoint"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
 
     def test_interrupt_keeps_in_flight_user_pending(self, tmp_path,
                                                     monkeypatch):
@@ -882,6 +883,32 @@ class TestCrawlUsers:
             state = load_checkpoint(cp)
             assert state.completed_user_ids == {"w0", "w1"}
             assert state.pending_user_ids == ["w2"]
+
+    def test_checkpointed_crawl_loads_no_numpy(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fp:
+            dump_transactions(corpus_for_user("w0", 25)
+                              + corpus_for_user("w1", 25, start_minute=25), fp)
+        # a fresh interpreter, as the CLI's harvest and serve-mock start
+        script = f"""
+import sys
+from paylens.corpus import dump_transactions, group_by_user, load_transactions
+from paylens.harvest import MockServerConfig, crawl_users, run_mock_server
+with open({str(corpus)!r}, encoding="utf-8") as fp:
+    corpus = group_by_user(load_transactions(fp).transactions)
+cp = {str(tmp_path / "cp.json")!r}
+with run_mock_server(corpus, MockServerConfig(page_size=10)) as srv:
+    crawl_users(srv.url, ["w0"], workers=1, checkpoint_path=cp)
+    crawl_users(srv.url, ["w0", "w1"], workers=1, checkpoint_path=cp)
+print(sorted({{"numpy", "scipy"}} & set(sys.modules)))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_compliant_client_never_limited(self):
         _, server = self._server(users=4)

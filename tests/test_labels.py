@@ -1,7 +1,12 @@
+import contextlib
 import io
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from paylens.cli import main
 from paylens.corpus import group_by_user
 from paylens.errors import LabelFileError, UnknownRegion
 from paylens.labels import (ANDY, CLASS_A, CLASS_B, FEMALE, MALE,
@@ -103,6 +108,13 @@ class TestLoadNameCorpus:
         with pytest.raises(LabelFileError):
             load_name_corpus(["just-one-column"])
 
+    @pytest.mark.parametrize("row", ["alice\tus\t-1\t5", "alice\tus\t5\t-1",
+                                     "alice\tus\t1.5\t5", "alice\tus\tx\t5"])
+    def test_rejects_counts_not_digits(self, row):
+        # a negative count once labeled alice female (male fraction -0.25)
+        with pytest.raises(LabelFileError, match="bad name corpus row"):
+            load_name_corpus([row])
+
 
 class TestPoliticalLabels:
     def test_load(self):
@@ -172,3 +184,64 @@ class TestBuildLabeledDataset:
         labeled = build_labeled_dataset(corpus, "gender", name_corpus=nc)
         assert {lu.label for lu in labeled} <= {CLASS_A, CLASS_B}
         assert len(labeled) == 2
+
+
+# values that are not a count, or not a political label
+NOT_A_COUNT = st.one_of(st.integers(max_value=-1).map(str),
+                        st.floats().map(str), st.text("ab+-. ", max_size=4))
+
+
+class TestMutatedLabelFiles:
+    """Hostile labels CSV and name-corpus TSV files through `paylens label`:
+    a dropped column, a retyped value, a row cut before its last field or
+    bytes that are not UTF-8 exit 1 or 2 with an `error: ` line."""
+
+    @pytest.fixture
+    def work(self, tmp_path):
+        corpus, labels = tmp_path / "corpus.jsonl", tmp_path / "labels.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--users-per-class", "4", "--posts-min", "5",
+                         "--posts-max", "5", "--seed", "3", "--out",
+                         str(corpus), "--labels-out", str(labels)]) == 0
+        names = (resources.files("paylens") / "data" / "name_corpus.tsv")
+        return tmp_path, corpus, labels.read_bytes(), names.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutant_exits_cleanly(self, work, data):
+        tmp_path, corpus, labels, names = work
+        task = data.draw(st.sampled_from(["politics", "gender"]))
+        text, sep, values = {"politics": (labels, b",", [1]),
+                             "gender": (names, b"\t", [2, 3])}[task]
+        rows = text.split(b"\n")
+        i = data.draw(st.sampled_from(
+            [i for i, row in enumerate(rows)
+             if row and not row.startswith((b"#", b"user_id"))]))
+        fields = rows[i].split(sep)
+        mutation = data.draw(st.sampled_from(
+            ["drop_column", "retype", "truncate", "not_utf8"]))
+        if mutation == "drop_column":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif mutation == "retype":
+            fields[data.draw(st.sampled_from(values))] = \
+                data.draw(NOT_A_COUNT).encode()
+        rows[i] = sep.join(fields)
+        if mutation == "truncate":
+            rows[i] = rows[i][:data.draw(st.integers(1, rows[i].rfind(sep)))]
+        elif mutation == "not_utf8":
+            at = data.draw(st.integers(0, len(rows[i])))
+            rows[i] = (rows[i][:at] + data.draw(st.binary(max_size=3))
+                       + b"\xff" + rows[i][at:])
+        path = tmp_path / "mutant"
+        path.write_bytes(b"\n".join(rows))
+        flag = {"politics": "--labels-file", "gender": "--name-corpus"}[task]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["label", "--task", task, "--in", str(corpus),
+                         "--min-posts", "1", flag, str(path),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code in (1, 2)
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
