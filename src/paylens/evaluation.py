@@ -22,8 +22,8 @@ import numpy as np
 from .errors import SingleClass, TooFewSamples, WorkerDied
 from .labels import LabeledUser
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
-                       fit_features, fit_model, fit_pipeline, fits_type,
-                       pipeline_predict, pipeline_transform)
+                       featurization_key, fit_features, fit_model, fit_pipeline,
+                       fits_type, pipeline_predict, pipeline_transform)
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,9 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
     otherwise they run here, one after another. The results are the same
     either way. A task's error is raised here as it was raised in the
     worker, and a worker that dies is a WorkerDied."""
-    groups: dict[tuple, list[int]] = {}  # configs by the fields featurization reads
+    groups: dict[tuple, list[int]] = {}
     for j, c in enumerate(configs):
-        groups.setdefault((c.vectorizer, c.n_range, c.min_df, c.use_engineered,
-                           c.include_actor_pct, c.normalize_counts), []).append(j)
+        groups.setdefault(featurization_key(c), []).append(j)
     state = (dataset, plan, configs)
     tasks = [(i, members) for i in range(plan.k) for members in groups.values()]
     processes = min(workers, len(tasks))

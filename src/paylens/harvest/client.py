@@ -9,12 +9,12 @@ until one request's 429 waits would reach max_retries × backoff_cap seconds.
 Crawl workers only fetch; the calling thread records each user in queue
 order: its new transactions go to the sink, then a line with the user, its
 new ids and the sink's offset is appended to the checkpoint, an append-only
-JSONL log. Each crawl call appends one start line, its queue and sink, when
-it starts; no exit (normal end, error, interrupt or kill) writes anything,
-so every exit leaves what a kill leaves. Unrecorded users stay pending, a
-record torn by a kill is ignored and then cut, and a resume into the
-recorded file truncates it to the recorded offset, so each transaction is
-written once. After an error the crawl waits out its in-flight fetches;
+JSONL log. Each crawl call appends one start line, the ids it queues and its
+sink, when it starts; no exit (normal end, error, interrupt or kill) writes
+anything, so every exit leaves what a kill leaves. Unrecorded users stay
+pending, a record torn by a kill is ignored and then cut, and a resume into
+the recorded file truncates it to the recorded offset, so each transaction
+is written once. After an error the crawl waits out its in-flight fetches;
 after an interrupt it does not.
 """
 
@@ -28,13 +28,12 @@ import math
 import mmap
 import os
 import re
-import string
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field
 from typing import IO, Callable, Sequence
-from urllib.parse import quote, urlencode
+from urllib.parse import quote, urlencode, urlsplit
 
 from ..corpus import Transaction, dump_transactions, parse_transaction
 from ..errors import (HarvestError, MalformedPage, PatternNotFound,
@@ -99,40 +98,21 @@ class Response:
 
 _CONNECTIONS = {"http": http.client.HTTPConnection,
                 "https": http.client.HTTPSConnection}
-# RFC 3986, appendix B, for a URL with a scheme and an authority
-_URL = re.compile(r"([^:/?#]+)://([^/?#]*)([^?#]*)(?:\?([^#]*))?", re.DOTALL)
-# characters a path may hold unescaped; a query may also hold "?"
-_PATH_SAFE = "!$&'()*+,;=:@/"
-_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
-_UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
-
-
-def _unreserved(match: re.Match) -> str:
-    char = chr(int(match[1], 16))
-    return char if char in _UNRESERVED else match[0]
-
-
-def _quote(component: str, safe: str) -> str:
-    """Percent-encode a URL component as requests (through urllib3) did:
-    escapes are kept when every "%" starts one, else every "%" is encoded;
-    other characters outside `safe` are encoded as UTF-8; then escapes of
-    unreserved characters are decoded."""
-    upper, escapes = _ESCAPE.subn(lambda m: m[0].upper(), component)
-    keep = "%" if escapes == component.count("%") else ""
-    return _ESCAPE.sub(_unreserved, quote(upper, safe=safe + keep))
+# a URL's path and query are sent as given, but for the characters a request
+# line cannot carry; kept are RFC 3986's sub-delimiters, ":@/?" and escapes
+_TARGET_SAFE = "!$&'()*+,;=:@/?%"
 
 
 def _target(url: str, params: dict | None) -> tuple[str, str, str]:
     """(scheme, netloc, request target) of a GET of url with query params."""
-    match = _URL.match(url)
-    if match is None or match[1].lower() not in _CONNECTIONS or not match[2]:
+    scheme, netloc, path, query, _ = urlsplit(url)
+    if scheme not in _CONNECTIONS or not netloc:
         raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
-    scheme, netloc, path, query = match.groups(default="")
-    query = _quote(query, _PATH_SAFE + "?")
+    target = quote((path or "/") + ("?" + query if query else ""),
+                   safe=_TARGET_SAFE)
     if params:
-        query = "&".join(filter(None, [query, urlencode(params)]))
-    target = _quote(path, _PATH_SAFE) or "/"
-    return scheme.lower(), netloc, target + ("?" + query if query else "")
+        target += ("&" if query else "?") + urlencode(params)
+    return scheme, netloc, target
 
 
 def _close_idle(idle: list, lock: threading.Lock) -> None:
@@ -312,9 +292,9 @@ def fetch_user_transactions(endpoint: str, user_id: str,
                             client: HarvestClient | ClientConfig | None = None,
                             before_id: str | None = None) -> list[Transaction]:
     """Every public transaction of a user exactly once, newest-first,
-    following before_id pages from the newest page or from before_id.
-    A cursor that was already requested raises MalformedPage."""
-    url = f"{endpoint}/users/{user_id}/transactions"
+    following before_id pages from the newest page or from before_id; the id
+    is one path segment. A cursor requested before raises MalformedPage."""
+    url = f"{endpoint}/users/{quote(user_id, safe='')}/transactions"
     missing = UserNotFound(f"user {user_id!r} not found")
     out: dict[str, Transaction] = {}
     requested = {before_id}
@@ -339,7 +319,7 @@ def resolve_user_id(endpoint: str, username: str,
                     client: HarvestClient | ClientConfig | None = None) -> str:
     """Extract the user id embedded in a profile page."""
     with _client(client) as hc:
-        text = _get_page(hc, f"{endpoint}/profile/{username}",
+        text = _get_page(hc, f"{endpoint}/profile/{quote(username, safe='')}",
                          f"profile {username!r}",
                          UnknownUsername(f"no profile for username {username!r}"))
     match = USER_ID_PATTERN.search(text)
@@ -358,8 +338,8 @@ class CrawlState:
 
 
 def save_checkpoint(state: CrawlState, path: str | os.PathLike) -> None:
-    """Append a call's start line, its queue and its sink, to the log at
-    `path`; seen ids and completed users reach the log only as user lines.
+    """Append a call's start line, the ids it queues (state's pending ids)
+    and its sink, to the log at `path`; user lines record the rest.
 
     A new log is created whole (temp file, then rename), so it always begins
     with a complete start line. An existing log first loses the record a
@@ -402,15 +382,15 @@ def _sink(value, what: str) -> tuple[str | None, int] | None:
 
 def load_checkpoint(path: str | os.PathLike) -> CrawlState:
     """Replay the log at `path`. Seen is the union of the user lines' ids,
-    completed is their users, pending is the last start line's queue less
-    the completed users, and the sink is the last line's.
+    completed is their users, pending is the start lines' ids in order, each
+    once, less the completed users, and the sink is the last line's.
 
     Bytes after the last newline are a record torn by a kill, so its user
     never completed: they are ignored. A file that does not begin with a
     start line (an older snapshot checkpoint among them) or holds any other
     malformed line is a HarvestError.
     """
-    state, pending = CrawlState(), None
+    state, queued = CrawlState(), None
     with open(path, "rb") as fp:
         for number, line in enumerate(fp, 1):
             if not line.endswith(b"\n"):
@@ -423,8 +403,10 @@ def load_checkpoint(path: str | os.PathLike) -> CrawlState:
             if not isinstance(entry, dict):
                 raise HarvestError(f"checkpoint corrupt: {what}: not an object")
             if "user" not in entry:
-                pending = _ids(entry.get("pending"), f"{what}: 'pending'")
-            elif pending is None:
+                queued = queued or {}
+                queued.update(dict.fromkeys(
+                    _ids(entry.get("pending"), f"{what}: 'pending'")))
+            elif queued is None:
                 break  # a user line first: refused below
             elif isinstance(entry["user"], str):
                 state.seen_transaction_ids.update(
@@ -433,10 +415,10 @@ def load_checkpoint(path: str | os.PathLike) -> CrawlState:
             else:
                 raise HarvestError(f"checkpoint corrupt: {what}: 'user' must be an id")
             state.sink = _sink(entry.get("sink"), f"{what}: 'sink'")
-    if pending is None:
+    if queued is None:
         raise HarvestError(f"checkpoint corrupt: {path} does not begin with "
                            "a start line")
-    state.pending_user_ids = [u for u in pending
+    state.pending_user_ids = [u for u in queued
                               if u not in state.completed_user_ids]
     return state
 
@@ -482,14 +464,16 @@ def crawl_users(endpoint: str, user_ids: Sequence[str],
         state.sink = sink_file, out.tell()
     # queue each id once, after the checkpoint's pending users
     known = state.completed_user_ids | set(state.pending_user_ids)
-    state.pending_user_ids += [u for u in dict.fromkeys(user_ids) if u not in known]
+    added = [u for u in dict.fromkeys(user_ids) if u not in known]
+    state.pending_user_ids += added
     batch = state.pending_user_ids[:max_users]
 
     collected: list[Transaction] = []
     log: IO | None = None
     if checkpoint_path is not None:
         # the call's start line; every exit leaves what a kill leaves
-        save_checkpoint(state, checkpoint_path)
+        save_checkpoint(CrawlState(pending_user_ids=added, sink=state.sink),
+                        checkpoint_path)
         log = open(checkpoint_path, "a", encoding="utf-8")
     # ThreadPool, not concurrent.futures: its workers are daemon threads, so
     # an interrupt returns at once instead of waiting out every in-flight

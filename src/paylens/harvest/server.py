@@ -5,12 +5,13 @@ Endpoints:
       {"data": [txn...], "refresh_interval": s}. Serves a rotating window of
       page_size newest-first transactions; the window advances once per
       refresh interval (or per request when the interval is 0).
-  GET /users/<id>/transactions?before_id=<id>&limit=<n>
+  GET /users/<id>/transactions?before_id=<id>
       {"data": [...], "next_before_id": ...}; next_before_id is omitted on
       the last page. Transactions are newest-first; before_id returns
       strictly older entries.
   GET /profile/<username>
       HTML-ish page embedding "user_id": "<id>" as a script variable.
+  An id or username is one path segment, percent-decoded as UTF-8.
 
 Every request consumes one token from a server-side bucket; an empty bucket
 yields 429 with a (possibly fractional) Retry-After header and increments
@@ -24,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..corpus import Corpus, transaction_to_obj
 from .client import TokenBucket
@@ -84,18 +85,16 @@ class _Handler(BaseHTTPRequestHandler):
                        extra_headers={"Retry-After": f"{wait:.3f}"})
             return
 
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
+        parsed = urlsplit(self.path)
+        parts = [unquote(p) for p in parsed.path.split("/") if p]
         query = parse_qs(parsed.query)
         try:
             if parts == ["feed"]:
                 self._send_json(200, state.feed_page())
             elif (len(parts) == 3 and parts[0] == "users"
                     and parts[2] == "transactions"):
-                before = query.get("before_id", [None])[0]
-                limit = query.get("limit", [None])[0]
-                body = state.user_page(parts[1], before,
-                                       int(limit) if limit else None)
+                body = state.user_page(parts[1],
+                                       query.get("before_id", [None])[0])
                 if body is None:
                     self._send_json(404, {"error": "user not found"})
                 else:
@@ -168,14 +167,13 @@ class MockServer:
         return {"data": [transaction_to_obj(t) for t in window],
                 "refresh_interval": self.config.refresh_interval}
 
-    def user_page(self, user_id: str, before_id: str | None,
-                  limit: int | None) -> dict | None:
+    def user_page(self, user_id: str, before_id: str | None) -> dict | None:
         timeline = self._by_user.get(user_id)
         if timeline is None:
             return None
-        size = limit if limit is not None else self.config.page_size
+        size = self.config.page_size
         if size < 1:
-            raise ValueError("limit must be >= 1")
+            raise ValueError("page_size must be >= 1")
         start = 0
         if before_id is not None:
             positions = [i for i, t in enumerate(timeline) if t.id == before_id]

@@ -53,6 +53,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(W1, b1, W2, b2, X):
+    """(pre-activations, hidden activations, logits) of dense or CSR X."""
+    pre = X @ W1 + b1
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, (hidden @ W2).ravel() + b2[0]
+
+
 def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     """Mean binary cross-entropy and its gradients for one batch.
 
@@ -60,9 +67,7 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.shape[0]
-    pre = X @ W1 + b1
-    hidden = np.maximum(pre, 0.0)
-    z = (hidden @ W2).ravel() + b2[0]
+    pre, hidden, z = _forward(W1, b1, W2, b2, X)
     loss = bce_with_logits(z, y)
     dz = (_sigmoid(z) - y)[:, None] / n
     dW2 = hidden.T @ dz
@@ -108,7 +113,7 @@ def train_mlp(X, y, config: MlpConfig | None = None,
             b1 -= config.lr * db1
             W2 -= config.lr * dW2
             b2 -= config.lr * db2
-        full_loss, *_ = mlp_loss_and_grads(W1, b1, W2, b2, Xv, yv)
+        full_loss = bce_with_logits(_forward(W1, b1, W2, b2, Xv)[2], yv)
         if not np.isfinite(full_loss):
             raise NonFiniteError(f"non-finite loss after epoch {epoch}")
         loss_curve.append(full_loss)
@@ -119,10 +124,8 @@ def train_mlp(X, y, config: MlpConfig | None = None,
 
 
 def mlp_proba(model: MlpModel, X) -> np.ndarray:
-    Xv = _dense_ok(X)
-    hidden = np.maximum(Xv @ model.W1 + model.b1, 0.0)
-    z = (hidden @ model.W2).ravel() + model.b2[0]
-    return _sigmoid(z)
+    return _sigmoid(_forward(model.W1, model.b1, model.W2, model.b2,
+                             _dense_ok(X))[2])
 
 
 def mlp_predict(model: MlpModel, X) -> np.ndarray:

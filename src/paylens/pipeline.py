@@ -152,6 +152,13 @@ class FittedPipeline:
                              f"and {len(stds)} stds")
 
 
+def featurization_key(config: PipelineConfig) -> tuple:
+    """The fields fit_features reads: equal keys, equal matrices and names."""
+    return (config.vectorizer, config.n_range, config.min_df,
+            config.use_engineered, config.include_actor_pct,
+            config.normalize_counts)
+
+
 def _features_for(dataset: UserDataset, idx: np.ndarray, vocab: Vocabulary,
                   scaler: ScalerStats | None, config: PipelineConfig
                   ) -> tuple[sp.csr_matrix, ScalerStats | None]:

@@ -16,9 +16,9 @@ from paylens import tokenizer
 from paylens.errors import EmptyCorpus, EmptyProfile, NonFiniteError
 from paylens.evaluation import CvResult, FoldOutcome
 from paylens.features import CONTENT_FEATURES, detect_content_features
-from paylens.models.common import check_binary_labels
+from paylens.models.common import bce_with_logits, check_binary_labels
 from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
-from paylens.models.mlp import MlpConfig, MlpModel
+from paylens.models.mlp import MlpConfig, MlpModel, _dense_ok, _sigmoid
 from paylens.models.svm import LinearSvmModel, _as_csr
 from paylens.pipeline import fit_pipeline, pipeline_predict, pipeline_transform
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE, WORD,
@@ -314,6 +314,68 @@ def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
         feature_names=list(feature_names) if feature_names is not None else None,
         epochs_run=epochs, primal_objective=primal, duality_gap=gap,
     )
+
+
+# The MLP's training loop as first written, gradients included: the epoch
+# loss comes from a full forward and backward pass whose gradients are
+# dropped. train_mlp must fit the same bits.
+def _mlp_loss_and_grads(W1, b1, W2, b2, X, y):
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = y.shape[0]
+    pre = X @ W1 + b1
+    hidden = np.maximum(pre, 0.0)
+    z = (hidden @ W2).ravel() + b2[0]
+    loss = bce_with_logits(z, y)
+    dz = (_sigmoid(z) - y)[:, None] / n
+    dW2 = hidden.T @ dz
+    db2 = dz.sum(axis=0)
+    dhidden = dz @ W2.T
+    dhidden[pre <= 0.0] = 0.0
+    dW1 = X.T @ dhidden
+    db1 = dhidden.sum(axis=0)
+    return loss, dW1, db1, dW2, db2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def train_mlp_oracle(X, y, config: MlpConfig | None = None,
+                     feature_names: list[str] | None = None) -> MlpModel:
+    if config is None:
+        config = MlpConfig()
+    Xv = _dense_ok(X)
+    n, d = Xv.shape
+    yv = check_binary_labels(y, (0, 1), n)
+
+    rng = np.random.default_rng(config.seed)
+    limit1 = np.sqrt(6.0 / (d + config.hidden))
+    limit2 = np.sqrt(6.0 / (config.hidden + 1))
+    W1 = rng.uniform(-limit1, limit1, size=(d, config.hidden))
+    b1 = np.zeros(config.hidden)
+    W2 = rng.uniform(-limit2, limit2, size=(config.hidden, 1))
+    b2 = np.zeros(1)
+
+    batch = max(1, min(config.batch, n))
+    loss_curve: list[float] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            Xb = Xv[idx]
+            loss, dW1, db1, dW2, db2 = _mlp_loss_and_grads(W1, b1, W2, b2, Xb, yv[idx])
+            if not np.isfinite(loss):
+                raise NonFiniteError(
+                    f"non-finite loss at epoch {epoch}, batch offset {start}")
+            W1 -= config.lr * dW1
+            b1 -= config.lr * db1
+            W2 -= config.lr * dW2
+            b2 -= config.lr * db2
+        full_loss, *_ = _mlp_loss_and_grads(W1, b1, W2, b2, Xv, yv)
+        if not np.isfinite(full_loss):
+            raise NonFiniteError(f"non-finite loss after epoch {epoch}")
+        loss_curve.append(full_loss)
+
+    return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=config,
+                    feature_names=list(feature_names) if feature_names else None,
+                    loss_curve=loss_curve)
 
 
 # Per-user aggregation as first written: a dataclass of named aggregates,

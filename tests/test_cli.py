@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from paylens import evaluation
 from paylens.cli import load_pipeline, main
-from paylens.corpus import group_by_user, load_transactions
+from paylens.corpus import dump_transactions, group_by_user, load_transactions
 from paylens.harvest import MockServerConfig, load_checkpoint, run_mock_server
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 
@@ -738,6 +738,41 @@ class TestHarvestCommands:
         state = load_checkpoint(cp)
         assert state.completed_user_ids == set(users)
         assert state.pending_user_ids == []
+
+    def test_users_with_odd_ids_from_serve_mock(self, tmp_path):
+        # ids a URL would split, cut or decode unless each is one
+        # percent-encoded path segment; each user pays the next, so every
+        # transaction is in two timelines, and "aA", "a" and "h" are the
+        # users a misread id would reach
+        odd = ["two words", "naïve-日本", "a/b", "q?x=1", "h#1", "50%", "a%41"]
+        txns = [make_txn(f"{u}-t{i}", actor=u, target=odd[(k + 1) % len(odd)],
+                         minutes=10 * k + i)
+                for k, u in enumerate(odd) for i in range(7)]
+        txns += [make_txn(f"{u}-t{i}", actor=u, target="x", minutes=100 + i)
+                 for u in ("aA", "a", "h") for i in range(3)]
+        corpus, ids_file = tmp_path / "corpus.jsonl", tmp_path / "ids.txt"
+        with open(corpus, "w", encoding="utf-8") as fp:
+            dump_transactions(txns, fp)
+        ids_file.write_text("\n".join(odd) + "\n", encoding="utf-8")
+        out = tmp_path / "crawl.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+                [sys.executable, "-m", "paylens.cli", "serve-mock",
+                 "--corpus", str(corpus), "--page-size", "3",
+                 "--refresh-interval", "0", "--duration", "60"],
+                env=env, stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                url = proc.stdout.readline().split()[3]
+                assert main(["harvest", "users", "--endpoint", url, "--ids",
+                             str(ids_file), "--workers", "2", "--checkpoint",
+                             str(tmp_path / "cp.json"), "--out", str(out)]) == 0
+            finally:
+                proc.kill()
+        sink_ids = [json.loads(line)["id"]
+                    for line in out.read_text(encoding="utf-8").splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns if t.actor_id in odd)
 
     @pytest.mark.parametrize("command, body", [
         (["feed", "--pages", "1"], '{"data": ['),

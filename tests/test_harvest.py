@@ -306,9 +306,9 @@ class TestRetries:
 
 
 class TestTransport:
+    # ids without "%": the target requests sent
     @pytest.mark.parametrize("user_id, before_id", [
         ("u1", None), ("two words", None), ("naïve-日本", "t ü/1"),
-        ("50%", None), ("a%41%2f", "b%zz+&="), ("%7e%7E", "%41"),
         ("q?x=1", "c"), ("!$&'()*+,;=:@", "~-._ é"),
     ])
     def test_request_line_matches_requests(self, stub_server, user_id,
@@ -320,6 +320,22 @@ class TestTransport:
         with HarvestClient() as hc:
             hc.get(url, params)
         assert srv.paths[1] == srv.paths[0]
+
+    # ids with "%": the path and query go as given, where requests (through
+    # urllib3) encoded every "%" unless all started escapes, upper-cased
+    # escapes and decoded those of unreserved characters
+    @pytest.mark.parametrize("path, before_id, target", [
+        ("50%", None, "/users/50%/transactions"),
+        ("a%41%2f", "b%zz+&=",
+         "/users/a%41%2f/transactions?before_id=b%25zz%2B%26%3D"),
+        ("%7e%7E", "%41", "/users/%7e%7E/transactions?before_id=%2541"),
+    ], ids=["percent_kept", "escapes_kept", "unreserved_escapes_kept"])
+    def test_request_target(self, stub_server, path, before_id, target):
+        srv = stub_server(200, '{"data": []}')
+        params = {} if before_id is None else {"before_id": before_id}
+        with HarvestClient() as hc:
+            hc.get(f"{srv.url}/users/{path}/transactions", params)
+        assert srv.paths == [target]
 
     def test_connection_kept_alive(self, stub_server):
         srv = stub_server(200, '{"data": []}')
@@ -409,6 +425,39 @@ class TestResolveUserId:
                 resolve_user_id(srv.url, "u1")
 
 
+# ids a URL would split, cut or decode unless each is one percent-encoded
+# path segment
+ODD_IDS = ["two words", "naïve-日本", "a/b", "q?x=1", "h#1", "50%", "a%41"]
+
+
+@pytest.fixture(scope="module")
+def odd_server():
+    """Each odd id with 12 transactions, and the users a misread id would
+    reach ("aA", "a", "h", "q") with 12 more; page size 5. Each odd id is
+    also the username of the plain id "uid<k>"."""
+    txns = []
+    for k, user_id in enumerate([*ODD_IDS, "aA", "a", "h", "q"]):
+        txns.extend(corpus_for_user(user_id, 12, start_minute=20 * k))
+    config = MockServerConfig(
+        page_size=5, usernames={u: f"uid{k}" for k, u in enumerate(ODD_IDS)})
+    with run_mock_server(group_by_user(txns), config) as srv:
+        yield srv, txns
+
+
+class TestIdsAsPathSegments:
+    @pytest.mark.parametrize("user_id", ODD_IDS)
+    def test_fetch_user_transactions(self, odd_server, user_id):
+        srv, txns = odd_server
+        got = fetch_user_transactions(srv.url, user_id)
+        assert [t.id for t in got] == [t.id for t in reversed(txns)
+                                       if t.actor_id == user_id]
+
+    @pytest.mark.parametrize("k, username", enumerate(ODD_IDS))
+    def test_resolve_user_id(self, odd_server, k, username):
+        srv, _ = odd_server
+        assert resolve_user_id(srv.url, username) == f"uid{k}"
+
+
 # two calls' lines: each start line queues the users, each user line records
 # one completed user
 LOG = [{"pending": ["u1", "u2"], "sink": ["8:9", 0]},
@@ -416,6 +465,15 @@ LOG = [{"pending": ["u1", "u2"], "sink": ["8:9", 0]},
        {"pending": ["u2", "u3", "u4"], "sink": ["8:9", 40]},
        {"user": "u2", "seen": ["t3"], "sink": ["8:9", 60]},
        {"user": "u3", "seen": ["t4", "t5"], "sink": ["8:9", 100]}]
+WHOLE_QUEUE_LOG = """\
+{"pending": ["w0", "w1", "w2", "w3"], "sink": [null, 0]}
+{"user": "w0", "seen": ["w0-t1", "w0-t0"], "sink": [null, 450]}
+{"pending": ["w1", "w2", "w3", "w4"], "sink": [null, 450]}
+{"user": "w1", "seen": ["w1-t1", "w1-t0"], "sink": [null, 900]}
+{"user": "w2", "seen": ["w2-t1", "w2-t0"], "sink": [null, 1350]}
+{"pending": ["w3", "w4", "w5"], "sink": [null, 1350]}
+{"user": "w3", "seen": ["w3-t1", "w3-t0"], "sink": [null, 1800]}
+"""
 NOT_A_STR = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
                       st.lists(st.text(max_size=3), max_size=2),
                       st.dictionaries(st.text(max_size=3), st.integers(),
@@ -442,10 +500,23 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cp.json"
         save_checkpoint(CrawlState(pending_user_ids=["u1", "u2"]), path)
-        state = CrawlState(pending_user_ids=["u3", "u4"], sink=("8:9", 7))
-        save_checkpoint(state, path)
+        save_checkpoint(CrawlState(pending_user_ids=["u3", "u2", "u4"],
+                                   sink=("8:9", 7)), path)
         assert len(path.read_text().splitlines()) == 2  # appended
-        assert vars(load_checkpoint(path)) == vars(state)
+        # the start lines' ids in order, each once
+        assert vars(load_checkpoint(path)) == vars(CrawlState(
+            pending_user_ids=["u1", "u2", "u3", "u4"], sink=("8:9", 7)))
+
+    def test_whole_queue_start_lines_replayed(self, tmp_path):
+        # written when each start line repeated the whole pending queue:
+        # three calls with max_users 1, 2 and 1
+        path = tmp_path / "cp.json"
+        path.write_text(WHOLE_QUEUE_LOG)
+        assert vars(load_checkpoint(path)) == vars(CrawlState(
+            seen_transaction_ids={f"w{u}-t{i}" for u in range(4)
+                                  for i in range(2)},
+            pending_user_ids=["w4", "w5"],
+            completed_user_ids={"w0", "w1", "w2", "w3"}, sink=(None, 1800)))
 
     def test_no_sink_recorded_without_sink(self, tmp_path):
         # a crawl without a seekable sink records none, and a line without
@@ -670,6 +741,23 @@ class TestCrawlUsers:
         assert after.startswith(before)
         assert [json.loads(line)["actor"]["id"]
                 for line in after[len(before):].splitlines()] == ["w1"] * 25
+
+    def test_batched_resume_logs_each_id_once(self, tmp_path):
+        txns, server = self._server(users=20, per_user=3)
+        ids = [f"w{u}" for u in range(20)]
+        cp = tmp_path / "cp.json"
+        out = io.StringIO()
+        with server as srv:
+            for _ in range(10):
+                crawl_users(srv.url, ids, workers=2, checkpoint_path=cp,
+                            out=out, max_users=2)
+        lines = [json.loads(line) for line in cp.read_text().splitlines()]
+        starts = [line["pending"] for line in lines if "user" not in line]
+        assert starts == [ids] + [[]] * 9  # each call adds only new ids
+        state = load_checkpoint(cp)
+        assert (state.pending_user_ids, state.completed_user_ids) == ([], set(ids))
+        sink_ids = [json.loads(line)["id"] for line in out.getvalue().splitlines()]
+        assert sorted(sink_ids) == sorted(t.id for t in txns)
 
     def test_sink_in_queue_order_whatever_the_workers(self):
         # uneven timelines (1 to 33 transactions, 1 to 4 pages) finish out

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ from paylens.errors import NonFiniteError, SingleClass
 from paylens.models import (MlpConfig, mlp_loss_and_grads, mlp_predict,
                             mlp_proba, train_mlp)
 from paylens.models.serialize import model_to_container
+
+from oracles import train_mlp_oracle
 
 
 def finite_difference_check(W1, b1, W2, b2, X, y, eps=1e-6):
@@ -122,3 +125,28 @@ class TestTrainMlp:
                           MlpConfig(hidden=6, lr=0.05, epochs=200, batch=8,
                                     seed=3))
         assert np.mean(mlp_predict(model, X) == y) >= 0.9
+
+
+def _mlp_case(kind):
+    rng = np.random.default_rng(17)
+    if kind == "dense":
+        X, batch = rng.standard_normal((40, 6)), 8
+    elif kind == "batch_above_n":
+        X, batch = rng.standard_normal((20, 5)), 64
+    else:
+        density = 0.1 if kind == "csr" else 0.8
+        X = sp.random(60, 30, density=density, format="csr", random_state=rng)
+        batch = 16
+    sums = np.asarray(X.sum(axis=1)).ravel()
+    y = (sums > np.median(sums)).astype(np.int64)
+    return X, y, MlpConfig(hidden=7, lr=0.05, epochs=12, batch=batch, seed=3)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "dense_csr", "batch_above_n"])
+def test_fit_matches_first_written_loop(kind):
+    X, y, config = _mlp_case(kind)
+    names = [f"f{j}" for j in range(X.shape[1])]
+    got = train_mlp(X, y, config, feature_names=names)
+    want = train_mlp_oracle(X, y, config, feature_names=names)
+    assert (json.dumps(model_to_container(got))
+            == json.dumps(model_to_container(want)))

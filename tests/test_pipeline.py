@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from paylens.cli import main
 from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
-from paylens.pipeline import (PipelineConfig, fit_features, fit_model,
-                              fit_pipeline, load_pipeline, pipeline_predict,
-                              pipeline_transform, save_pipeline)
+from paylens.pipeline import (PipelineConfig, featurization_key, fit_features,
+                              fit_model, fit_pipeline, load_pipeline,
+                              pipeline_predict, pipeline_transform,
+                              save_pipeline)
 
 from conftest import synth_dataset
 
@@ -81,6 +83,29 @@ class TestFitPipeline:
         after = (X.data, X.indices, X.indptr)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(before, after))
+
+    # a changed value for each PipelineConfig field
+    CHANGED = {"vectorizer": "tfidf", "n_range": (1, 1), "min_df": 3,
+               "use_engineered": False, "include_actor_pct": True,
+               "normalize_counts": True, "classifier": "gbdt", "C": 10.0,
+               "svm_tol": 0.01, "mlp_overrides": (("hidden", 4),),
+               "gbdt_overrides": (("rounds", 3),), "seed": 5}
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(PipelineConfig)])
+    def test_equal_featurization_keys_share_matrices(self, dataset, field):
+        # cross_validate fits features once per key: a field fit_features
+        # reads but the key leaves out would share the wrong matrices
+        assert field in self.CHANGED, f"no changed value for {field!r}"
+        base = PipelineConfig(vectorizer="count", min_df=1)
+        other = replace(base, **{field: self.CHANGED[field]})
+        if featurization_key(other) != featurization_key(base):
+            return
+        idx = np.arange(len(dataset))
+        (one, X1), (two, X2) = (fit_features(dataset, idx, c)
+                                for c in (base, other))
+        assert one.feature_names == two.feature_names
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (X1.indptr, X1.indices, X1.data), (X2.indptr, X2.indices, X2.data)))
 
     def test_feature_layout_mismatch_rejected(self, dataset):
         # the dataset's engineered rows have no pct_as_actor column
