@@ -10,7 +10,7 @@ harvester cover the collection side.
 from .corpus import (Corpus, Transaction, UserProfile, filter_min_posts,
                      group_by_user, load_transactions, note_length_histogram)
 from .errors import PaylensError
-from .tokenizer import Token, TokenizedPost, generate_ngrams, lemmatize, tokenize_post
+from .tokenizer import Token, TokenizedPost, tokenize_post
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "Corpus", "Transaction", "UserProfile", "filter_min_posts",
     "group_by_user", "load_transactions", "note_length_histogram",
     "PaylensError",
-    "Token", "TokenizedPost", "generate_ngrams", "lemmatize", "tokenize_post",
+    "Token", "TokenizedPost", "tokenize_post",
     "__version__",
 ]

@@ -239,7 +239,7 @@ def cmd_evaluate(args) -> int:
     with _open_out(args.report) as fp:
         json.dump(report.to_dict(), fp, indent=2)
         fp.write("\n")
-    if args.model_out and report.best_model is not None:
+    if args.model_out:
         save_pipeline(report.best_model, _resolve_path(args.model_out))
     best = report.best
     print(f"best config: {best.config.classifier}/{best.config.vectorizer} "

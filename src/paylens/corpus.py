@@ -24,7 +24,6 @@ from .errors import ParseError
 
 KINDS = ("payment", "charge")
 AUDIENCES = ("public", "friends", "private")
-ROLES = ("actor", "target")
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,6 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
     seen: set[str] = set()
     skipped = 0
     for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
         line = raw.strip()
         if not line:
             continue
@@ -206,10 +203,10 @@ def note_length_histogram(corpus: Corpus) -> dict[int, int]:
 def filter_min_posts(corpus: Corpus, min_posts: int) -> Corpus:
     """Keep users with at least min_posts posts.
 
-    Transactions stay loadable in corpus.transactions even when every profile
-    referencing them was dropped.
+    The result shares corpus.transactions (a Corpus is never mutated), so a
+    transaction stays loadable even when every profile referencing it was dropped.
     """
     if min_posts < 1:
         raise ValueError("min_posts must be >= 1")
     users = {uid: p for uid, p in corpus.users.items() if len(p.posts) >= min_posts}
-    return Corpus(transactions=dict(corpus.transactions), users=users)
+    return Corpus(transactions=corpus.transactions, users=users)

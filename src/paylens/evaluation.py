@@ -240,8 +240,8 @@ class EvalReport:
     k: int
     results: list[CvResult]
     best_index: int
-    best_model: FittedPipeline | None = None
-    class_names: tuple[str, str] = ("class_a", "class_b")
+    best_model: FittedPipeline
+    class_names: tuple[str, str]
 
     @property
     def best(self) -> CvResult:
@@ -272,12 +272,9 @@ class EvalReport:
 
 
 def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
-                base: PipelineConfig | None = None,
-                workers: int = 1) -> EvalReport:
+                base: PipelineConfig, workers: int = 1) -> EvalReport:
     """Cross-validate every grid point with up to `workers` processes, then
     refit the best config on all rows here."""
-    if base is None:
-        base = PipelineConfig()
     configs = grid.expand(base)
     if not configs:
         raise ValueError("empty grid")

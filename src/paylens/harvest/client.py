@@ -107,7 +107,7 @@ def _target(url: str, params: dict | None) -> tuple[str, str, str]:
     """(scheme, netloc, request target) of a GET of url with query params."""
     scheme, netloc, path, query, _ = urlsplit(url)
     if scheme not in _CONNECTIONS or not netloc:
-        raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+        raise HarvestError(f"not an http(s) URL: {url!r}")  # not retried
     target = quote((path or "/") + ("?" + query if query else ""),
                    safe=_TARGET_SAFE)
     if params:

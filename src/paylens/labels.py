@@ -26,8 +26,6 @@ FEMALE = "female"
 MOSTLY_MALE = "mostly_male"
 MOSTLY_FEMALE = "mostly_female"
 
-GENDER_CATEGORIES = (UNKNOWN, ANDY, MALE, FEMALE, MOSTLY_MALE, MOSTLY_FEMALE)
-
 CLASS_A = "class_a"
 CLASS_B = "class_b"
 
@@ -147,25 +145,17 @@ def build_labeled_dataset(corpus: Corpus, task: str,
     Gender keeps only strict male/female guesses. Politics joins the supplied
     label map and drops unmatched users. Output ordered by user_id.
     """
-    out: list[LabeledUser] = []
     if task == "gender":
-        for user_id in sorted(corpus.users):
-            profile = corpus.users[user_id]
-            category = guess_gender(extract_first_name(profile.display_name),
-                                    name_corpus, region)
-            if category == FEMALE:
-                out.append(LabeledUser(user_id, CLASS_A, task))
-            elif category == MALE:
-                out.append(LabeledUser(user_id, CLASS_B, task))
+        def name_of(user_id):
+            return guess_gender(extract_first_name(corpus.users[user_id].display_name),
+                                name_corpus, region)
     elif task == "politics":
         if political_labels is None:
             raise LabelFileError("politics task requires a user_id -> label file")
-        for user_id in sorted(corpus.users):
-            label = political_labels.get(user_id)
-            if label == "democrat":
-                out.append(LabeledUser(user_id, CLASS_A, task))
-            elif label == "republican":
-                out.append(LabeledUser(user_id, CLASS_B, task))
+        name_of = political_labels.get
     else:
         raise ValueError(f"unknown task {task!r}")
-    return out
+    class_of = {name: cls for cls, name in CLASS_NAMES[task].items()}
+    return [LabeledUser(user_id, class_of[name], task)
+            for user_id in sorted(corpus.users)
+            if (name := name_of(user_id)) in class_of]

@@ -144,6 +144,9 @@ class FittedPipeline:
     class_names: tuple[str, str]
 
     def __post_init__(self):
+        if self.model is not None and self.model.kind != self.config.classifier:
+            raise ValueError(f"a {self.model.kind!r} model under a "
+                             f"{self.config.classifier!r} config")
         means, stds = ((), ()) if self.scaler is None else (self.scaler.mean,
                                                             self.scaler.std)
         if not len(self.feature_names) - len(self.vocab) == len(means) == len(stds):

@@ -33,7 +33,8 @@ SIGNAL_TOKENS_B = (
     "brackenfell", "ironmoss", "cobblewick", "thorngate",
 )
 
-BACKGROUND_WORDS = (
+# deduplicated in first-occurrence order, which the Zipf weights follow
+BACKGROUND_WORDS = tuple(dict.fromkeys((
     "pizza rent dinner lunch coffee tickets groceries uber lyft beer wine "
     "sushi tacos brunch movie concert hotel trip vacation split bill tab "
     "thank food snacks parking laundry internet cable electric water heat "
@@ -46,12 +47,14 @@ BACKGROUND_WORDS = (
     "stream split rent groceries squad crew fam bro dude buddy pal roomie "
     "neighbor costco target amazon walmart pharmacy bakery deli tip cover "
     "entry fee raffle bet wager pool stakes dare loan payback iou change"
-).split()
+).split()))
 
 EMOJI_POOL = (
     "🍕🍺🍻🍷🍸🍹🍔🌮🏠🚗💸💵🎉🎂🎁⚽🏈🎾🏀🐶"
     "🐱🌊🌲☕🍩🍎🚕🚌🎬🎤🎮🏖🎣🍜🍣🥑🥂🧾🛒🎟"
 )
+
+CHARGE_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,11 @@ class SynthSpec:
     posts_per_user: tuple[int, int] = (5, 12)
     p_signal: float = 0.6
     p_noise: float = 0.1
-    signal_tokens_a: tuple[str, ...] = SIGNAL_TOKENS_A
-    signal_tokens_b: tuple[str, ...] = SIGNAL_TOKENS_B
-    background_words: tuple[str, ...] = tuple(dict.fromkeys(BACKGROUND_WORDS))
-    emoji_pool: str = EMOJI_POOL
     emoji_fraction: float = 0.6
-    charge_fraction: float = 0.2
     seed: int = 0
+    # class attributes, not fields: every spec plants the same tokens
+    signal_tokens_a = SIGNAL_TOKENS_A
+    signal_tokens_b = SIGNAL_TOKENS_B
 
     def validate(self) -> None:
         if not (0.0 <= self.p_noise < self.p_signal <= 1.0):
@@ -80,8 +81,6 @@ class SynthSpec:
             raise SynthSpecError(f"bad posts_per_user range {self.posts_per_user}")
         if not (0.0 <= self.emoji_fraction <= 1.0):
             raise SynthSpecError("emoji_fraction must be in [0, 1]")
-        if not self.signal_tokens_a or not self.signal_tokens_b:
-            raise SynthSpecError("each class needs at least one signal token")
 
 
 @dataclass
@@ -111,7 +110,7 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
     rng_notes, rng_tx, rng_names = (np.random.default_rng(s) for s in root.spawn(3))
 
     female_names, male_names = _name_pools()
-    bg_weights = _zipf_weights(len(spec.background_words))
+    bg_weights = _zipf_weights(len(BACKGROUND_WORDS))
     base_time = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
     transactions: list[Transaction] = []
@@ -119,8 +118,8 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
     seq = 0
 
     for class_key, signal_own, signal_other, pol_label, name_pool in (
-            ("a", spec.signal_tokens_a, spec.signal_tokens_b, "democrat", female_names),
-            ("b", spec.signal_tokens_b, spec.signal_tokens_a, "republican", male_names)):
+            ("a", SIGNAL_TOKENS_A, SIGNAL_TOKENS_B, "democrat", female_names),
+            ("b", SIGNAL_TOKENS_B, SIGNAL_TOKENS_A, "republican", male_names)):
         for i in range(spec.n_users_per_class):
             user_id = f"u{class_key}{i:05d}"
             first = name_pool[int(rng_names.integers(len(name_pool)))]
@@ -135,7 +134,7 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
                 counterparty = f"x{seq:07d}"
                 cp_name = f"Px{seq:07d}"
                 user_is_actor = bool(rng_tx.integers(2))
-                kind = "charge" if rng_tx.random() < spec.charge_fraction else "payment"
+                kind = "charge" if rng_tx.random() < CHARGE_FRACTION else "payment"
                 transactions.append(Transaction(
                     id=f"t{seq:07d}",
                     created_at=base_time + timedelta(minutes=seq),
@@ -165,15 +164,15 @@ def _make_note(spec: SynthSpec, rng: np.random.Generator,
 
     if not tokens:
         if rng.random() < spec.emoji_fraction:
-            return spec.emoji_pool[int(rng.integers(len(spec.emoji_pool)))]
+            return EMOJI_POOL[int(rng.integers(len(EMOJI_POOL)))]
         k = int(rng.choice([1, 2, 3], p=[0.6, 0.3, 0.1]))
-        picks = rng.choice(len(spec.background_words), size=k, p=bg_weights)
-        return " ".join(spec.background_words[int(p)] for p in picks)
+        picks = rng.choice(len(BACKGROUND_WORDS), size=k, p=bg_weights)
+        return " ".join(BACKGROUND_WORDS[int(p)] for p in picks)
 
     extra = int(rng.choice([0, 1, 2], p=[0.5, 0.35, 0.15]))
-    picks = rng.choice(len(spec.background_words), size=extra, p=bg_weights)
-    tokens.extend(spec.background_words[int(p)] for p in picks)
+    picks = rng.choice(len(BACKGROUND_WORDS), size=extra, p=bg_weights)
+    tokens.extend(BACKGROUND_WORDS[int(p)] for p in picks)
     rng.shuffle(tokens)
     if rng.random() < spec.emoji_fraction:
-        tokens.append(spec.emoji_pool[int(rng.integers(len(spec.emoji_pool)))])
+        tokens.append(EMOJI_POOL[int(rng.integers(len(EMOJI_POOL)))])
     return " ".join(tokens)

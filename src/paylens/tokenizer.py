@@ -23,7 +23,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
 
 from . import emoji_data
 
@@ -54,9 +53,6 @@ class TokenizedPost:
     # this post's n-grams of orders 1..len(_grams); not part of its value
     _grams: tuple[tuple[str, ...], ...] = field(
         default=(), init=False, compare=False, repr=False)
-
-    def lemmas(self) -> list[str]:
-        return [t.lemma for t in self.tokens]
 
     def ngrams(self, n: int) -> tuple[str, ...]:
         """This post's n-grams of order n by position, built on first use.
@@ -177,15 +173,6 @@ def _restore(stem: str) -> str:
     return stem
 
 
-def lemmatize(token: Token) -> Token:
-    """Lemma for word tokens; non-word tokens pass through unchanged."""
-    if token.kind != WORD:
-        return token
-    return Token(surface=token.surface,
-                 lemma=lemma_for_word(token.surface),
-                 kind=WORD)
-
-
 def tokenize_post(note: str) -> TokenizedPost:
     """Segment a note into typed tokens. Total and deterministic.
 
@@ -221,13 +208,4 @@ def ngrams_by_post(posts: Iterable[TokenizedPost], orders: range) -> list[tuple[
     """
     return [grams[n - 1] if len(grams := post._grams) >= n else post.ngrams(n)
             for post in posts for n in orders]
-
-
-def generate_ngrams(post: TokenizedPost, n_range: tuple[int, int] = (1, 2)) -> list[str]:
-    """N-grams over this post's lemma sequence, joined by single spaces.
-
-    Emitted by n ascending, then by position. Never crosses post boundaries
-    because it only ever sees one post.
-    """
-    return list(chain.from_iterable(ngrams_by_post([post], ngram_orders(n_range))))
 

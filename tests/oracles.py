@@ -22,7 +22,7 @@ from paylens.models.mlp import MlpConfig, MlpModel, _dense_ok, _sigmoid
 from paylens.models.svm import LinearSvmModel, _as_csr
 from paylens.pipeline import fit_pipeline, pipeline_predict, pipeline_transform
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE, WORD,
-                               Token, TokenizedPost, lemmatize)
+                               Token, TokenizedPost, lemma_for_word)
 from paylens.vectorizer import Vocabulary
 
 
@@ -61,7 +61,8 @@ def within_post_ngrams(posts_lemmas, n_range):
 
 # The text path as it was before posts cached their n-grams: one
 # pattern.match per token kind and position, n-grams rebuilt from the lemma
-# list on every call, and a per-occurrence dict count. Copied verbatim; the
+# list on every call, and a per-occurrence dict count. Copied verbatim, but
+# for word lemmas, which call lemma_for_word in place of a helper; the
 # per-kind patterns are the tokenizer's own, so the oracle checks the scanning
 # and counting, not the pattern text.
 _WS_RE = re.compile(r"\s+")
@@ -93,10 +94,8 @@ def tokenize_post_oracle(note: str) -> TokenizedPost:
             m = pattern.match(note, pos)
             if m:
                 surface = m.group(0)
-                token = Token(surface=surface, lemma=surface, kind=kind)
-                if kind == WORD:
-                    token = lemmatize(token)
-                tokens.append(token)
+                lemma = lemma_for_word(surface) if kind == WORD else surface
+                tokens.append(Token(surface=surface, lemma=lemma, kind=kind))
                 pos = m.end()
                 break
         else:
@@ -111,7 +110,7 @@ def generate_ngrams_oracle(post: TokenizedPost, n_range=(1, 2)) -> list[str]:
     low, high = n_range
     if not (1 <= low <= high <= 3):
         raise ValueError(f"n_range must satisfy 1 <= low <= high <= 3, got {n_range}")
-    lemmas = post.lemmas()
+    lemmas = [t.lemma for t in post.tokens]
     grams: list[str] = []
     for n in range(low, high + 1):
         for i in range(len(lemmas) - n + 1):

@@ -61,7 +61,7 @@ def test_criterion_01_tfidf_oracle_equivalence():
     assert len(vocab) == 12
     matrix = tfidf_transform(count_transform(users, vocab), vocab).toarray()
 
-    counts = [term_counts_oracle([p.lemmas() for p in u], (1, 1))
+    counts = [term_counts_oracle([[t.lemma for t in p.tokens] for p in u], (1, 1))
               for u in users]
     expected = tfidf_oracle(counts, dict(zip(vocab.terms, vocab.df)),
                             vocab.n_documents)

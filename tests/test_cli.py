@@ -676,6 +676,17 @@ class TestHarvestCommands:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
 
+    def test_feed_rejects_non_http_endpoint_without_retrying(self, tmp_path,
+                                                             capsys):
+        start = time.monotonic()
+        code = main(["harvest", "feed", "--endpoint", "ftp://127.0.0.1:9",
+                     "--pages", "1", "--out", str(tmp_path / "feed.jsonl")])
+        assert code == 1
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert "not an http(s) URL" in err
+        assert "retries" not in err
+
     @pytest.mark.parametrize("max_users", ["-1", "-3"])
     def test_users_rejects_negative_max_users(self, tmp_path, capsys,
                                               max_users):

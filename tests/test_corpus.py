@@ -203,6 +203,7 @@ class TestFilterMinPosts:
         corpus = self._corpus()
         filtered = filter_min_posts(corpus, 5)
         assert set(filtered.transactions) == set(corpus.transactions)
+        assert filtered.transactions is corpus.transactions  # shared, not copied
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

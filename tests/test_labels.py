@@ -10,8 +10,8 @@ from paylens.cli import main
 from paylens.corpus import group_by_user
 from paylens.errors import LabelFileError, UnknownRegion
 from paylens.labels import (ANDY, CLASS_A, CLASS_B, FEMALE, MALE,
-                            MOSTLY_FEMALE, MOSTLY_MALE, UNKNOWN, NameCorpus,
-                            build_labeled_dataset, default_name_corpus,
+                            MOSTLY_FEMALE, MOSTLY_MALE, UNKNOWN, LabeledUser,
+                            NameCorpus, build_labeled_dataset, default_name_corpus,
                             extract_first_name, guess_gender,
                             load_name_corpus, load_political_labels)
 
@@ -184,6 +184,33 @@ class TestBuildLabeledDataset:
         labeled = build_labeled_dataset(corpus, "gender", name_corpus=nc)
         assert {lu.label for lu in labeled} <= {CLASS_A, CLASS_B}
         assert len(labeled) == 2
+
+    def test_class_map_over_every_category(self):
+        nc = corpus_with({"maro": (100, 0), "mosm": (80, 20), "andy": (50, 50),
+                          "mosf": (20, 80), "fera": (0, 100)})
+        # users u0..u7; their counterparties x0..x7 have names no corpus knows
+        corpus = self._corpus(["Fera", "Maro", "Andy", "Mosm", "Mosf", "Ghost",
+                               "Fera", "Maro"])
+        assert {guess_gender(extract_first_name(p.display_name), nc)
+                for p in corpus.users.values()} == {
+            MALE, MOSTLY_MALE, ANDY, MOSTLY_FEMALE, FEMALE, UNKNOWN}
+        assert build_labeled_dataset(corpus, "gender", name_corpus=nc) == [
+            LabeledUser("u0", CLASS_A, "gender"),
+            LabeledUser("u1", CLASS_B, "gender"),
+            LabeledUser("u6", CLASS_A, "gender"),
+            LabeledUser("u7", CLASS_B, "gender")]
+        political = {"x2": "republican", "u3": "democrat", "u1": "republican",
+                     "u0": "democrat", "absent": "democrat"}
+        assert build_labeled_dataset(corpus, "politics",
+                                     political_labels=political) == [
+            LabeledUser("u0", CLASS_A, "politics"),
+            LabeledUser("u1", CLASS_B, "politics"),
+            LabeledUser("u3", CLASS_A, "politics"),
+            LabeledUser("x2", CLASS_B, "politics")]
+        with pytest.raises(ValueError, match="unknown task"):
+            build_labeled_dataset(corpus, "age", name_corpus=nc)
+        with pytest.raises(LabelFileError):
+            build_labeled_dataset(corpus, "politics", name_corpus=nc)
 
 
 # values that are not a count, or not a political label

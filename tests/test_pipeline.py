@@ -203,11 +203,14 @@ class TestPipelineArtifact:
         ("mlp", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
         ("gbdt", ("model", "payload", "config"), lambda c: {**c, "bogus": 1}),
         ("mlp", ("config", "mlp_overrides"), lambda o: {**o, "epochs": -1}),
+        ("svm", ("config", "classifier"), lambda kind: "mlp"),
+        ("gbdt", ("config", "classifier"), lambda kind: "svm"),
     ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int",
             "n_documents_str", "feature_names_int", "feature_name_nested",
             "one_class_name", "scaler_mean_short", "config_unknown_key",
             "mlp_config_unknown_key", "gbdt_config_unknown_key",
-            "config_override_out_of_range"])
+            "config_override_out_of_range", "svm_model_mlp_config",
+            "gbdt_model_svm_config"])
     def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
                                        classifier, path, change):
         container = json.loads(saved_pipelines[classifier].read_text())

@@ -1,11 +1,13 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE,
-                               WORD, Token, TokenizedPost, generate_ngrams,
-                               lemma_for_word, lemmatize, tokenize_post)
+                               WORD, Token, TokenizedPost, lemma_for_word,
+                               ngram_orders, ngrams_by_post, tokenize_post)
 
 from oracles import generate_ngrams_oracle, tokenize_post_oracle
 
@@ -22,6 +24,11 @@ def synth_notes(seed=3, per_class=20):
     result = generate_synthetic_corpus(SynthSpec(n_users_per_class=per_class,
                                                  seed=seed))
     return [t.note for t in result.transactions]
+
+
+def post_ngrams(post, n_range):
+    """One post's n-grams as the vectorizer gathers them: by order, then position."""
+    return list(chain.from_iterable(ngrams_by_post([post], ngram_orders(n_range))))
 
 
 def kinds_and_surfaces(note):
@@ -146,35 +153,34 @@ class TestLemmatize:
         assert lemma_for_word(word) == expected
 
     def test_non_word_tokens_unchanged(self):
-        tok = Token(surface="🍕", lemma="🍕", kind=EMOJI)
-        assert lemmatize(tok) is tok
-        code = Token(surface=":uber:", lemma=":uber:", kind=SHORTCODE)
-        assert lemmatize(code) is code
+        assert tokenize_post("🍕 :uber: :-) 20").tokens == (
+            Token("🍕", "🍕", EMOJI), Token(":uber:", ":uber:", SHORTCODE),
+            Token(":-)", ":-)", EMOTICON), Token("20", "20", NUMBER))
 
     def test_word_token_gets_lemma(self):
-        tok = Token(surface="Drinks", lemma="Drinks", kind=WORD)
-        assert lemmatize(tok).lemma == "drink"
+        assert tokenize_post("Drinks 🍕").tokens == (
+            Token("Drinks", "drink", WORD), Token("🍕", "🍕", EMOJI))
 
 
 class TestGenerateNgrams:
     def test_unigrams_and_bigrams(self):
         post = tokenize_post("pizza night")
-        assert generate_ngrams(post, (1, 2)) == ["pizza", "night", "pizza night"]
+        assert post_ngrams(post, (1, 2)) == ["pizza", "night", "pizza night"]
 
     def test_single_token(self):
         post = tokenize_post("pizza")
-        assert generate_ngrams(post, (1, 2)) == ["pizza"]
+        assert post_ngrams(post, (1, 2)) == ["pizza"]
 
     def test_emission_order_by_n_then_position(self):
         post = tokenize_post("a b c")
-        assert generate_ngrams(post, (1, 3)) == [
+        assert post_ngrams(post, (1, 3)) == [
             "a", "b", "c", "a b", "b c", "a b c"]
 
     def test_invalid_range_rejected(self):
         post = tokenize_post("a b")
         for bad in ((0, 1), (2, 1), (1, 4)):
             with pytest.raises(ValueError):
-                generate_ngrams(post, bad)
+                post_ngrams(post, bad)
 
     @given(st.lists(st.sampled_from("abcdef"), max_size=12),
            st.integers(1, 3), st.integers(1, 3))
@@ -182,7 +188,7 @@ class TestGenerateNgrams:
     def test_count_formula(self, tokens, low, span):
         high = min(3, low + span - 1)
         post = tokenize_post(" ".join(tokens))
-        grams = generate_ngrams(post, (low, high))
+        grams = post_ngrams(post, (low, high))
         expected = sum(max(0, len(post.tokens) - n + 1)
                        for n in range(low, high + 1))
         assert len(grams) == expected
@@ -192,7 +198,7 @@ class TestGenerateNgrams:
         posts = [tokenize_post(n) for n in synth_notes(seed=4, per_class=5)]
         posts += [tokenize_post(n) for n in ("", "solo", "two words")]
         for post in posts:
-            assert generate_ngrams(post, n_range) == generate_ngrams_oracle(post, n_range)
+            assert post_ngrams(post, n_range) == generate_ngrams_oracle(post, n_range)
 
 
 class TestNgramCache:

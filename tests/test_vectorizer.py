@@ -108,7 +108,8 @@ class TestCountTransform:
         vocab = fit_vocabulary(users, (1, 2), min_df=1)
         mat = count_transform(users, vocab).toarray()
         for row, user in zip(mat, users):
-            expected = term_counts_oracle([p.lemmas() for p in user], (1, 2))
+            expected = term_counts_oracle(
+                [[t.lemma for t in p.tokens] for p in user], (1, 2))
             for term, col in vocab.index.items():
                 assert row[col] == expected.get(term, 0)
 
@@ -269,7 +270,7 @@ class TestTfidfTransform:
         users = [posts("a b a", "c"), posts("b b d"), posts("a c d", "d e")]
         vocab = fit_vocabulary(users, (1, 1), min_df=1)
         out = tfidf_transform(count_transform(users, vocab), vocab).toarray()
-        counts = [term_counts_oracle([p.lemmas() for p in u], (1, 1))
+        counts = [term_counts_oracle([[t.lemma for t in p.tokens] for p in u], (1, 1))
                   for u in users]
         expected = tfidf_oracle(counts, dict(zip(vocab.terms, vocab.df)),
                                 vocab.n_documents)
