@@ -43,9 +43,12 @@ def _resolve_path(path: str) -> str:
     return os.path.join(base, path) if base else path
 
 
-def _open_in(path: str):
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)  # don't close the stream
+def _open_in(path: str, binary: bool = False):
+    """Text, or bytes for a corpus, so that a line not UTF-8 fails alone."""
+    if path == "-":  # don't close the stream
+        return contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
+    if binary:
+        return open(_resolve_path(path), "rb")
     return open(_resolve_path(path), encoding="utf-8")
 
 
@@ -65,7 +68,7 @@ def _load_json(path: str):
 
 
 def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
-    with _open_in(path) as fp:
+    with _open_in(path, binary=True) as fp:
         result = corpus_mod.load_transactions(fp)
     if result.skipped:
         print(f"warning: skipped {result.skipped} malformed line(s)",
@@ -150,7 +153,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    with _open_in(args.infile) as fp:
+    with _open_in(args.infile, binary=True) as fp:
         result = corpus_mod.load_transactions(fp, strict=args.strict)
     with _open_out(args.out) as fp:
         corpus_mod.dump_transactions(result.transactions, fp)

@@ -81,17 +81,22 @@ class LoadResult:
 
 def _parse_timestamp(value: str) -> datetime:
     # ISO-8601; a trailing Z is normalized for fromisoformat on 3.10
+    if not isinstance(value, str):
+        raise TypeError(f"date_created must be a string, got {type(value).__name__}")
     dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
 
 
+PARSE_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError)
+
+
 def parse_transaction(obj: dict) -> Transaction:
     """Build a Transaction from one decoded JSONL object.
 
-    Raises KeyError/ValueError/TypeError on schema violations; callers decide
-    whether that skips the line or aborts.
+    Raises one of PARSE_ERRORS on schema violations (OverflowError for an
+    infinite count); callers decide whether that skips the line or aborts.
     """
     actor = obj["actor"]
     target = obj["target"]
@@ -135,19 +140,20 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
     """Parse transactions from a line-delimited JSON stream.
 
     Returns transactions in input order with duplicate ids collapsed keeping
-    the first occurrence. Lenient mode counts and skips malformed lines;
-    strict mode raises ParseError at the first one.
+    the first occurrence. Lenient mode counts and skips malformed lines, a
+    bytes line that is not UTF-8 included; strict mode raises ParseError at
+    the first one.
     """
     out: list[Transaction] = []
     seen: set[str] = set()
     skipped = 0
     for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
         try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line:
+                continue
             t = parse_transaction(json.loads(line))
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        except PARSE_ERRORS as exc:
             if strict:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             skipped += 1

@@ -129,18 +129,20 @@ def _keep_state(*state) -> None:
 def _fold_group(i: int, members: list[int],
                 state: tuple = ()) -> list[FoldOutcome]:
     """Fold i's outcomes for the member configs, which share a featurization:
-    the featurization and the test transform once, then a model per config."""
+    the featurization and the test transform once, then a model per config,
+    SVMs in ascending C, each warm-started from the last one's dual solution."""
     dataset, plan, configs = state or _pool_state
     train_idx, test_idx = plan.split(i)
     y_train, y_true = dataset.labels01[train_idx], dataset.labels01[test_idx]
     features, X = fit_features(dataset, train_idx, configs[members[0]])
     X_test = pipeline_transform(features, dataset, test_idx)
-    outcomes = []
-    for j in members:
-        model = fit_model(X, y_train, configs[j], features.feature_names)
+    outcomes: dict[int, FoldOutcome] = {}
+    warm = np.zeros(len(train_idx))
+    for j in sorted(members, key=lambda j: configs[j].C):
+        model = fit_model(X, y_train, configs[j], features.feature_names, warm)
         fitted = replace(features, config=configs[j], model=model)
-        outcomes.append(_outcome(y_true, pipeline_predict(fitted, X_test)))
-    return outcomes
+        outcomes[j] = _outcome(y_true, pipeline_predict(fitted, X_test))
+    return [outcomes[j] for j in members]
 
 
 def cross_validate(dataset: UserDataset, plan: FoldPlan,
@@ -154,12 +156,20 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
     forked processes, which inherit the dataset instead of unpickling it;
     otherwise they run here, one after another. The results are the same
     either way. A task's error is raised here as it was raised in the
-    worker, and a worker that dies is a WorkerDied."""
+    worker, and a worker that dies is a WorkerDied. Tasks start longest
+    first, so the pool does not end on a long one: tf-idf (slower SVMs)
+    before count, wider n-gram ranges (more columns) before narrower."""
     groups: dict[tuple, list[int]] = {}
     for j, c in enumerate(configs):
         groups.setdefault(featurization_key(c), []).append(j)
     state = (dataset, plan, configs)
-    tasks = [(i, members) for i in range(plan.k) for members in groups.values()]
+
+    def longest_first(members: list[int]) -> tuple:
+        c = configs[members[0]]
+        return c.vectorizer != "tfidf", c.n_range[0] - c.n_range[1]
+
+    tasks = [(i, members) for members in sorted(groups.values(), key=longest_first)
+             for i in range(plan.k)]
     processes = min(workers, len(tasks))
     if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
         try:

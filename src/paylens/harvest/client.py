@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Sequence
 from urllib.parse import quote, urlencode, urlsplit
 
-from ..corpus import Transaction, dump_transactions, parse_transaction
+from ..corpus import (PARSE_ERRORS, Transaction, dump_transactions,
+                      parse_transaction)
 from ..errors import (HarvestError, MalformedPage, PatternNotFound,
                       UnknownUsername, UserNotFound)
 
@@ -253,7 +254,7 @@ def _get_page(hc: HarvestClient, url: str, context: str,
     try:
         body = resp.json()
         return [parse_transaction(obj) for obj in body["data"]], read(body)
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+    except PARSE_ERRORS as exc:
         raise MalformedPage(f"{context}: {exc}") from exc
 
 

@@ -1,8 +1,16 @@
-"""Label validation and the logistic loss shared by the classifiers."""
+"""Input conversion, label checks and the logistic loss the classifiers share."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import SingleClass
+
+
+def _as_csr(X) -> sp.csr_matrix:
+    """X as CSR with fresh, contiguous float64 data; dense input is converted."""
+    if sp.issparse(X):
+        return X.tocsr().astype(np.float64)
+    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
 
 
 def check_binary_labels(y, allowed: tuple[int, int], n_rows: int) -> np.ndarray:

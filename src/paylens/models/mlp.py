@@ -3,6 +3,10 @@
 Trained with plain mini-batch gradient descent on binary cross-entropy.
 The loss and gradients are computed from logits for numerical stability and
 exposed separately so they can be validated against finite differences.
+Dense input is converted to CSR. Each epoch gathers its permuted rows once,
+so a mini-batch is a slice of the CSR arrays; products call the kernels that
+`X @ W1` and `X.T @ D` dispatch to, skipping their checks, for the same bits.
+A batch's W1 gradient and update cover only the rows of the columns it uses.
 """
 
 from __future__ import annotations
@@ -10,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+# private, pinned by tests/test_mlp.py against the operators they implement
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from ..errors import NonFiniteError
-from .common import bce_with_logits, check_binary_labels
+from .common import _as_csr, bce_with_logits, check_binary_labels
 
 
 @dataclass
@@ -38,10 +43,14 @@ class MlpModel:
     kind: str = field(default="mlp", init=False)
 
 
-def _dense_ok(X):
-    if sp.issparse(X):
-        return X.tocsr().astype(np.float64)
-    return np.asarray(X, dtype=np.float64)
+def _take_rows(indptr, indices, data, order):
+    """The CSR arrays of rows `order`, in that order."""
+    counts = np.diff(indptr)[order]
+    taken = np.zeros_like(indptr)
+    np.cumsum(counts, out=taken[1:])
+    pos = (np.repeat(indptr[order] - taken[:-1], counts)
+           + np.arange(taken[-1], dtype=indptr.dtype))
+    return taken, indices[pos], data[pos]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -54,17 +63,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(W1, b1, W2, b2, X):
-    """(pre-activations, hidden activations, logits) of dense or CSR X."""
-    pre = X @ W1 + b1
+    """(pre-activations, hidden activations, logits) of CSR arrays X."""
+    pre = np.zeros((len(X[0]) - 1, W1.shape[1]))
+    csr_matvecs(pre.shape[0], W1.shape[0], W1.shape[1], *X, W1.ravel(), pre.ravel())
+    pre += b1
     hidden = np.maximum(pre, 0.0)
     return pre, hidden, (hidden @ W2).ravel() + b2[0]
 
 
 def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
-    """Mean binary cross-entropy and its gradients for one batch.
-
-    Returns (loss, dW1, db1, dW2, db2). Accepts dense or CSR X.
-    """
+    """Mean binary cross-entropy and its gradients for one batch of CSR arrays
+    X (unchecked: float64 data, columns below W1's row count). Returns (loss,
+    (rows, dW1), db1, dW2, db2); W1's gradient is dW1 on `rows`, else zero."""
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.shape[0]
     pre, hidden, z = _forward(W1, b1, W2, b2, X)
@@ -74,9 +84,15 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     db2 = dz.sum(axis=0)
     dhidden = dz @ W2.T
     dhidden[pre <= 0.0] = 0.0
-    dW1 = X.T @ dhidden
+    indptr, indices, data = X
+    rows = np.flatnonzero(np.bincount(indices, minlength=W1.shape[0]))
+    at = np.empty(W1.shape[0], dtype=indices.dtype)  # W1 row -> dW1 row
+    at[rows] = np.arange(len(rows), dtype=indices.dtype)
+    dW1 = np.zeros((len(rows), W1.shape[1]))
+    csc_matvecs(len(rows), n, W1.shape[1], indptr, at[indices], data,
+                dhidden.ravel(), dW1.ravel())
     db1 = dhidden.sum(axis=0)
-    return loss, dW1, db1, dW2, db2
+    return loss, (rows, dW1), db1, dW2, db2
 
 
 # a diverging fit overflows to inf/nan, which the loss checks turn into errors
@@ -86,8 +102,9 @@ def train_mlp(X, y, config: MlpConfig | None = None,
     """Mini-batch gradient descent; the per-epoch full-data loss is recorded."""
     if config is None:
         config = MlpConfig()
-    Xv = _dense_ok(X)
-    n, d = Xv.shape
+    Xc = _as_csr(X)
+    n, d = Xc.shape
+    Xa = (Xc.indptr, Xc.indices, Xc.data)
     yv = check_binary_labels(y, (0, 1), n)
 
     rng = np.random.default_rng(config.seed)
@@ -102,18 +119,22 @@ def train_mlp(X, y, config: MlpConfig | None = None,
     loss_curve: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        indptr, indices, data = _take_rows(*Xa, order)
+        y_order = yv[order]
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            Xb = Xv[idx]
-            loss, dW1, db1, dW2, db2 = mlp_loss_and_grads(W1, b1, W2, b2, Xb, yv[idx])
+            stop = min(start + batch, n)
+            lo, hi = indptr[start], indptr[stop]
+            Xb = (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi])
+            loss, (used, dW1), db1, dW2, db2 = mlp_loss_and_grads(
+                W1, b1, W2, b2, Xb, y_order[start:stop])
             if not np.isfinite(loss):
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}")
-            W1 -= config.lr * dW1
+            W1[used] -= config.lr * dW1
             b1 -= config.lr * db1
             W2 -= config.lr * dW2
             b2 -= config.lr * db2
-        full_loss = bce_with_logits(_forward(W1, b1, W2, b2, Xv)[2], yv)
+        full_loss = bce_with_logits(_forward(W1, b1, W2, b2, Xa)[2], yv)
         if not np.isfinite(full_loss):
             raise NonFiniteError(f"non-finite loss after epoch {epoch}")
         loss_curve.append(full_loss)
@@ -124,8 +145,12 @@ def train_mlp(X, y, config: MlpConfig | None = None,
 
 
 def mlp_proba(model: MlpModel, X) -> np.ndarray:
+    Xc = _as_csr(X)
+    if Xc.shape[1] != model.W1.shape[0]:
+        raise ValueError(
+            f"matrix has {Xc.shape[1]} columns, model expects {model.W1.shape[0]}")
     return _sigmoid(_forward(model.W1, model.b1, model.W2, model.b2,
-                             _dense_ok(X))[2])
+                             (Xc.indptr, Xc.indices, Xc.data))[2])
 
 
 def mlp_predict(model: MlpModel, X) -> np.ndarray:

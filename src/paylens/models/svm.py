@@ -4,7 +4,8 @@ Minimizes 0.5*||w||^2 + C * sum(max(0, 1 - y_i * (w.x_i + b))) with the bias
 folded in as a constant feature (so b is L2-regularized, the usual linear-SVM
 convention). Training stops when the relative duality gap of that problem
 drops below tol. Coordinate order is reshuffled each epoch from the seed, so
-runs are reproducible.
+runs are reproducible. A fit can warm-start from another fit's dual solution
+on the same rows, as along a path of ascending C (Chu, Yang & Lin, KDD 2015).
 
 Without numba the epoch kernel runs as plain Python over lists: indexing a
 list gives a Python float, whose arithmetic is several times faster than
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import NonFiniteError
-from .common import check_binary_labels
+from .common import _as_csr, check_binary_labels
 
 logger = logging.getLogger(__name__)
 
@@ -72,16 +73,15 @@ class LinearSvmModel:
     kind: str = field(default="svm", init=False)
 
 
-def _as_csr(X) -> sp.csr_matrix:
-    if sp.issparse(X):
-        return X.tocsr().astype(np.float64)
-    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
-
-
 def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
                      max_epochs: int = 1000,
-                     feature_names: list[str] | None = None) -> LinearSvmModel:
-    """Fit the hinge-loss linear model to the stated relative duality gap."""
+                     feature_names: list[str] | None = None,
+                     warm: np.ndarray | None = None) -> LinearSvmModel:
+    """Fit the hinge-loss linear model to the stated relative duality gap.
+
+    The dual starts at zero, or from `warm`, one value per row, clipped to
+    [0, C]; the fit then leaves its own dual solution in `warm`, to
+    warm-start a fit at another C on the same rows."""
     Xc = _as_csr(X)
     yv = check_binary_labels(y, (-1, 1), Xc.shape[0])
     if not np.isfinite(Xc.data).all():
@@ -89,14 +89,15 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
     if C <= 0:
         raise ValueError("C must be positive")
 
-    n, d = Xc.shape
+    n = Xc.shape[0]
     Xa = sp.hstack([Xc, np.ones((n, 1))], format="csr")  # bias feature
     qd = np.asarray(Xa.multiply(Xa).sum(axis=1)).ravel()
     qd[qd == 0.0] = 1.0  # all-zero rows never move their alpha anyway
     # numba takes the arrays; the plain-Python body runs over lists
     arg = (lambda a: a) if hasattr(_cd_epoch, "py_func") else np.ndarray.tolist
     rows = [arg(a) for a in (Xa.indptr, Xa.indices, Xa.data, yv, qd)]
-    alpha, w = arg(np.zeros(n)), arg(np.zeros(d + 1))
+    start = np.zeros(n) if warm is None else np.clip(warm, 0.0, C)
+    alpha, w = arg(start), arg(Xa.T @ (start * yv))  # w = sum alpha_i y_i x_i
     rng = np.random.default_rng(seed)
 
     primal = gap = np.inf
@@ -121,6 +122,8 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
             "duality gap %.6g > bound %.6g", C, epochs, gap,
             tol * max(abs(primal), 1.0))
     w = np.asarray(w)
+    if warm is not None:
+        warm[:] = alpha
 
     return LinearSvmModel(
         weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,

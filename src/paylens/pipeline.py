@@ -191,11 +191,14 @@ def fit_features(dataset: UserDataset, train_idx: Sequence[int],
 
 
 def fit_model(X: sp.csr_matrix, y01: np.ndarray, config: PipelineConfig,
-              feature_names: list[str]):
-    """The configured classifier trained on X, which it leaves unchanged."""
+              feature_names: list[str], warm: np.ndarray | None = None):
+    """The configured classifier trained on X, which it leaves unchanged. An
+    SVM warm-starts from `warm` and leaves its dual solution there (see
+    train_linear_svm); the other classifiers ignore it."""
     if config.classifier == "svm":
         return train_linear_svm(X, 2 * y01 - 1, C=config.C, tol=config.svm_tol,
-                                seed=config.seed, feature_names=feature_names)
+                                seed=config.seed, feature_names=feature_names,
+                                warm=warm)
     train, model_config, overrides = (
         (train_mlp, MlpConfig, config.mlp_overrides) if config.classifier == "mlp"
         else (train_gbdt, GbdtConfig, config.gbdt_overrides))

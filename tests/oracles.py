@@ -18,7 +18,7 @@ from paylens.evaluation import CvResult, FoldOutcome
 from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import bce_with_logits, check_binary_labels
 from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
-from paylens.models.mlp import MlpConfig, MlpModel, _dense_ok, _sigmoid
+from paylens.models.mlp import MlpConfig, MlpModel, _sigmoid
 from paylens.models.svm import LinearSvmModel, _as_csr
 from paylens.pipeline import fit_pipeline, pipeline_predict, pipeline_transform
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE, WORD,
@@ -340,7 +340,8 @@ def train_mlp_oracle(X, y, config: MlpConfig | None = None,
                      feature_names: list[str] | None = None) -> MlpModel:
     if config is None:
         config = MlpConfig()
-    Xv = _dense_ok(X)
+    Xv = (X.tocsr().astype(np.float64) if sp.issparse(X)
+          else np.asarray(X, dtype=np.float64))
     n, d = Xv.shape
     yv = check_binary_labels(y, (0, 1), n)
 

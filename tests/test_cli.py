@@ -76,6 +76,31 @@ class TestIngestAndStats:
         assert code == 1
         assert "corpus:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_line_not_utf8_fails_alone(self, tmp_path, capsys, monkeypatch,
+                                       stdin):
+        data = "\n".join([txn_json("t1"), '{"id": "t', txn_json("t3")]).encode()
+        data = data.replace(b'"t\n', b'"t\xff"}\n')  # line 2: {"id": "t\xff"}
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+        raw.write_bytes(data + b"\n")
+        source = str(raw)
+        if stdin:
+            source = "-"
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["ingest", "--in", source, "--out", str(out)]) == 0
+        assert "ingested 2 transactions (1 skipped)" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fp:
+            assert [t.id for t in load_transactions(fp).transactions] == ["t1", "t3"]
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["stats", "--in", source, "--out", str(tmp_path / "h.csv")]) == 0
+        assert "skipped 1 malformed line(s)" in capsys.readouterr().err
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["ingest", "--strict", "--in", source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus: line 2: 'utf-8' codec can't decode")
+
     def test_stats_histogram(self, synth_files, tmp_path):
         corpus, _ = synth_files
         out = tmp_path / "hist.csv"
@@ -513,6 +538,45 @@ def _mutant(draw, doc):
     else:
         parent[path[-1]] = draw(_RETYPED)
     return json.dumps(doc)
+
+
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_jsonl_ingests_cleanly(tmp_path, data):
+    """A corpus line with a key dropped, a value retyped, an unknown key, the
+    text truncated or bytes that are not UTF-8 spliced in: lenient ingest
+    skips it and keeps the good lines, strict ingest exits 1 naming its line
+    or accepts it; no exception escapes."""
+    good = json.loads(txn_json("t0", note="pay day 🍕"))
+    lines = [txn_json(f"t{i}").encode() for i in (1, 2)]
+    if data.draw(st.booleans()):
+        text = json.dumps(good, ensure_ascii=False).encode()
+        at = data.draw(st.integers(0, len(text)))
+        bad = text[:at] + data.draw(st.sampled_from(_NOT_UTF8)) + text[at:]
+    else:
+        bad = data.draw(_mutant(good)).encode()
+    place = data.draw(st.integers(0, 2))
+    lines.insert(place, bad)
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "out.jsonl"
+    raw.write_bytes(b"\n".join(lines) + b"\n")
+    for strict in (False, True):
+        out.unlink(missing_ok=True)
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = main(["ingest", "--in", str(raw), "--out", str(out),
+                         *(["--strict"] if strict else [])])
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            with open(out, encoding="utf-8") as fp:
+                ids = [t.id for t in load_transactions(fp, strict=True).transactions]
+            assert {"t1", "t2"} <= set(ids)
+        else:
+            assert strict and code == 1, (code, err.getvalue())
+            assert err.getvalue().startswith(f"error: corpus: line {place + 1}: ")
 
 
 class TestMutatedConfigFiles:

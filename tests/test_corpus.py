@@ -53,10 +53,15 @@ class TestLoadTransactions:
         self_pay["target"]["id"] = self_pay["actor"]["id"]
         negative = json.loads(txn_json("t3"))
         negative["likes_count"] = -1
-        lines = [json.dumps(o) for o in (bad_kind, self_pay, negative)]
+        no_date = json.loads(txn_json("t4"))
+        no_date["date_created"] = None
+        infinite = json.loads(txn_json("t5"))
+        infinite["likes_count"] = float("inf")  # written as Infinity
+        lines = [json.dumps(o) for o in (bad_kind, self_pay, negative, no_date,
+                                         infinite)]
         result = load_transactions(iter(lines))
         assert result.transactions == []
-        assert result.skipped == 3
+        assert result.skipped == 5
 
     @pytest.mark.parametrize("note", [None, 7, ["hi"]])
     def test_non_string_note_is_malformed(self, note):

@@ -16,7 +16,9 @@ from paylens.evaluation import (FoldPlan, GridSpec, balance_classes,
                                 cross_validate, grid_search,
                                 stratified_kfold)
 from paylens.labels import CLASS_A, CLASS_B, LabeledUser, build_labeled_dataset
-from paylens.pipeline import PipelineConfig, build_dataset
+from paylens.models import svm_predict, train_linear_svm
+from paylens.pipeline import (PipelineConfig, build_dataset, fit_features,
+                              pipeline_transform)
 from paylens.tokenizer import tokenize_post
 
 from conftest import make_txn, synth_dataset
@@ -334,6 +336,61 @@ class TestCrossValidateWorkers:
         results = cross_validate(ds, plan, configs, workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert [len(r.outcomes) for r in results] == [3, 3]
+
+
+class TestTaskCosts:
+    """SVMs warm-start along each task's ascending C, and the longest tasks
+    start first; neither changes what cross-validation reports."""
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_warm_path_converges_and_predicts_as_cold(self, seed):
+        # the inputs of the benchmark's `grid` workload for this seed
+        ds = synth_dataset(seed, n=50, p_signal=0.6, p_noise=0.1, posts=(8, 8))
+        plan = stratified_kfold(ds.labels01.tolist(), k=5, seed=0)
+        for i in range(plan.k):
+            train, test = plan.split(i)
+            y = 2 * ds.labels01[train] - 1
+            for vectorizer in ("count", "tfidf"):
+                features, X = fit_features(ds, train,
+                                           PipelineConfig(vectorizer=vectorizer))
+                X_test = pipeline_transform(features, ds, test)
+                warm = np.zeros(len(train))
+                for C in GridSpec().svm_c:
+                    hot = train_linear_svm(X, y, C=C, warm=warm)
+                    cold = train_linear_svm(X, y, C=C)
+                    bound = hot.tol * max(abs(hot.primal_objective), 1.0)
+                    assert hot.duality_gap <= bound, (i, vectorizer, C)
+                    assert np.array_equal(svm_predict(hot, X_test),
+                                          svm_predict(cold, X_test)), (i, vectorizer, C)
+
+    def test_longest_first_keeps_outcomes(self, monkeypatch):
+        ds = synth_dataset(seed=3, n=12)
+        plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=3)
+        count = PipelineConfig(vectorizer="count", n_range=(1, 1), min_df=1,
+                               seed=3, mlp_overrides=(("epochs", 10),))
+        tfidf = replace(count, vectorizer="tfidf")
+        configs = [replace(count, C=10.0), replace(tfidf, n_range=(1, 2)),
+                   replace(count, classifier="mlp"), tfidf,
+                   replace(count, C=0.1), replace(tfidf, n_range=(1, 2), C=0.01)]
+        folds = [tuple(plan.split(i)[0]) for i in range(plan.k)]
+        started = []
+        fit = paylens.evaluation.fit_features
+
+        def recording(dataset, train_idx, config):
+            started.append((config.vectorizer, config.n_range,
+                            folds.index(tuple(train_idx))))
+            return fit(dataset, train_idx, config)
+
+        monkeypatch.setattr(paylens.evaluation, "fit_features", recording)
+        serial = cross_validate(ds, plan, configs, workers=1)
+        assert started == [(v, nr, i) for v, nr in (("tfidf", (1, 2)),
+                                                    ("tfidf", (1, 1)),
+                                                    ("count", (1, 1)))
+                           for i in range(plan.k)]
+        pooled = cross_validate(ds, plan, configs, workers=2)
+        assert multiprocessing.active_children() == []
+        assert [r.config for r in serial] == configs
+        assert [r.outcomes for r in pooled] == [r.outcomes for r in serial]
 
 
 class TestGridSearch:

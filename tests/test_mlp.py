@@ -5,17 +5,29 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
 from paylens.errors import NonFiniteError, SingleClass
-from paylens.models import (MlpConfig, mlp_loss_and_grads, mlp_predict,
-                            mlp_proba, train_mlp)
+from paylens.models import MlpConfig, mlp_predict, mlp_proba, train_mlp
+from paylens.models.common import _as_csr
+from paylens.models.mlp import _take_rows, mlp_loss_and_grads
 from paylens.models.serialize import model_to_container
 
 from oracles import train_mlp_oracle
 
 
+def csr_arrays(X):
+    Xc = _as_csr(X)
+    return Xc.indptr, Xc.indices, Xc.data
+
+
 def finite_difference_check(W1, b1, W2, b2, X, y, eps=1e-6):
-    """Max relative error between backprop and central differences."""
-    _, dW1, db1, dW2, db2 = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
+    """Max relative error between backprop and central differences, through
+    the batch-gradient function train_mlp calls."""
+    X = csr_arrays(X)
+    _, (rows, touched), db1, dW2, db2 = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
+    dW1 = np.zeros_like(W1)
+    dW1[rows] = touched
     worst = 0.0
     for arr, grad in ((W1, dW1), (b1, db1), (W2, dW2), (b2, db2)):
         it = np.nditer(arr, flags=["multi_index"])
@@ -56,10 +68,11 @@ class TestGradients:
 
     def test_sparse_input_same_gradients(self):
         W1, b1, W2, b2, X, y = toy_params(seed=2)
-        dense = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
-        sparse = mlp_loss_and_grads(W1, b1, W2, b2, sp.csr_matrix(X), y)
+        dense = mlp_loss_and_grads(W1, b1, W2, b2, csr_arrays(X), y)
+        sparse = mlp_loss_and_grads(W1, b1, W2, b2,
+                                    csr_arrays(sp.csr_matrix(X)), y)
         assert dense[0] == pytest.approx(sparse[0])
-        for a, b in zip(dense[1:], sparse[1:]):
+        for a, b in zip((*dense[1], *dense[2:]), (*sparse[1], *sparse[2:])):
             assert np.allclose(a, b)
 
 
@@ -135,18 +148,62 @@ def _mlp_case(kind):
         X, batch = rng.standard_normal((20, 5)), 64
     else:
         density = 0.1 if kind == "csr" else 0.8
-        X = sp.random(60, 30, density=density, format="csr", random_state=rng)
-        batch = 16
+        n = 61 if kind == "ragged" else 60  # ragged: a one-row last batch
+        X = sp.random(n, 30, density=density, format="csr", random_state=rng)
+        batch = 20 if kind == "ragged" else 16
+        if kind == "empty_row":
+            X = X.tolil()
+            X[[0, 7, 33], :] = 0.0
+            X = X.tocsr()
+            assert np.diff(X.indptr).min() == 0
+        if kind == "int64":
+            X.indptr, X.indices = (X.indptr.astype(np.int64),
+                                   X.indices.astype(np.int64))
     sums = np.asarray(X.sum(axis=1)).ravel()
     y = (sums > np.median(sums)).astype(np.int64)
     return X, y, MlpConfig(hidden=7, lr=0.05, epochs=12, batch=batch, seed=3)
 
 
-@pytest.mark.parametrize("kind", ["dense", "csr", "dense_csr", "batch_above_n"])
+# dense input is converted to CSR first, whose products sum in another order
+# than dense ones, so the dense cases compare against the loop run on CSR
+@pytest.mark.parametrize("kind", ["dense", "csr", "dense_csr", "batch_above_n",
+                                  "empty_row", "int64", "ragged"])
 def test_fit_matches_first_written_loop(kind):
     X, y, config = _mlp_case(kind)
     names = [f"f{j}" for j in range(X.shape[1])]
     got = train_mlp(X, y, config, feature_names=names)
-    want = train_mlp_oracle(X, y, config, feature_names=names)
+    want = train_mlp_oracle(sp.csr_matrix(X), y, config, feature_names=names)
     assert (json.dumps(model_to_container(got))
             == json.dumps(model_to_container(want)))
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("rows", [(0, 7), (3, 4), (5, 6)],
+                         ids=["batch", "one_row", "zero_row"])
+def test_raw_kernels_match_the_operators(index, rows):
+    """csr_matvecs/csc_matvecs on a slice of gathered rows, called as
+    mlp.py calls them, give the bits of X[rows] @ W and X[rows].T @ D."""
+    rng = np.random.default_rng(5)
+    X = sp.random(9, 12, density=0.4, format="csr", random_state=rng)
+    X = X.tolil()
+    X[2, :] = 0.0  # row 2 of the gathered order below is all zero
+    X = X.tocsr()
+    X.indptr, X.indices = X.indptr.astype(index), X.indices.astype(index)
+    order = np.array([4, 0, 8, 1, 6, 2, 7, 3, 5])
+    indptr, indices, data = _take_rows(X.indptr, X.indices, X.data, order)
+    assert indptr.dtype == indices.dtype == index
+    d = X.shape[1]
+    start, stop = rows
+    lo, hi = indptr[start], indptr[stop]
+    sl = (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi])
+    sub = X[order[start:stop]]
+    W = rng.standard_normal((d, 4))
+    D = rng.standard_normal((stop - start, 4))
+    forward = np.zeros((stop - start, 4))
+    csr_matvecs(stop - start, d, 4, *sl, W.ravel(), forward.ravel())
+    backward = np.zeros((d, 4))
+    csc_matvecs(d, stop - start, 4, *sl, D.ravel(), backward.ravel())
+    assert np.array_equal(forward, sub @ W)
+    assert np.array_equal(backward, sub.T @ D)
+    if rows == (5, 6):
+        assert sub.nnz == 0 and not forward.any()

@@ -11,11 +11,13 @@ from paylens.labels import build_labeled_dataset
 from paylens.models import (svm, svm_decision, svm_predict, top_coefficients,
                             train_linear_svm)
 from paylens.models.serialize import model_to_container
-from paylens.pipeline import build_dataset
+from paylens.pipeline import (PipelineConfig, build_dataset, fit_features,
+                              fit_pipeline)
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.vectorizer import (assemble_feature_matrix, count_transform,
                                 fit_vocabulary, tfidf_transform)
 
+from conftest import synth_dataset
 from oracles import svm_train
 
 
@@ -240,16 +242,39 @@ def test_fit_cut_short_matches_array_kernel_oracle():
     assert json.dumps(model_to_container(got)) == json.dumps(model_to_container(want))
 
 
+def test_fit_pipeline_stays_cold():
+    """`train` and the grid's refit fit through fit_pipeline, whose SVM starts
+    the dual at zero: a saved model is the cold oracle's, bit for bit."""
+    ds = synth_dataset(seed=4, n=30)
+    config = PipelineConfig(C=10.0, seed=3)
+    rows = np.arange(len(ds))
+    fitted = fit_pipeline(ds, rows, config)
+    _, X = fit_features(ds, rows, config)
+    want = svm_train(X, 2 * ds.labels01 - 1, C=10.0, seed=3,
+                     feature_names=fitted.feature_names)
+    assert (json.dumps(model_to_container(fitted.model))
+            == json.dumps(model_to_container(want)))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("name", list(ORACLE_INPUTS))
-def test_numba_kernel_matches_python_kernel(monkeypatch, name):
+def test_numba_kernel_matches_python_kernel(monkeypatch, name, warm):
     pytest.importorskip("numba")
     X, y = ORACLE_INPUTS[name]()
-    jitted = train_linear_svm(X, y, C=1.0, seed=3)
+    start = None
+    if warm:  # from the C=0.1 solution, as along the grid's C path
+        start = np.zeros(len(y))
+        train_linear_svm(X, y, C=0.1, seed=3, warm=start)
+    jitted_end = None if start is None else start.copy()
+    jitted = train_linear_svm(X, y, C=1.0, seed=3, warm=jitted_end)
     monkeypatch.setattr(svm, "_cd_epoch", svm._cd_epoch.py_func)
-    lists = train_linear_svm(X, y, C=1.0, seed=3)
+    lists_end = None if start is None else start.copy()
+    lists = train_linear_svm(X, y, C=1.0, seed=3, warm=lists_end)
     assert jitted.epochs_run == lists.epochs_run
     assert np.allclose(jitted.weights, lists.weights, rtol=1e-12, atol=1e-12)
     assert np.isclose(jitted.bias, lists.bias, rtol=1e-12, atol=1e-12)
+    if warm:
+        assert np.allclose(jitted_end, lists_end, rtol=1e-12, atol=1e-12)
 
 
 class TestConvergenceWarning:
