@@ -26,12 +26,13 @@ from . import corpus as corpus_mod
 from . import labels as labels_mod
 from .errors import PaylensError
 from .evaluation import GridSpec, balance_classes, grid_search, stratified_kfold
-from .features import aggregate_user_features, engineered_feature_names
+from .features import engineered_feature_names
 from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
 from .models import top_coefficients
 from .pipeline import (CLASSIFIERS, VECTORIZERS, PipelineConfig, build_dataset,
-                       fit_pipeline, fits_type, load_pipeline, save_pipeline)
+                       fit_pipeline, fits_type, load_pipeline, save_pipeline,
+                       user_features)
 from .synth import SynthSpec, generate_synthetic_corpus
 from .tokenizer import tokenize_post
 
@@ -74,7 +75,7 @@ def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
         print(f"warning: skipped {result.skipped} malformed line(s)",
               file=sys.stderr)
     grouped = corpus_mod.group_by_user(result.transactions)
-    if min_posts and min_posts > 1:
+    if min_posts is not None:
         grouped = corpus_mod.filter_min_posts(grouped, min_posts)
     return grouped
 
@@ -183,10 +184,7 @@ def cmd_featurize(args) -> int:
         writer = csv.writer(fp)
         writer.writerow(["user_id"] + names)
         for user_id in sorted(grouped.users):
-            profile = grouped.users[user_id]
-            posts = [tokenize_post(t.note) for t, _ in profile.posts]
-            row = aggregate_user_features(
-                profile, posts, include_actor_pct=args.include_actor_pct)
+            _, row = user_features(grouped.users[user_id], args.include_actor_pct)
             writer.writerow([user_id] + [repr(float(v)) for v in row])
     print(f"featurized {len(grouped.users)} users ({len(names)} columns)")
     return 0
@@ -480,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except PaylensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,18 +95,18 @@ PARSE_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError)
 def parse_transaction(obj: dict) -> Transaction:
     """Build a Transaction from one decoded JSONL object.
 
-    Raises one of PARSE_ERRORS on schema violations (OverflowError for an
-    infinite count); callers decide whether that skips the line or aborts.
+    Raises one of PARSE_ERRORS on schema violations: a count that is not a
+    JSON integer, or a string that cannot be written back as UTF-8 (a lone
+    surrogate); callers decide whether that skips the line or aborts.
     """
     actor = obj["actor"]
     target = obj["target"]
-    likes = int(obj["likes_count"])
-    comments = int(obj["comments_count"])
-    if isinstance(obj["likes_count"], bool) or isinstance(obj["comments_count"], bool):
-        raise ValueError("counts must be integers")
+    likes, comments = obj["likes_count"], obj["comments_count"]
+    if type(likes) is not int or type(comments) is not int:  # bools too
+        raise TypeError("likes_count and comments_count must be integers")
     if not isinstance(obj["note"], str):
         raise TypeError(f"note must be a string, got {type(obj['note']).__name__}")
-    return Transaction(
+    t = Transaction(
         id=str(obj["id"]),
         created_at=_parse_timestamp(obj["date_created"]),
         note=obj["note"],
@@ -119,6 +119,10 @@ def parse_transaction(obj: dict) -> Transaction:
         comments_count=comments,
         audience=obj["audience"],
     )
+    # a lone surrogate decodes from a JSON escape but cannot be written back
+    "".join((t.id, t.note, t.actor_id, t.actor_name, t.target_id,
+             t.target_name)).encode("utf-8")
+    return t
 
 
 def transaction_to_obj(t: Transaction) -> dict:

@@ -84,59 +84,47 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> FoldPlan:
     return FoldPlan(folds=tuple(tuple(sorted(f)) for f in folds), seed=seed)
 
 
-@dataclass
-class FoldOutcome:
-    accuracy: float
-    confusion: tuple[int, int, int, int]  # tn, fp, fn, tp
+Outcome = tuple[int, int, int, int]  # one fold's tn, fp, fn, tp
 
 
 @dataclass
 class CvResult:
     config: PipelineConfig
-    outcomes: list[FoldOutcome]
+    outcomes: list[Outcome]  # one per fold
 
     @property
     def fold_accuracies(self) -> list[float]:
-        return [o.accuracy for o in self.outcomes]
+        return [(tn + tp) / n if (n := tn + fp + fn + tp) else 0.0
+                for tn, fp, fn, tp in self.outcomes]
 
     @property
     def mean_accuracy(self) -> float:
         return float(np.mean(self.fold_accuracies))
 
     @property
-    def confusion(self) -> tuple[int, int, int, int]:
-        total = np.sum([o.confusion for o in self.outcomes], axis=0)
-        return tuple(int(v) for v in total)
+    def confusion(self) -> Outcome:
+        return tuple(sum(counts) for counts in zip(*self.outcomes))
 
 
-def _outcome(y_true: np.ndarray, y_pred: np.ndarray) -> FoldOutcome:
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    return FoldOutcome(accuracy=(tn + tp) / len(y_true) if len(y_true) else 0.0,
-                       confusion=(tn, fp, fn, tp))
+def _outcome(y_true: np.ndarray, y_pred: np.ndarray) -> Outcome:
+    """The count of each (true, predicted) pair: tn, fp, fn, tp."""
+    return tuple(int(np.sum((y_true == t) & (y_pred == p)))
+                 for t, p in ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-_pool_state: tuple = ()  # cross_validate's inputs, inside a pool worker
+_pool_state: tuple = ()  # cross_validate's inputs while it runs; workers fork it
 
 
-def _keep_state(*state) -> None:
-    global _pool_state
-    _pool_state = state
-
-
-def _fold_group(i: int, members: list[int],
-                state: tuple = ()) -> list[FoldOutcome]:
+def _fold_group(i: int, members: list[int]) -> list[Outcome]:
     """Fold i's outcomes for the member configs, which share a featurization:
     the featurization and the test transform once, then a model per config,
     SVMs in ascending C, each warm-started from the last one's dual solution."""
-    dataset, plan, configs = state or _pool_state
+    dataset, plan, configs = _pool_state
     train_idx, test_idx = plan.split(i)
     y_train, y_true = dataset.labels01[train_idx], dataset.labels01[test_idx]
     features, X = fit_features(dataset, train_idx, configs[members[0]])
     X_test = pipeline_transform(features, dataset, test_idx)
-    outcomes: dict[int, FoldOutcome] = {}
+    outcomes: dict[int, Outcome] = {}
     warm = np.zeros(len(train_idx))
     for j in sorted(members, key=lambda j: configs[j].C):
         model = fit_model(X, y_train, configs[j], features.feature_names, warm)
@@ -159,10 +147,10 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
     worker, and a worker that dies is a WorkerDied. Tasks start longest
     first, so the pool does not end on a long one: tf-idf (slower SVMs)
     before count, wider n-gram ranges (more columns) before narrower."""
+    global _pool_state
     groups: dict[tuple, list[int]] = {}
     for j, c in enumerate(configs):
         groups.setdefault(featurization_key(c), []).append(j)
-    state = (dataset, plan, configs)
 
     def longest_first(members: list[int]) -> tuple:
         c = configs[members[0]]
@@ -171,17 +159,19 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
     tasks = [(i, members) for members in sorted(groups.values(), key=longest_first)
              for i in range(plan.k)]
     processes = min(workers, len(tasks))
-    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
-        try:
+    _pool_state = (dataset, plan, configs)
+    try:
+        if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
             with ProcessPoolExecutor(
-                    processes, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_keep_state, initargs=state) as pool:
+                    processes, mp_context=multiprocessing.get_context("fork")) as pool:
                 done = list(pool.map(_fold_group, *zip(*tasks)))
-        except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
-            raise WorkerDied(f"a cross-validation worker died: {exc}") from None
-    else:
-        done = [_fold_group(i, members, state) for i, members in tasks]
-    outcomes: list[list[FoldOutcome]] = [[] for _ in configs]
+        else:
+            done = [_fold_group(i, members) for i, members in tasks]
+    except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
+        raise WorkerDied(f"a cross-validation worker died: {exc}") from None
+    finally:
+        _pool_state = ()
+    outcomes: list[list[Outcome]] = [[] for _ in configs]
     for (_, members), task_outcomes in zip(tasks, done):  # fold order per config
         for j, outcome in zip(members, task_outcomes):
             outcomes[j].append(outcome)
@@ -251,7 +241,6 @@ class EvalReport:
     results: list[CvResult]
     best_index: int
     best_model: FittedPipeline
-    class_names: tuple[str, str]
 
     @property
     def best(self) -> CvResult:
@@ -262,7 +251,7 @@ class EvalReport:
             "task": self.task,
             "seed": self.seed,
             "folds": self.k,
-            "class_names": list(self.class_names),
+            "class_names": list(self.best_model.class_names),
             "configs": [
                 {
                     "config": r.config.to_dict(),
@@ -294,4 +283,4 @@ def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
     best_model = fit_pipeline(dataset, np.arange(len(dataset)), configs[best_index])
     return EvalReport(task=dataset.task, seed=plan.seed, k=plan.k,
                       results=results, best_index=best_index,
-                      best_model=best_model, class_names=dataset.class_names)
+                      best_model=best_model)

@@ -11,8 +11,8 @@ of posts containing each feature, plus structural features.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +20,6 @@ from .corpus import UserProfile
 from .errors import EmptyProfile
 from .tokenizer import (EMOJI, EMOTICON, SHORTCODE, WORD, TokenizedPost,
                         _read_data_lines)
-
-CONTENT_FEATURES = (
-    "emoji", "emoticon", "venmo_emoji", "repeated_chars", "excitement",
-    "single_exclaim", "ellipses", "shouting", "laughing", "omg", "curse",
-)
 
 STRUCTURAL_FEATURES = ("pct_charge", "avg_likes", "avg_len_chars", "avg_len_tokens")
 
@@ -45,8 +40,9 @@ def default_laughing_lexicon() -> frozenset[str]:
     return frozenset(_read_data_lines("laughing.txt"))
 
 
-@dataclass(frozen=True)
-class ContentCounts:
+class ContentCounts(NamedTuple):
+    """One post's count of each content feature, in column order."""
+
     emoji: int = 0
     emoticon: int = 0
     venmo_emoji: int = 0
@@ -59,23 +55,15 @@ class ContentCounts:
     omg: int = 0
     curse: int = 0
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in CONTENT_FEATURES], dtype=np.float64)
 
-
-assert tuple(f.name for f in fields(ContentCounts)) == CONTENT_FEATURES
+CONTENT_FEATURES = ContentCounts._fields
 
 
 def engineered_feature_names(include_actor_pct: bool = False) -> list[str]:
     """Column names of the rows aggregate_user_features returns."""
-    names: list[str] = []
-    for f in CONTENT_FEATURES:
-        names.append(f"{f}_avg")
-        names.append(f"{f}_pct")
-    names.extend(STRUCTURAL_FEATURES)
-    if include_actor_pct:
-        names.append("pct_as_actor")
-    return names
+    names = [f"{f}_{stat}" for f in CONTENT_FEATURES for stat in ("avg", "pct")]
+    actor = ["pct_as_actor"] if include_actor_pct else []
+    return names + list(STRUCTURAL_FEATURES) + actor
 
 
 def detect_content_features(post: TokenizedPost) -> ContentCounts:
@@ -120,24 +108,21 @@ def detect_content_features(post: TokenizedPost) -> ContentCounts:
 
 def aggregate_user_features(profile: UserProfile,
                             posts: list[TokenizedPost],
-                            counts: list[ContentCounts] | None = None,
+                            counts: list[ContentCounts],
                             include_actor_pct: bool = False) -> np.ndarray:
     """One user's float64 feature row, in engineered_feature_names order.
 
     The (avg, pct) pair of each content feature, then the structural
-    columns, then pct_as_actor when asked for. posts must align one-to-one
-    with profile.posts. Precomputed counts may be passed to avoid
-    re-detection.
+    columns, then pct_as_actor when asked for. posts and their counts must
+    align one-to-one with profile.posts.
     """
     n = len(profile.posts)
     if n == 0:
         raise EmptyProfile(f"user {profile.user_id} has no posts")
-    if len(posts) != n:
-        raise ValueError("posts must align with profile.posts")
-    if counts is None:
-        counts = [detect_content_features(p) for p in posts]
+    if not len(posts) == len(counts) == n:
+        raise ValueError("posts and counts must align with profile.posts")
 
-    matrix = np.stack([c.as_vector() for c in counts])
+    matrix = np.array(counts, dtype=np.float64)
     avg = matrix.mean(axis=0)
     pct = (matrix > 0).mean(axis=0)
 

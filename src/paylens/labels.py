@@ -35,8 +35,6 @@ CLASS_NAMES = {
     "politics": {CLASS_A: "democrat", CLASS_B: "republican"},
 }
 
-POLITICAL_LABELS = ("democrat", "republican")
-
 
 @dataclass(frozen=True)
 class LabeledUser:
@@ -130,7 +128,7 @@ def load_political_labels(fp: IO) -> dict[str, str]:
         if len(row) != 2:
             raise LabelFileError(f"bad political label row: {row!r}")
         user_id, label = row[0].strip(), row[1].strip().lower()
-        if label not in POLITICAL_LABELS:
+        if label not in CLASS_NAMES["politics"].values():
             raise LabelFileError(f"bad political label {label!r} for user {user_id!r}")
         labels[user_id] = label
     return labels

@@ -42,6 +42,13 @@ class MlpModel:
 
     kind: str = field(default="mlp", init=False)
 
+    def __post_init__(self):
+        d, h = self.W1.shape if self.W1.ndim == 2 else (-1, -1)
+        shapes = [a.shape for a in (self.W1, self.b1, self.W2, self.b2)]
+        if shapes != [(d, h), (h,), (h, 1), (1,)]:
+            raise ValueError(f"MLP W1, b1, W2, b2 have shapes {shapes}, not "
+                             f"(d, h), (h,), (h, 1), (1,)")
+
 
 def _take_rows(indptr, indices, data, order):
     """The CSR arrays of rows `order`, in that order."""

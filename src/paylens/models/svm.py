@@ -72,6 +72,11 @@ class LinearSvmModel:
 
     kind: str = field(default="svm", init=False)
 
+    def __post_init__(self):
+        if self.weights.ndim != 1:
+            raise ValueError(f"SVM weights must be a vector, got shape "
+                             f"{self.weights.shape}")
+
 
 def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
                      max_epochs: int = 1000,
@@ -91,8 +96,7 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
 
     n = Xc.shape[0]
     Xa = sp.hstack([Xc, np.ones((n, 1))], format="csr")  # bias feature
-    qd = np.asarray(Xa.multiply(Xa).sum(axis=1)).ravel()
-    qd[qd == 0.0] = 1.0  # all-zero rows never move their alpha anyway
+    qd = np.asarray(Xa.multiply(Xa).sum(axis=1)).ravel()  # >= 1: the bias column
     # numba takes the arrays; the plain-Python body runs over lists
     arg = (lambda a: a) if hasattr(_cd_epoch, "py_func") else np.ndarray.tolist
     rows = [arg(a) for a in (Xa.indptr, Xa.indices, Xa.data, yv, qd)]

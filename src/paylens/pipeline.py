@@ -17,7 +17,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
+from .corpus import Corpus, UserProfile
 from .features import (aggregate_user_features, detect_content_features,
                        engineered_feature_names)
 from .labels import CLASS_B, CLASS_NAMES, LabeledUser
@@ -107,29 +107,27 @@ class UserDataset:
         return len(self.user_ids)
 
 
+def user_features(profile: UserProfile, include_actor_pct: bool = False
+                  ) -> tuple[list[TokenizedPost], np.ndarray]:
+    """One user's tokenized posts and engineered feature row."""
+    posts = [tokenize_post(t.note) for t, _ in profile.posts]
+    counts = [detect_content_features(p) for p in posts]
+    return posts, aggregate_user_features(profile, posts, counts, include_actor_pct)
+
+
 def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
                   include_actor_pct: bool = False) -> UserDataset:
     """Tokenize and featurize the labeled users of a corpus, label-aligned."""
-    user_ids: list[str] = []
-    posts: list[list[TokenizedPost]] = []
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
     task = labeled[0].task if labeled else "gender"
-    for lu in labeled:
-        profile = corpus.users[lu.user_id]
-        tokenized = [tokenize_post(t.note) for t, _ in profile.posts]
-        counts = [detect_content_features(p) for p in tokenized]
-        user_ids.append(lu.user_id)
-        posts.append(tokenized)
-        rows.append(aggregate_user_features(profile, tokenized, counts,
-                                            include_actor_pct))
-        labels.append(1 if lu.label == CLASS_B else 0)
-    engineered = (np.stack(rows) if rows
+    users = [user_features(corpus.users[lu.user_id], include_actor_pct)
+             for lu in labeled]
+    engineered = (np.stack([row for _, row in users]) if users
                   else np.zeros((0, len(engineered_feature_names(include_actor_pct)))))
     names = CLASS_NAMES[task]
     return UserDataset(
-        user_ids=user_ids, posts=posts, engineered=engineered,
-        labels01=np.asarray(labels, dtype=np.int64),
+        user_ids=[lu.user_id for lu in labeled], posts=[posts for posts, _ in users],
+        engineered=engineered,
+        labels01=np.asarray([lu.label == CLASS_B for lu in labeled], dtype=np.int64),
         class_names=(names["class_a"], names["class_b"]), task=task,
     )
 
@@ -144,9 +142,15 @@ class FittedPipeline:
     class_names: tuple[str, str]
 
     def __post_init__(self):
-        if self.model is not None and self.model.kind != self.config.classifier:
-            raise ValueError(f"a {self.model.kind!r} model under a "
+        model = self.model
+        if model is not None and model.kind != self.config.classifier:
+            raise ValueError(f"a {model.kind!r} model under a "
                              f"{self.config.classifier!r} config")
+        if model is not None and model.kind != "gbdt":  # trees have no width
+            width = len(model.weights if model.kind == "svm" else model.W1)
+            if width != len(self.feature_names):
+                raise ValueError(f"a model of {width} inputs for "
+                                 f"{len(self.feature_names)} feature names")
         means, stds = ((), ()) if self.scaler is None else (self.scaler.mean,
                                                             self.scaler.std)
         if not len(self.feature_names) - len(self.vocab) == len(means) == len(stds):

@@ -58,6 +58,11 @@ class ScalerStats:
     mean: np.ndarray
     std: np.ndarray  # population std; zero-std columns pass through unscaled
 
+    def __post_init__(self):
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise ValueError(f"scaler mean and std must be vectors of one length, "
+                             f"got shapes {self.mean.shape} and {self.std.shape}")
+
     def transform(self, rows: np.ndarray) -> np.ndarray:
         safe = np.where(self.std > 0, self.std, 1.0)
         centered = np.where(self.std > 0, rows - self.mean, rows)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from paylens import tokenizer
 from paylens.errors import EmptyCorpus, EmptyProfile, NonFiniteError
-from paylens.evaluation import CvResult, FoldOutcome
+from paylens.evaluation import CvResult
 from paylens.features import CONTENT_FEATURES, detect_content_features
 from paylens.models.common import bce_with_logits, check_binary_labels
 from paylens.models.gbdt import _LAMBDA, GbdtConfig, GbdtModel, _leaf_value
@@ -418,7 +418,7 @@ def engineered_features(profile, posts, counts=None) -> EngineeredFeatures:
     if counts is None:
         counts = [detect_content_features(p) for p in posts]
 
-    matrix = np.stack([c.as_vector() for c in counts])
+    matrix = np.array(counts, dtype=np.float64)
     avg = matrix.mean(axis=0)
     pct = (matrix > 0).mean(axis=0)
 
@@ -527,14 +527,11 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, i
 
 def cross_validate_oracle(dataset, plan, config) -> CvResult:
     """One config's cross-validation with a full pipeline refit per fold."""
-    outcomes: list[FoldOutcome] = []
+    outcomes = []
     for i in range(plan.k):
         train_idx, test_idx = plan.split(i)
         fitted = fit_pipeline(dataset, train_idx, config)
         X_test = pipeline_transform(fitted, dataset, test_idx)
         y_pred = pipeline_predict(fitted, X_test)
-        y_true = dataset.labels01[test_idx]
-        acc = float(np.mean(y_pred == y_true)) if len(test_idx) else 0.0
-        outcomes.append(FoldOutcome(accuracy=acc,
-                                    confusion=_confusion(y_true, y_pred)))
+        outcomes.append(_confusion(dataset.labels01[test_idx], y_pred))
     return CvResult(config=config, outcomes=outcomes)

@@ -101,6 +101,26 @@ class TestIngestAndStats:
         err = capsys.readouterr().err
         assert err.startswith("error: corpus: line 2: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_lone_surrogate_is_one_malformed_line(self, tmp_path, capsys, strict):
+        # "\ud800" parses but cannot be written back as UTF-8
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+        raw.write_text("\n".join([txn_json("t1"), txn_json("t2", note="\ud800"),
+                                  txn_json("t3")]) + "\n")
+        code = main(["ingest", "--in", str(raw), "--out", str(out),
+                     *(["--strict"] if strict else [])])
+        captured = capsys.readouterr()
+        if strict:
+            assert code == 1
+            assert captured.err.startswith(
+                "error: corpus: line 2: 'utf-8' codec can't encode")
+        else:
+            assert code == 0
+            assert "ingested 2 transactions (1 skipped)" in captured.out
+            with open(out, encoding="utf-8") as fp:
+                assert [t.id for t in load_transactions(fp).transactions] == [
+                    "t1", "t3"]
+
     def test_stats_histogram(self, synth_files, tmp_path):
         corpus, _ = synth_files
         out = tmp_path / "hist.csv"
@@ -129,6 +149,20 @@ class TestFeaturizeCommand:
               "--min-posts", "8", "--include-actor-pct"])
         header = out.read_text().splitlines()[0].split(",")
         assert header[-1] == "pct_as_actor"
+
+
+@pytest.mark.parametrize("min_posts", ["0", "-3"])
+@pytest.mark.parametrize("command", ["label", "featurize"])
+def test_min_posts_below_one_exits_2(synth_files, tmp_path, capsys, command,
+                                     min_posts):
+    corpus, labels = synth_files
+    out = tmp_path / "out.csv"
+    task = ["--task", "politics", "--labels-file", str(labels)]
+    assert main([command, "--in", str(corpus), "--out", str(out),
+                 "--min-posts", min_posts,
+                 *(task if command == "label" else [])]) == 2
+    assert capsys.readouterr().err == "error: min_posts must be >= 1\n"
+    assert not out.exists()
 
 
 class TestLabelCommand:
@@ -540,6 +574,29 @@ def _mutant(draw, doc):
     return json.dumps(doc)
 
 
+def _array(value) -> bool:
+    """A non-empty JSON list of numbers, or of such lists."""
+    return isinstance(value, list) and value != [] and (
+        all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or all(map(_array, value)))
+
+
+@st.composite
+def _reshaped(draw, doc):
+    """The text of `doc` with one vector made a column, nested in a list or
+    cut short by one entry, or one matrix flattened by a level."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from([p for p in _paths(doc)
+                                 if p and _array(_at(doc, p))]))
+    array = _at(doc, path)
+    if isinstance(array[0], list):
+        shapes = [[v for row in array for v in row]]
+    else:
+        shapes = [[[v] for v in array], [array], array[:-1]]
+    _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(shapes))
+    return json.dumps(doc)
+
+
 _NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
 
 
@@ -652,6 +709,71 @@ class TestMutatedConfigFiles:
         assert err.getvalue().startswith("error: model: linear SVM")
         assert "non-finite objective" in err.getvalue()
         assert not out.exists() and not (work / "model.json.tmp").exists()
+
+
+class TestMutatedPipelineFiles:
+    """Hostile svm, mlp and gbdt pipeline files through report-coefficients:
+    a file that is still a valid SVM pipeline gives its table; any other
+    exits 1 or 2 with an `error: ` line; no exception escapes."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("pipelines")
+        corpus, labels = work / "corpus.jsonl", work / "labels.csv"
+        config, model = work / "config.json", work / "model.json"
+        assert main(["synth", "--users-per-class", "6", "--posts-min", "5",
+                     "--posts-max", "5", "--seed", "5", "--out", str(corpus),
+                     "--labels-out", str(labels)]) == 0
+        config.write_text(json.dumps({
+            "mlp_overrides": {"epochs": 2, "hidden": 2},
+            "gbdt_overrides": {"rounds": 2, "max_depth": 2}}))
+        docs = {}
+        for classifier in ("svm", "mlp", "gbdt"):
+            assert main(["train", "--task", "politics", "--in", str(corpus),
+                         "--labels-file", str(labels), "--min-posts", "5",
+                         "--ngram-max", "1", "--classifier", classifier,
+                         "--config", str(config), "--out", str(model)]) == 0
+            docs[classifier] = json.loads(model.read_text())
+        return work, docs
+
+    @pytest.mark.parametrize("path, reshape, message", [
+        (("model", "payload", "weights"), lambda w: [[v] for v in w],
+         "SVM weights must be a vector, got shape"),
+        (("model", "payload", "weights"), lambda w: w[:-1],
+         "inputs for"),
+        (("scaler", "std"), lambda s: [[v] for v in s],
+         "scaler mean and std must be vectors of one length"),
+    ], ids=["svm_weights_column", "svm_weights_short", "scaler_std_column"])
+    def test_reshaped_array_is_corrupt(self, saved, capsys, path, reshape,
+                                       message):
+        work, docs = saved
+        doc = json.loads(json.dumps(docs["svm"]))
+        parent = _at(doc["payload"], path[:-1])
+        parent[path[-1]] = reshape(parent[path[-1]])
+        (work / "mutant.json").write_text(json.dumps(doc))
+        assert main(["report-coefficients", "--model",
+                     str(work / "mutant.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: bad pipeline payload: ")
+        assert message in err
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutant_exits_cleanly(self, saved, data):
+        work, docs = saved
+        kind = data.draw(st.sampled_from(sorted(docs)))
+        text = data.draw(st.one_of(_mutant(docs[kind]), _reshaped(docs[kind])))
+        (work / "mutant.json").write_text(text)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(["report-coefficients", "--model",
+                         str(work / "mutant.json"), "-k", "3"])
+        if code == 0:
+            assert kind == "svm"
+            assert out.getvalue().startswith("feature,weight,class")
+        else:
+            assert code in (1, 2), code
+            assert err.getvalue().startswith("error: ")
 
 
 DEEP = "[" * 200_000  # nested past any recursion limit

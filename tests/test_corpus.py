@@ -57,11 +57,24 @@ class TestLoadTransactions:
         no_date["date_created"] = None
         infinite = json.loads(txn_json("t5"))
         infinite["likes_count"] = float("inf")  # written as Infinity
+        # counts must be JSON integers: none of these is read as a number
+        fractional, whole_float, digits, flag = (
+            dict(json.loads(txn_json(f"t{i}")), likes_count=count)
+            for i, count in ((6, 3.7), (7, 3.0), (8, "3"), (9, True)))
+        # lone surrogates parse from their escapes but cannot be written back
+        surrogate_note = json.loads(txn_json("t10", note="\ud800"))
+        surrogate_name = json.loads(txn_json("t11"))
+        surrogate_name["target"]["name"] = "Bo\udc80"
         lines = [json.dumps(o) for o in (bad_kind, self_pay, negative, no_date,
-                                         infinite)]
+                                         infinite, fractional, whole_float,
+                                         digits, flag, surrogate_note,
+                                         surrogate_name)]
         result = load_transactions(iter(lines))
         assert result.transactions == []
-        assert result.skipped == 5
+        assert result.skipped == 11
+        for line in lines[5:]:
+            with pytest.raises(ParseError, match="^corpus: line 2: "):
+                load_transactions(iter([txn_json("t0"), line]), strict=True)
 
     @pytest.mark.parametrize("note", [None, 7, ["hi"]])
     def test_non_string_note_is_malformed(self, note):

@@ -312,10 +312,9 @@ class TestCrossValidateWorkers:
         sizes = []
 
         class Executor:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
+            def __init__(self, max_workers, mp_context):
                 assert mp_context == "fork"
                 sizes.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -325,7 +324,6 @@ class TestCrossValidateWorkers:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(paylens.evaluation, "_pool_state", ())
         monkeypatch.setattr(paylens.evaluation, "ProcessPoolExecutor", Executor)
         monkeypatch.setattr(paylens.evaluation, "multiprocessing", SimpleNamespace(
             get_all_start_methods=lambda: start_methods,
@@ -336,6 +334,7 @@ class TestCrossValidateWorkers:
         results = cross_validate(ds, plan, configs, workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert [len(r.outcomes) for r in results] == [3, 3]
+        assert paylens.evaluation._pool_state == ()  # the dataset is let go
 
 
 class TestTaskCosts:

@@ -37,10 +37,14 @@ class TestDetectContentFeatures:
         assert counts_for("") == ContentCounts()
 
 
+def row_of(profile, posts, include_actor_pct=True):
+    counts = [detect_content_features(p) for p in posts]
+    return aggregate_user_features(profile, posts, counts, include_actor_pct)
+
+
 def features_of(profile, posts):
     """One user's engineered row, keyed by column name."""
-    row = aggregate_user_features(profile, posts, include_actor_pct=True)
-    return dict(zip(engineered_feature_names(True), row))
+    return dict(zip(engineered_feature_names(True), row_of(profile, posts)))
 
 
 def make_profile(notes, kinds=None, likes=None, roles=None):
@@ -85,12 +89,12 @@ class TestAggregateUserFeatures:
         profile, _ = make_profile(["a"])
         profile.posts.clear()
         with pytest.raises(EmptyProfile):
-            aggregate_user_features(profile, [])
+            aggregate_user_features(profile, [], [])
 
     def test_permutation_invariance(self):
         notes = ["🍕 pizza!!", "omg", "lol...", "PARTY", "plain note"]
         profile, posts = make_profile(notes, likes=[1, 0, 2, 5, 0])
-        base = aggregate_user_features(profile, posts, include_actor_pct=True)
+        base = row_of(profile, posts)
         rng = random.Random(3)
         order = list(range(len(profile.posts)))
         for _ in range(5):
@@ -100,8 +104,7 @@ class TestAggregateUserFeatures:
                                   display_name=profile.display_name,
                                   posts=shuffled_posts)
             shuffled_tokens = [posts[i] for i in order]
-            out = aggregate_user_features(clone, shuffled_tokens,
-                                          include_actor_pct=True)
+            out = row_of(clone, shuffled_tokens)
             assert np.allclose(out, base)
 
     def test_pct_positive_iff_avg_positive(self):
@@ -113,7 +116,7 @@ class TestAggregateUserFeatures:
     def test_vector_matches_names(self):
         profile, posts = make_profile(["a"])
         for include in (False, True):
-            row = aggregate_user_features(profile, posts, include_actor_pct=include)
+            row = row_of(profile, posts, include)
             assert row.dtype == np.float64
             assert len(row) == len(engineered_feature_names(include))
         assert engineered_feature_names(True)[-1] == "pct_as_actor"
@@ -135,7 +138,5 @@ def test_row_matches_oracle(seed, include_actor_pct):
         likes=[rng.choice([0, 0, 1, 2, 7]) for _ in range(n)],
         roles=[rng.choice(["actor", "target"]) for _ in range(n)])
     expected = engineered_features(profile, posts).to_vector(include_actor_pct)
-    counts = [detect_content_features(p) for p in posts]
-    for given in (None, counts):
-        row = aggregate_user_features(profile, posts, given, include_actor_pct)
-        assert row.tobytes() == expected.tobytes()
+    row = row_of(profile, posts, include_actor_pct)
+    assert row.tobytes() == expected.tobytes()

@@ -27,7 +27,7 @@ from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
 import paylens.harvest.client as client_mod
 from paylens.harvest.client import CrawlState
 
-from conftest import make_txn
+from conftest import make_txn, txn_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -250,8 +250,11 @@ class TestMalformedPages:
         '{"data": [], "refresh_interval": Infinity}',
         '{"data": [], "refresh_interval": NaN}',
         '{"data": [], "refresh_interval": -2}',
+        '{"data": [%s]}' % txn_json("t1", note="\ud800"),
+        '{"data": [%s]}' % txn_json("t1", likes=2.5),
     ], ids=["bad_json", "no_data", "bad_refresh_interval", "inf_refresh_interval",
-            "nan_refresh_interval", "negative_refresh_interval"])
+            "nan_refresh_interval", "negative_refresh_interval",
+            "lone_surrogate_note", "fractional_count"])
     def test_feed_page(self, stub_server, body):
         srv = stub_server(200, body)
         with pytest.raises(MalformedPage, match="^harvest: feed poll 0: "):
