@@ -10,6 +10,12 @@ Input is line-delimited JSON, one transaction per line:
 Unknown fields are ignored. Duplicate ids are collapsed keeping the first
 occurrence. In lenient mode (the default) malformed lines are counted and
 skipped; in strict mode the first malformed line aborts with its line number.
+
+Within one `load_transactions` call, equal notes, kinds, audiences and
+actor/target ids and names are one string object: a memo maps each string
+to its first copy and is dropped when the call returns, so nothing outlives
+the call but the shared strings themselves. `Transaction` and `UserProfile`
+use slots.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ KINDS = ("payment", "charge")
 AUDIENCES = ("public", "friends", "private")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One payment or charge event with its attached note."""
 
@@ -55,7 +61,7 @@ class Transaction:
             raise ValueError(f"transaction {self.id}: negative count")
 
 
-@dataclass
+@dataclass(slots=True)
 class UserProfile:
     """A user id plus the ordered posts (transaction, role) they appear in."""
 
@@ -92,12 +98,14 @@ def _parse_timestamp(value: str) -> datetime:
 PARSE_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError)
 
 
-def parse_transaction(obj: dict) -> Transaction:
+def parse_transaction(obj: dict, memo: dict[str, str] | None = None) -> Transaction:
     """Build a Transaction from one decoded JSONL object.
 
     Raises one of PARSE_ERRORS on schema violations: a count that is not a
     JSON integer, or a string that cannot be written back as UTF-8 (a lone
-    surrogate); callers decide whether that skips the line or aborts.
+    surrogate); callers decide whether that skips the line or aborts. With a
+    memo, each string field but the transaction id is replaced by the equal
+    string the memo already holds, or becomes the one it holds from now on.
     """
     actor = obj["actor"]
     target = obj["target"]
@@ -106,18 +114,24 @@ def parse_transaction(obj: dict) -> Transaction:
         raise TypeError("likes_count and comments_count must be integers")
     if not isinstance(obj["note"], str):
         raise TypeError(f"note must be a string, got {type(obj['note']).__name__}")
+    tx_id, created_at = str(obj["id"]), _parse_timestamp(obj["date_created"])
+    note, kind = obj["note"], obj["type"]
+    actor_id, actor_name = str(actor["id"]), str(actor["name"])
+    target_id, target_name = str(target["id"]), str(target["name"])
+    audience = obj["audience"]
+    if memo is not None:
+        share = memo.setdefault
+        note, actor_id, actor_name, target_id, target_name = (
+            share(note, note), share(actor_id, actor_id),
+            share(actor_name, actor_name), share(target_id, target_id),
+            share(target_name, target_name))
+        if type(kind) is str and type(audience) is str:  # else Transaction rejects it
+            kind, audience = share(kind, kind), share(audience, audience)
     t = Transaction(
-        id=str(obj["id"]),
-        created_at=_parse_timestamp(obj["date_created"]),
-        note=obj["note"],
-        kind=obj["type"],
-        actor_id=str(actor["id"]),
-        actor_name=str(actor["name"]),
-        target_id=str(target["id"]),
-        target_name=str(target["name"]),
-        likes_count=likes,
-        comments_count=comments,
-        audience=obj["audience"],
+        id=tx_id, created_at=created_at, note=note, kind=kind,
+        actor_id=actor_id, actor_name=actor_name,
+        target_id=target_id, target_name=target_name,
+        likes_count=likes, comments_count=comments, audience=audience,
     )
     # a lone surrogate decodes from a JSON escape but cannot be written back
     "".join((t.id, t.note, t.actor_id, t.actor_name, t.target_id,
@@ -146,8 +160,10 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
     Returns transactions in input order with duplicate ids collapsed keeping
     the first occurrence. Lenient mode counts and skips malformed lines, a
     bytes line that is not UTF-8 included; strict mode raises ParseError at
-    the first one.
+    the first one. Equal strings across lines share one object (see
+    parse_transaction); the memo that does it is dropped on return.
     """
+    memo: dict[str, str] = {}
     out: list[Transaction] = []
     seen: set[str] = set()
     skipped = 0
@@ -156,7 +172,7 @@ def load_transactions(source: Union[IO, Iterable[Union[str, bytes]]],
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
             if not line:
                 continue
-            t = parse_transaction(json.loads(line))
+            t = parse_transaction(json.loads(line), memo)
         except PARSE_ERRORS as exc:
             if strict:
                 raise ParseError(f"line {lineno}: {exc}") from exc

@@ -115,6 +115,17 @@ def _check_tree(root) -> None:
             raise TypeError(f"'trees' holds a malformed node: {str(node)[:80]}")
 
 
+def _check_numbers(name: str, value: list) -> None:
+    """TypeError unless every leaf of a nested list fits float."""
+    stack = [value]
+    while stack:
+        for v in stack.pop():
+            if isinstance(v, list):
+                stack.append(v)
+            elif not fits_type(v, float):
+                raise TypeError(f"{name!r} holds a non-number entry {str(v)[:80]}")
+
+
 def _decode(name: str, value, kind):
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, UnionType):  # X | None
@@ -130,11 +141,9 @@ def _decode(name: str, value, kind):
     if kind is np.ndarray or origin in (list, tuple):
         if not isinstance(value, list):
             raise TypeError(f"{name!r} must be a list, got {str(value)[:80]}")
-        if kind is np.ndarray:
-            array = np.asarray(value, dtype=np.float64)
-            if not np.isfinite(array).all():
-                raise ValueError(f"{name!r} holds a non-finite entry")
-            return array
+        if kind is np.ndarray:  # fits_type also rejects non-finite entries
+            _check_numbers(name, value)
+            return np.asarray(value, dtype=np.float64)
         if origin is list or args[-1] is Ellipsis:
             return origin(_decode(name, v, args[0]) for v in value)
         if len(value) != len(args):

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, UserProfile
-from .features import (aggregate_user_features, detect_content_features,
-                       engineered_feature_names)
+from .features import (ContentCounts, aggregate_user_features,
+                       detect_content_features, engineered_feature_names)
 from .labels import CLASS_B, CLASS_NAMES, LabeledUser
 from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
                      svm_predict, train_gbdt, train_linear_svm, train_mlp)
@@ -107,19 +107,35 @@ class UserDataset:
         return len(self.user_ids)
 
 
-def user_features(profile: UserProfile, include_actor_pct: bool = False
+def user_features(profile: UserProfile, include_actor_pct: bool = False,
+                  memo: dict[str, tuple[TokenizedPost, ContentCounts]] | None = None
                   ) -> tuple[list[TokenizedPost], np.ndarray]:
-    """One user's tokenized posts and engineered feature row."""
-    posts = [tokenize_post(t.note) for t, _ in profile.posts]
-    counts = [detect_content_features(p) for p in posts]
+    """One user's tokenized posts and engineered feature row.
+
+    Each distinct note is tokenized and detected once per memo, which maps a
+    note to its (post, counts); without one, once per call.
+    """
+    memo = {} if memo is None else memo
+    for t, _ in profile.posts:
+        if t.note not in memo:
+            post = tokenize_post(t.note)
+            memo[t.note] = post, detect_content_features(post)
+    pairs = [memo[t.note] for t, _ in profile.posts]
+    posts = [post for post, _ in pairs]
+    counts = [c for _, c in pairs]
     return posts, aggregate_user_features(profile, posts, counts, include_actor_pct)
 
 
 def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
                   include_actor_pct: bool = False) -> UserDataset:
-    """Tokenize and featurize the labeled users of a corpus, label-aligned."""
+    """Tokenize and featurize the labeled users of a corpus, label-aligned.
+
+    Users who share a note share its TokenizedPost (and so its n-gram
+    cache): the note -> (post, counts) memo lasts this call only.
+    """
     task = labeled[0].task if labeled else "gender"
-    users = [user_features(corpus.users[lu.user_id], include_actor_pct)
+    memo: dict[str, tuple[TokenizedPost, ContentCounts]] = {}
+    users = [user_features(corpus.users[lu.user_id], include_actor_pct, memo)
              for lu in labeled]
     engineered = (np.stack([row for _, row in users]) if users
                   else np.zeros((0, len(engineered_feature_names(include_actor_pct)))))
@@ -130,6 +146,16 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
         labels01=np.asarray([lu.label == CLASS_B for lu in labeled], dtype=np.int64),
         class_names=(names["class_a"], names["class_b"]), task=task,
     )
+
+
+def _split_features(trees: list[dict]):
+    """The feature index of every split node in the trees."""
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            yield node["feature"]
+            stack += [node["left"], node["right"]]
 
 
 @dataclass
@@ -146,11 +172,17 @@ class FittedPipeline:
         if model is not None and model.kind != self.config.classifier:
             raise ValueError(f"a {model.kind!r} model under a "
                              f"{self.config.classifier!r} config")
-        if model is not None and model.kind != "gbdt":  # trees have no width
-            width = len(model.weights if model.kind == "svm" else model.W1)
-            if width != len(self.feature_names):
-                raise ValueError(f"a model of {width} inputs for "
-                                 f"{len(self.feature_names)} feature names")
+        if model is not None:
+            n = len(self.feature_names)
+            if model.kind == "gbdt":  # a tree reads only the columns it splits on
+                width = 1 + max(_split_features(model.trees), default=-1)
+                fits = width <= n
+            else:
+                width = len(model.weights if model.kind == "svm" else model.W1)
+                fits = width == n
+            if not fits:
+                raise ValueError(f"a model reading {width} inputs for {n} "
+                                 f"feature names")
         means, stds = ((), ()) if self.scaler is None else (self.scaler.mean,
                                                             self.scaler.std)
         if not len(self.feature_names) - len(self.vocab) == len(means) == len(stds):

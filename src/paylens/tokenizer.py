@@ -11,8 +11,10 @@ A post builds its n-grams on first use and keeps them (`TokenizedPost.ngrams`),
 so the vocabulary and count refits of every CV fold and n-range reuse them:
 order 1 is the lemma tuple, higher orders are interned space-joined strings.
 The cache is not part of a post's value (equality, hash, repr). To keep it
-from raising memory, the token classes use slots and repeated surfaces and
-lemmas share one string.
+from raising memory, the token classes use slots, and `tokenize_post` takes
+each Token from a bounded LRU cache keyed on (surface, kind), like the lemma
+cache: a repeated token is one object for as long as the cache keeps it, and
+equal surfaces stay one interned string after it is evicted.
 """
 
 from __future__ import annotations
@@ -173,6 +175,12 @@ def _restore(stem: str) -> str:
     return stem
 
 
+@lru_cache(maxsize=2 ** 16)
+def _token(surface: str, kind: str) -> Token:
+    surface = sys.intern(surface)
+    return Token(surface, lemma_for_word(surface) if kind == WORD else surface, kind)
+
+
 def tokenize_post(note: str) -> TokenizedPost:
     """Segment a note into typed tokens. Total and deterministic.
 
@@ -181,14 +189,8 @@ def tokenize_post(note: str) -> TokenizedPost:
     punctuation characters. Every position matches one of them, so the
     matches tile the note.
     """
-    tokens: list[Token] = []
-    for m in _scanner().finditer(note):
-        kind = m.lastgroup
-        if kind == _WS:
-            continue
-        surface = sys.intern(m.group())  # repeated tokens share one string
-        lemma = lemma_for_word(surface) if kind == WORD else surface
-        tokens.append(Token(surface, lemma, kind))
+    tokens = [_token(m.group(), m.lastgroup)
+              for m in _scanner().finditer(note) if m.lastgroup != _WS]
     return TokenizedPost(tokens=tuple(tokens), raw=note)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from paylens.corpus import (Corpus, dump_transactions, filter_min_posts,
                             group_by_user, load_transactions,
-                            note_length_histogram)
+                            note_length_histogram, parse_transaction)
 from paylens.errors import ParseError
 
 from conftest import make_txn, txn_json
@@ -114,6 +114,26 @@ class TestLoadTransactions:
         second = load_transactions(buf).transactions
         assert first == second
 
+    def test_equal_strings_on_different_lines_are_one_object(self):
+        lines = [txn_json("t1", note="pizza night", actor="ua", target="ub"),
+                 txn_json("t2", note="pizza night", actor="ub", target="ua"),
+                 txn_json("t3", note="pizza night", actor="ua", target="uc",
+                          kind="charge"),
+                 txn_json("t4", note="rent", actor="uc", target="ub",
+                          kind="charge")]
+        # json.loads builds each value anew, so equal is not yet identical
+        first, second = (parse_transaction(json.loads(line)) for line in lines[:2])
+        assert first.note == second.note and first.note is not second.note
+        a, b, c, d = load_transactions(iter(lines)).transactions
+        assert a.note is b.note is c.note
+        assert a.actor_id is b.target_id is c.actor_id
+        assert a.target_id is b.actor_id is d.target_id
+        assert c.target_id is d.actor_id
+        assert a.actor_name is b.target_name is c.actor_name
+        assert a.target_name is b.actor_name is d.target_name
+        assert a.kind is b.kind and c.kind is d.kind
+        assert a.audience is b.audience is c.audience is d.audience
+
 
 class TestGroupByUser:
     def test_single_transaction_two_users(self):
@@ -171,6 +191,11 @@ class TestGroupByUser:
                          actor_name="Old Name")]
         corpus = group_by_user(txns)
         assert corpus.users["ua"].display_name == "Old Name"
+
+    def test_records_have_no_instance_dict(self, small_corpus):
+        profile = small_corpus.users["ua"]
+        assert not hasattr(profile, "__dict__")
+        assert not any(hasattr(t, "__dict__") for t, _ in profile.posts)
 
 
 class TestNoteLengthHistogram:

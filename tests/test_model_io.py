@@ -9,9 +9,10 @@ from paylens.errors import CorruptError, NonFiniteError, VersionError
 from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
                             svm_decision, train_gbdt, train_linear_svm,
                             train_mlp)
-from paylens.models.serialize import (MAGIC, model_from_container,
+from paylens.models.serialize import (MAGIC, decode, model_from_container,
                                       model_to_container, read_container,
                                       write_container)
+from paylens.vectorizer import ScalerStats
 
 from oracles import PAYLOAD_ORACLES
 
@@ -243,6 +244,29 @@ class TestFailureModes:
         container["payload"][key] = value
         with pytest.raises(CorruptError, match=f"bad payload for kind '{kind}': "):
             model_from_container(container)
+
+    # an array entry must be a number the way a scalar field's value must
+    @pytest.mark.parametrize("kind, key, change", [
+        ("svm", "weights", lambda w: ["1.5"] + w[1:]),
+        ("svm", "weights", lambda w: w[:-1] + [True]),
+        ("mlp", "W1", lambda W: W[:-1] + [W[-1][:-1] + ["0.5"]]),
+        ("mlp", "W2", lambda W: [[False]] + W[1:]),
+        ("mlp", "W1", lambda W: [[None] + W[0][1:]] + W[1:]),
+        ("mlp", "b1", lambda b: b[:-1] + [{}]),
+    ], ids=["svm-str", "svm-bool", "mlp-W1-str", "mlp-W2-bool",
+            "mlp-W1-null", "mlp-b1-object"])
+    def test_array_entry_not_a_number(self, trained_models, kind, key, change):
+        container = self._container(trained_models, kind)
+        container["payload"][key] = change(container["payload"][key])
+        with pytest.raises(CorruptError, match=f"bad payload for kind '{kind}': "
+                                               f"'{key}' holds a non-number"):
+            model_from_container(container)
+
+    def test_scaler_entry_not_a_number(self):
+        with pytest.raises(CorruptError, match="'mean' holds a non-number"):
+            decode({"mean": ["1.5", True], "std": [0, 1]}, ScalerStats, "scaler")
+        assert decode({"mean": [1.5, 2], "std": [0, 1]}, ScalerStats,
+                      "scaler").mean.tolist() == [1.5, 2.0]
 
     @pytest.mark.parametrize("kind", ["mlp", "gbdt"])
     def test_container_config_is_a_copy(self, trained_models, kind):

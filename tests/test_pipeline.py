@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from paylens.cli import main
+from paylens.corpus import group_by_user
 from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
-from paylens.pipeline import (PipelineConfig, featurization_key, fit_features,
-                              fit_model, fit_pipeline, load_pipeline,
-                              pipeline_predict, pipeline_transform,
-                              save_pipeline)
+from paylens.features import aggregate_user_features, detect_content_features
+from paylens.labels import build_labeled_dataset
+from paylens.pipeline import (PipelineConfig, build_dataset, featurization_key,
+                              fit_features, fit_model, fit_pipeline,
+                              load_pipeline, pipeline_predict,
+                              pipeline_transform, save_pipeline)
+from paylens.synth import SynthSpec, generate_synthetic_corpus
+from paylens.tokenizer import tokenize_post
+from paylens.vectorizer import count_transform, fit_vocabulary
 
 from conftest import synth_dataset
 
@@ -120,6 +126,47 @@ class TestFitPipeline:
             PipelineConfig(classifier="forest")
 
 
+class TestBuildDatasetSharing:
+    @pytest.fixture(scope="class")
+    def built(self):
+        result = generate_synthetic_corpus(
+            SynthSpec(n_users_per_class=40, posts_per_user=(6, 10), seed=0))
+        corpus = group_by_user(result.transactions)
+        labeled = build_labeled_dataset(corpus, "politics",
+                                        political_labels=dict(result.labels))
+        return corpus, labeled, build_dataset(corpus, labeled)
+
+    def test_users_with_a_note_in_common_share_its_post(self, built):
+        _, _, dataset = built
+        by_note, users_by_note = {}, {}
+        for i, posts in enumerate(dataset.posts):
+            for post in posts:
+                assert by_note.setdefault(post.raw, post) is post
+                users_by_note.setdefault(post.raw, set()).add(i)
+        assert max(map(len, users_by_note.values())) >= 2
+
+    def test_same_values_as_a_fresh_post_for_every_post(self, built):
+        corpus, labeled, dataset = built
+        fresh, rows = [], []
+        for lu in labeled:
+            profile = corpus.users[lu.user_id]
+            posts = [tokenize_post(t.note) for t, _ in profile.posts]
+            counts = [detect_content_features(p) for p in posts]
+            fresh.append(posts)
+            rows.append(aggregate_user_features(profile, posts, counts))
+        assert dataset.posts == fresh
+        assert np.array_equal(dataset.engineered, np.stack(rows))
+        for n_range in ((1, 1), (1, 2), (2, 3)):
+            vocab = fit_vocabulary(dataset.posts, n_range=n_range)
+            fresh_vocab = fit_vocabulary(fresh, n_range=n_range)
+            assert (vocab.terms, vocab.df) == (fresh_vocab.terms, fresh_vocab.df)
+            counts, fresh_counts = (count_transform(dataset.posts, vocab),
+                                    count_transform(fresh, fresh_vocab))
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(counts, part),
+                                      getattr(fresh_counts, part))
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         config = PipelineConfig(vectorizer="count", n_range=(1, 3), min_df=3,
@@ -227,6 +274,25 @@ class TestPipelineArtifact:
         err = capsys.readouterr().err
         assert err.startswith("error: model: bad pipeline payload")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("past_width, loads", [(-1, True), (0, False),
+                                                    (10 ** 6, False)])
+    def test_gbdt_split_beyond_feature_names(self, saved_pipelines, tmp_path,
+                                             past_width, loads):
+        container = json.loads(saved_pipelines["gbdt"].read_text())
+        payload = container["payload"]
+        root = payload["model"]["payload"]["trees"][0]
+        assert "feature" in root  # a split, not a leaf
+        root["feature"] = len(payload["feature_names"]) + past_width
+        path = tmp_path / "gbdt.json"
+        path.write_text(json.dumps(container))
+        if loads:
+            fitted = load_pipeline(str(path))
+            assert fitted.model.trees[0]["feature"] == len(fitted.feature_names) - 1
+            return
+        with pytest.raises(CorruptError, match="bad pipeline payload: a model "
+                                               "reading .* inputs for"):
+            load_pipeline(str(path))
 
     @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
     def test_round_trip_is_bit_identical(self, dataset, tmp_path, classifier):
