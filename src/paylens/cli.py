@@ -184,7 +184,7 @@ def cmd_featurize(args) -> int:
         writer = csv.writer(fp)
         writer.writerow(["user_id"] + names)
         for user_id in sorted(grouped.users):
-            _, row = user_features(grouped.users[user_id], args.include_actor_pct)
+            _, row = user_features(grouped.users[user_id], args.include_actor_pct, {})
             writer.writerow([user_id] + [repr(float(v)) for v in row])
     print(f"featurized {len(grouped.users)} users ({len(names)} columns)")
     return 0

@@ -11,11 +11,11 @@ Unknown fields are ignored. Duplicate ids are collapsed keeping the first
 occurrence. In lenient mode (the default) malformed lines are counted and
 skipped; in strict mode the first malformed line aborts with its line number.
 
-Within one `load_transactions` call, equal notes, kinds, audiences and
-actor/target ids and names are one string object: a memo maps each string
-to its first copy and is dropped when the call returns, so nothing outlives
-the call but the shared strings themselves. `Transaction` and `UserProfile`
-use slots.
+Every `parse_transaction` call shares strings through a memo mapping each
+string to its first copy: within one `load_transactions` call, or one
+harvested page, equal notes, kinds, audiences and actor/target ids and names
+are one string object, and nothing outlives them but the shared strings.
+`Transaction` and `UserProfile` use slots.
 """
 
 from __future__ import annotations
@@ -98,14 +98,14 @@ def _parse_timestamp(value: str) -> datetime:
 PARSE_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError)
 
 
-def parse_transaction(obj: dict, memo: dict[str, str] | None = None) -> Transaction:
+def parse_transaction(obj: dict, memo: dict[str, str]) -> Transaction:
     """Build a Transaction from one decoded JSONL object.
 
     Raises one of PARSE_ERRORS on schema violations: a count that is not a
     JSON integer, or a string that cannot be written back as UTF-8 (a lone
-    surrogate); callers decide whether that skips the line or aborts. With a
-    memo, each string field but the transaction id is replaced by the equal
-    string the memo already holds, or becomes the one it holds from now on.
+    surrogate); callers decide whether that skips the line or aborts. Each
+    string field but the transaction id is replaced by the equal string the
+    memo already holds, or becomes the one it holds from now on.
     """
     actor = obj["actor"]
     target = obj["target"]
@@ -119,14 +119,13 @@ def parse_transaction(obj: dict, memo: dict[str, str] | None = None) -> Transact
     actor_id, actor_name = str(actor["id"]), str(actor["name"])
     target_id, target_name = str(target["id"]), str(target["name"])
     audience = obj["audience"]
-    if memo is not None:
-        share = memo.setdefault
-        note, actor_id, actor_name, target_id, target_name = (
-            share(note, note), share(actor_id, actor_id),
-            share(actor_name, actor_name), share(target_id, target_id),
-            share(target_name, target_name))
-        if type(kind) is str and type(audience) is str:  # else Transaction rejects it
-            kind, audience = share(kind, kind), share(audience, audience)
+    share = memo.setdefault
+    note, actor_id, actor_name, target_id, target_name = (
+        share(note, note), share(actor_id, actor_id),
+        share(actor_name, actor_name), share(target_id, target_id),
+        share(target_name, target_name))
+    if type(kind) is str and type(audience) is str:  # else Transaction rejects it
+        kind, audience = share(kind, kind), share(audience, audience)
     t = Transaction(
         id=tx_id, created_at=created_at, note=note, kind=kind,
         actor_id=actor_id, actor_name=actor_name,

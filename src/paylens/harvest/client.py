@@ -72,6 +72,13 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def non_negative(name: str, value: float, what: str = "number") -> float:
+    """value, or a ValueError unless it is finite and not negative."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} {value!r} is not a finite non-negative {what}")
+    return value
+
+
 @dataclass
 class ClientConfig:
     rate: float = 0.0          # requests/sec; 0 = unlimited
@@ -80,6 +87,9 @@ class ClientConfig:
     backoff_base: float = 0.1  # seconds, doubled per retry
     backoff_cap: float = 5.0
     timeout: float = 10.0
+
+    def __post_init__(self):
+        non_negative("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -252,19 +262,16 @@ def _get_page(hc: HarvestClient, url: str, context: str,
     if read is None:
         return resp.text
     try:
-        body = resp.json()
-        return [parse_transaction(obj) for obj in body["data"]], read(body)
+        body, memo = resp.json(), {}  # equal strings of a page are one object
+        return [parse_transaction(obj, memo) for obj in body["data"]], read(body)
     except PARSE_ERRORS as exc:
         raise MalformedPage(f"{context}: {exc}") from exc
 
 
 def _refresh_interval(body: dict) -> float:
     """The feed's advertised wait in seconds: finite and not negative."""
-    value = float(body.get("refresh_interval", 0.0))
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"refresh_interval {value!r} is not a finite "
-                         "non-negative number of seconds")
-    return value
+    return non_negative("refresh_interval", float(body.get("refresh_interval", 0.0)),
+                        "number of seconds")
 
 
 def fetch_public_feed(endpoint: str, pages: int,
@@ -273,8 +280,10 @@ def fetch_public_feed(endpoint: str, pages: int,
     """Poll the public feed `pages` times and return the deduplicated union.
 
     Sleeps out the refresh interval the server advertises between polls, so
-    consecutive polls see fresh windows.
+    consecutive polls see fresh windows. `pages` below 1 is a ValueError.
     """
+    if pages < 1:
+        raise ValueError(f"pages must be at least 1, got {pages}")
     seen: dict[str, Transaction] = {}
     refresh = 0.0
     with _client(client) as hc:

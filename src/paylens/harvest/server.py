@@ -6,9 +6,9 @@ Endpoints:
       page_size newest-first transactions; the window advances once per
       refresh interval (or per request when the interval is 0).
   GET /users/<id>/transactions?before_id=<id>
-      {"data": [...], "next_before_id": ...}; next_before_id is omitted on
-      the last page. Transactions are newest-first; before_id returns
-      strictly older entries.
+      {"data": [...], "next_before_id": ...} for a user of corpus.users, else
+      404; next_before_id is omitted on the last page. Transactions are
+      newest-first; before_id returns strictly older entries.
   GET /profile/<username>
       HTML-ish page embedding "user_id": "<id>" as a script variable.
   An id or username is one path segment, percent-decoded as UTF-8.
@@ -28,7 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..corpus import Corpus, transaction_to_obj
-from .client import TokenBucket
+from .client import TokenBucket, non_negative
 
 PROFILE_TEMPLATE = """<!doctype html>
 <html><head><title>{username}</title></head>
@@ -42,11 +42,17 @@ PROFILE_TEMPLATE = """<!doctype html>
 
 @dataclass
 class MockServerConfig:
-    page_size: int = 20
+    page_size: int = 20            # at least 1
     refresh_interval: float = 0.0  # seconds; 0 advances the feed per request
     rate_limit: float = 0.0        # requests/sec; 0 disables limiting
     burst: int | None = None       # capacity, min 1; default ~1s of tokens
     usernames: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.page_size < 1:
+            raise ValueError(f"page_size must be at least 1, got {self.page_size}")
+        non_negative("refresh_interval", self.refresh_interval)
+        non_negative("rate_limit", self.rate_limit)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -125,15 +131,12 @@ class MockServer:
         self._feed_counter = 0
         self._started = time.monotonic()
 
-        # newest-first global and per-user timelines
+        # the newest-first feed; a user's pages reverse corpus.users' posts
         self._all = sorted(corpus.transactions.values(),
                            key=lambda t: (t.created_at, t.id), reverse=True)
-        self._by_user: dict[str, list] = {}
-        for t in self._all:
-            self._by_user.setdefault(t.actor_id, []).append(t)
-            self._by_user.setdefault(t.target_id, []).append(t)
+        self._users = corpus.users
         self._usernames = dict(config.usernames)
-        for uid in self._by_user:
+        for uid in self._users:
             self._usernames.setdefault(uid, uid)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
@@ -168,12 +171,11 @@ class MockServer:
                 "refresh_interval": self.config.refresh_interval}
 
     def user_page(self, user_id: str, before_id: str | None) -> dict | None:
-        timeline = self._by_user.get(user_id)
-        if timeline is None:
+        profile = self._users.get(user_id)
+        if profile is None:
             return None
+        timeline = [t for t, _ in reversed(profile.posts)]
         size = self.config.page_size
-        if size < 1:
-            raise ValueError("page_size must be >= 1")
         start = 0
         if before_id is not None:
             positions = [i for i, t in enumerate(timeline) if t.id == before_id]

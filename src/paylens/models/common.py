@@ -1,9 +1,21 @@
-"""Input conversion, label checks and the logistic loss the classifiers share."""
+"""Input conversion, type and label checks, and the classifiers' logistic loss."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SingleClass
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def fits_type(value, kind: type) -> bool:
+    """Only a bool fits bool, and a bool fits no other number type; a finite
+    int or float fits float; any other type is an isinstance check."""
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    return isinstance(value, kind)
 
 
 def _as_csr(X) -> sp.csr_matrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .common import bce_with_logits, check_binary_labels
+from .common import bce_with_logits, check_binary_labels, fits_type
 
 _LAMBDA = 1e-3       # ridge on leaf Newton steps
 _MAX_LEAF = 10.0     # cap on per-tree log-odds step
@@ -44,13 +44,36 @@ class GbdtConfig:
 
 @dataclass
 class GbdtModel:
-    trees: list[dict]        # nested {feature, threshold, left, right} / {value}
+    """Construction raises TypeError unless each tree node is {"value": number}
+    or {"feature": int >= 0, "threshold": number, "left": node, "right": node};
+    n_inputs, the columns the trees read, is 1 + the largest split feature, or 0."""
+
+    trees: list[dict]
     init_log_odds: float
     config: GbdtConfig
     feature_names: list[str] | None = None
     loss_curve: list[float] = field(default_factory=list)  # init + one per round
 
     kind: str = field(default="gbdt", init=False)
+    n_inputs: int = field(init=False)
+
+    def __post_init__(self):
+        stack, width = list(self.trees), 0
+        while stack:
+            node = stack.pop()
+            keys = node.keys() if isinstance(node, dict) else None
+            if keys == {"value"}:
+                ok = fits_type(node["value"], float)
+            else:
+                ok = (keys == {"feature", "threshold", "left", "right"}
+                      and fits_type(node["feature"], int) and node["feature"] >= 0
+                      and fits_type(node["threshold"], float))
+                if ok:
+                    width = max(width, node["feature"] + 1)
+                    stack += [node["left"], node["right"]]
+            if not ok:
+                raise TypeError(f"'trees' holds a malformed node: {str(node)[:80]}")
+        self.n_inputs = width
 
 
 def _split_candidates(Xc: sp.csc_matrix, n_bins: int):

@@ -1,8 +1,8 @@
 """Single-hidden-layer perceptron: ReLU hidden units, logistic output.
 
-Trained with plain mini-batch gradient descent on binary cross-entropy.
-The loss and gradients are computed from logits for numerical stability and
-exposed separately so they can be validated against finite differences.
+Trained with plain mini-batch gradient descent on binary cross-entropy from
+logits. A batch step computes gradients only: train_mlp computes the loss once
+per epoch, and tests/test_mlp.py computes it to check them by finite differences.
 Dense input is converted to CSR. Each epoch gathers its permuted rows once,
 so a mini-batch is a slice of the CSR arrays; products call the kernels that
 `X @ W1` and `X.T @ D` dispatch to, skipping their checks, for the same bits.
@@ -78,14 +78,13 @@ def _forward(W1, b1, W2, b2, X):
     return pre, hidden, (hidden @ W2).ravel() + b2[0]
 
 
-def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
-    """Mean binary cross-entropy and its gradients for one batch of CSR arrays
-    X (unchecked: float64 data, columns below W1's row count). Returns (loss,
-    (rows, dW1), db1, dW2, db2); W1's gradient is dW1 on `rows`, else zero."""
+def mlp_grads(W1, b1, W2, b2, X, y):
+    """Gradients of the mean binary cross-entropy for one batch of CSR arrays
+    X (unchecked: float64 data, columns below W1's row count). Returns
+    ((rows, dW1), db1, dW2, db2); W1's gradient is dW1 on `rows`, else zero."""
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.shape[0]
     pre, hidden, z = _forward(W1, b1, W2, b2, X)
-    loss = bce_with_logits(z, y)
     dz = (_sigmoid(z) - y)[:, None] / n
     dW2 = hidden.T @ dz
     db2 = dz.sum(axis=0)
@@ -99,10 +98,10 @@ def mlp_loss_and_grads(W1, b1, W2, b2, X, y):
     csc_matvecs(len(rows), n, W1.shape[1], indptr, at[indices], data,
                 dhidden.ravel(), dW1.ravel())
     db1 = dhidden.sum(axis=0)
-    return loss, (rows, dW1), db1, dW2, db2
+    return (rows, dW1), db1, dW2, db2
 
 
-# a diverging fit overflows to inf/nan, which the loss checks turn into errors
+# a diverging fit overflows to inf/nan; the epoch's loss check raises on it
 @np.errstate(over="ignore", invalid="ignore")
 def train_mlp(X, y, config: MlpConfig | None = None,
               feature_names: list[str] | None = None) -> MlpModel:
@@ -132,11 +131,8 @@ def train_mlp(X, y, config: MlpConfig | None = None,
             stop = min(start + batch, n)
             lo, hi = indptr[start], indptr[stop]
             Xb = (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi])
-            loss, (used, dW1), db1, dW2, db2 = mlp_loss_and_grads(
+            (used, dW1), db1, dW2, db2 = mlp_grads(
                 W1, b1, W2, b2, Xb, y_order[start:stop])
-            if not np.isfinite(loss):
-                raise NonFiniteError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}")
             W1[used] -= config.lr * dW1
             b1 -= config.lr * db1
             W2 -= config.lr * dW2

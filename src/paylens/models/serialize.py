@@ -5,8 +5,9 @@ A payload is a dataclass's init fields in declaration order, read back by
 their type hints: ndarrays and tuples travel as lists, dataclasses as
 objects (through `to_dict` when they have one), a field typed `object` as a
 nested model container. On read, a missing field with a default takes it;
-a missing required field, an unknown key, a mistyped value or a non-finite
-number in an ndarray or float field is a CorruptError. Floats survive the
+a missing required field, an unknown key, a mistyped value, a non-finite
+number in an ndarray or float field or a dataclass's own check (a GbdtModel
+checks its trees) is a CorruptError. Floats survive the
 JSON round trip exactly (shortest-repr encoding), so a loaded model or
 pipeline predicts bit-identically.
 """
@@ -22,6 +23,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from ..errors import CorruptError, NonFiniteError, VersionError
+from .common import fits_type
 from .gbdt import GbdtModel
 from .mlp import MlpModel
 from .svm import LinearSvmModel
@@ -29,7 +31,6 @@ from .svm import LinearSvmModel
 MAGIC = "paylens-model"
 FORMAT_VERSION = 1
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 _KINDS = {"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel}
 
 PathLike = Union[str, os.PathLike]
@@ -67,16 +68,6 @@ def write_container(container: dict, path: PathLike) -> None:
     os.replace(tmp, path)
 
 
-def fits_type(value, kind: type) -> bool:
-    """Only a bool fits bool, and a bool fits no other number type; a finite
-    int or float fits float; any other type is an isinstance check."""
-    if isinstance(value, bool) and kind in (int, float):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
-    return isinstance(value, kind)
-
-
 def encode(value, kind=None):
     """The JSON form of a value held in a field of type `kind`."""
     if kind is object:
@@ -92,27 +83,6 @@ def encode(value, kind=None):
         return {f.name: encode(getattr(value, f.name), types[f.name])
                 for f in fields(value) if f.init}
     return value
-
-
-_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
-
-
-def _check_tree(root) -> None:
-    """TypeError unless every node is {"value": number} or a split
-    {"feature": int >= 0, "threshold": number, "left": node, "right": node}."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        keys = node.keys() if isinstance(node, dict) else None
-        if keys == {"value"}:
-            ok = fits_type(node["value"], float)
-        else:
-            ok = (keys == _SPLIT_KEYS and fits_type(node["feature"], int)
-                  and node["feature"] >= 0 and fits_type(node["threshold"], float))
-            if ok:
-                stack += [node["left"], node["right"]]
-        if not ok:
-            raise TypeError(f"'trees' holds a malformed node: {str(node)[:80]}")
 
 
 def _check_numbers(name: str, value: list) -> None:
@@ -135,9 +105,6 @@ def _decode(name: str, value, kind):
         if value.get("kind") not in _KINDS:
             raise CorruptError(f"unknown model kind {value.get('kind')!r}")
         return _decode(name, value.get("payload"), _KINDS[value["kind"]])
-    if kind is dict:  # a GbdtModel tree
-        _check_tree(value)
-        return value
     if kind is np.ndarray or origin in (list, tuple):
         if not isinstance(value, list):
             raise TypeError(f"{name!r} must be a list, got {str(value)[:80]}")

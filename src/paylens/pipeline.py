@@ -107,15 +107,15 @@ class UserDataset:
         return len(self.user_ids)
 
 
-def user_features(profile: UserProfile, include_actor_pct: bool = False,
-                  memo: dict[str, tuple[TokenizedPost, ContentCounts]] | None = None
+def user_features(profile: UserProfile, include_actor_pct: bool,
+                  memo: dict[str, tuple[TokenizedPost, ContentCounts]]
                   ) -> tuple[list[TokenizedPost], np.ndarray]:
     """One user's tokenized posts and engineered feature row.
 
     Each distinct note is tokenized and detected once per memo, which maps a
-    note to its (post, counts); without one, once per call.
+    note to its (post, counts). Every caller passes one: build_dataset's
+    lasts that call, and `featurize` passes a fresh one per user.
     """
-    memo = {} if memo is None else memo
     for t, _ in profile.posts:
         if t.note not in memo:
             post = tokenize_post(t.note)
@@ -148,16 +148,6 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
     )
 
 
-def _split_features(trees: list[dict]):
-    """The feature index of every split node in the trees."""
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if "feature" in node:
-            yield node["feature"]
-            stack += [node["left"], node["right"]]
-
-
 @dataclass
 class FittedPipeline:
     config: PipelineConfig
@@ -175,7 +165,7 @@ class FittedPipeline:
         if model is not None:
             n = len(self.feature_names)
             if model.kind == "gbdt":  # a tree reads only the columns it splits on
-                width = 1 + max(_split_features(model.trees), default=-1)
+                width = model.n_inputs
                 fits = width <= n
             else:
                 width = len(model.weights if model.kind == "svm" else model.W1)

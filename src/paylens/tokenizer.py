@@ -12,9 +12,10 @@ so the vocabulary and count refits of every CV fold and n-range reuse them:
 order 1 is the lemma tuple, higher orders are interned space-joined strings.
 The cache is not part of a post's value (equality, hash, repr). To keep it
 from raising memory, the token classes use slots, and `tokenize_post` takes
-each Token from a bounded LRU cache keyed on (surface, kind), like the lemma
-cache: a repeated token is one object for as long as the cache keeps it, and
-equal surfaces stay one interned string after it is evicted.
+each Token from a bounded LRU cache keyed on (surface, kind), the one cache
+on the token path: a word's lemma is computed when its Token is built, a
+repeated token is one object for as long as the cache keeps it, and equal
+surfaces stay one interned string after it is evicted.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ def _scanner() -> re.Pattern:
     return re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in kinds))
 
 
-@lru_cache(maxsize=2 ** 16)
 def lemma_for_word(surface: str) -> str:
     """Lowercase a word and strip common inflections.
 

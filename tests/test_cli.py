@@ -1090,6 +1090,32 @@ class TestServeMock:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["serve-mock", "--page-size", "0"], "page_size must be at least 1"),
+    (["serve-mock", "--refresh-interval", "-5"], "refresh_interval -5.0 is not"),
+    (["serve-mock", "--rate-limit", "-5"], "rate_limit -5.0 is not"),
+    (["harvest", "feed", "--pages", "-3"], "pages must be at least 1"),
+    (["harvest", "feed", "--rate", "-5"], "rate -5.0 is not"),
+    (["harvest", "users", "--rate", "-5"], "rate -5.0 is not"),
+], ids=["page_size", "refresh_interval", "rate_limit", "pages", "feed_rate",
+        "users_rate"])
+def test_numbers_the_harvester_refuses_exit_2(synth_files, tmp_path, capsys,
+                                              command, message):
+    corpus, _ = synth_files
+    ids = tmp_path / "ids.txt"
+    ids.write_text("u1\n")
+    extra = {"serve-mock": ["--corpus", str(corpus), "--duration", "0.01"],
+             "feed": ["--endpoint", "http://127.0.0.1:9", "--out",
+                      str(tmp_path / "out.jsonl")],
+             "users": ["--endpoint", "http://127.0.0.1:9", "--ids", str(ids),
+                       "--out", str(tmp_path / "out.jsonl")]}
+    assert main(command + extra[command[-3]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+    assert "mock server on" not in captured.out
+
+
 class TestTokenizeDebug:
     def test_prints_table(self, capsys):
         assert main(["tokenize-debug", "--note", ":uber: ride 🍕"]) == 0

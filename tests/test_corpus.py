@@ -121,8 +121,10 @@ class TestLoadTransactions:
                           kind="charge"),
                  txn_json("t4", note="rent", actor="uc", target="ub",
                           kind="charge")]
-        # json.loads builds each value anew, so equal is not yet identical
-        first, second = (parse_transaction(json.loads(line)) for line in lines[:2])
+        # json.loads builds each value anew, so under separate memos equal is
+        # not identical
+        first, second = (parse_transaction(json.loads(line), {})
+                         for line in lines[:2])
         assert first.note == second.note and first.note is not second.note
         a, b, c, d = load_transactions(iter(lines)).transactions
         assert a.note is b.note is c.note

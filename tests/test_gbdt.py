@@ -57,6 +57,32 @@ class TestTrainGbdt:
         with pytest.raises(SingleClass):
             train_gbdt(np.eye(3), np.array([0, 0, 0]), GbdtConfig(rounds=1))
 
+    def test_n_inputs_is_one_past_the_largest_split_feature(self):
+        X, y = noisy_data(60)
+        model = train_gbdt(X, y, GbdtConfig(rounds=10, max_depth=3))
+        stack, largest = list(model.trees), -1
+        while stack:
+            node = stack.pop()
+            if "feature" in node:
+                largest = max(largest, node["feature"])
+                stack += [node["left"], node["right"]]
+        assert largest >= 0 and model.n_inputs == largest + 1
+        leaves_only = train_gbdt(np.ones((4, 3)), np.array([0, 1, 0, 1]),
+                                 GbdtConfig(rounds=2))
+        assert leaves_only.n_inputs == 0
+
+    @pytest.mark.parametrize("tree", [
+        {"value": "x"},
+        {"feature": -1, "threshold": 0.5, "left": {"value": 1.0},
+         "right": {"value": 0.0}},
+        {"feature": 0, "threshold": 0.5, "left": {"value": 1.0},
+         "right": {"value": float("nan")}},
+    ], ids=["leaf-not-number", "negative-feature", "nan-leaf"])
+    def test_malformed_node_raises_at_construction(self, tree):
+        model = train_gbdt(*noisy_data(40), GbdtConfig(rounds=1))
+        with pytest.raises(TypeError, match="'trees' holds a malformed node"):
+            gbdt.GbdtModel(trees=[tree], init_log_odds=0.0, config=model.config)
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             train_gbdt(np.eye(2), np.array([-1, 1]), GbdtConfig(rounds=1))

@@ -17,7 +17,8 @@ import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paylens.corpus import dump_transactions, group_by_user, load_transactions
+from paylens.corpus import (dump_transactions, filter_min_posts, group_by_user,
+                            load_transactions)
 from paylens.errors import (HarvestError, MalformedPage, PatternNotFound,
                             UnknownUsername, UserNotFound)
 from paylens.harvest import (ClientConfig, HarvestClient, MockServerConfig,
@@ -83,6 +84,24 @@ class TestMockServerEndpoints:
     def test_unknown_user_404(self, server45):
         resp = requests.get(f"{server45.url}/users/nobody/transactions")
         assert resp.status_code == 404
+
+    def test_user_dropped_from_the_corpus_404(self):
+        corpus = group_by_user(corpus_for_user("u1", 5))
+        with run_mock_server(filter_min_posts(corpus, 2)) as srv:
+            assert requests.get(f"{srv.url}/users/cpu10/transactions"
+                                ).status_code == 404
+            assert requests.get(f"{srv.url}/users/u1/transactions"
+                                ).status_code == 200
+
+    @pytest.mark.parametrize("kwargs", [
+        {"page_size": 0}, {"refresh_interval": -5.0},
+        {"refresh_interval": float("inf")}, {"rate_limit": -5.0},
+        {"rate_limit": float("nan")},
+    ], ids=["page_size", "refresh_interval", "refresh_interval_inf",
+            "rate_limit", "rate_limit_nan"])
+    def test_config_refuses_numbers_it_cannot_serve(self, kwargs):
+        with pytest.raises(ValueError):
+            MockServerConfig(**kwargs)
 
     def test_unknown_before_id_400(self, server45):
         resp = requests.get(f"{server45.url}/users/u1/transactions",
@@ -169,6 +188,16 @@ class TestMockServerEndpoints:
 
 
 class TestFetchPublicFeed:
+    @pytest.mark.parametrize("pages", [0, -3])
+    def test_pages_below_one_raises(self, pages):
+        with pytest.raises(ValueError, match="pages must be at least 1"):
+            fetch_public_feed("http://127.0.0.1:9", pages=pages)
+
+    @pytest.mark.parametrize("rate", [-5.0, float("inf"), float("nan")])
+    def test_client_refuses_a_rate_it_cannot_keep(self, rate):
+        with pytest.raises(ValueError, match="rate .* is not a finite"):
+            ClientConfig(rate=rate)
+
     def test_single_page_twenty(self):
         corpus = group_by_user(corpus_for_user("u1", 20))
         with run_mock_server(corpus, MockServerConfig(page_size=20)) as srv:
@@ -983,7 +1012,8 @@ class TestCrawlUsers:
         # a fresh interpreter, as the CLI's harvest and serve-mock start
         script = f"""
 import sys
-from paylens.corpus import dump_transactions, group_by_user, load_transactions
+from paylens.corpus import (dump_transactions, filter_min_posts, group_by_user,
+                            load_transactions)
 from paylens.harvest import MockServerConfig, crawl_users, run_mock_server
 with open({str(corpus)!r}, encoding="utf-8") as fp:
     corpus = group_by_user(load_transactions(fp).transactions)

@@ -9,8 +9,8 @@ from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from paylens.errors import NonFiniteError, SingleClass
 from paylens.models import MlpConfig, mlp_predict, mlp_proba, train_mlp
-from paylens.models.common import _as_csr
-from paylens.models.mlp import _take_rows, mlp_loss_and_grads
+from paylens.models.common import _as_csr, bce_with_logits
+from paylens.models.mlp import _forward, _take_rows, mlp_grads
 from paylens.models.serialize import model_to_container
 
 from oracles import train_mlp_oracle
@@ -25,7 +25,7 @@ def finite_difference_check(W1, b1, W2, b2, X, y, eps=1e-6):
     """Max relative error between backprop and central differences, through
     the batch-gradient function train_mlp calls."""
     X = csr_arrays(X)
-    _, (rows, touched), db1, dW2, db2 = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
+    (rows, touched), db1, dW2, db2 = mlp_grads(W1, b1, W2, b2, X, y)
     dW1 = np.zeros_like(W1)
     dW1[rows] = touched
     worst = 0.0
@@ -35,9 +35,9 @@ def finite_difference_check(W1, b1, W2, b2, X, y, eps=1e-6):
             i = it.multi_index
             orig = arr[i]
             arr[i] = orig + eps
-            plus, *_ = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
+            plus = bce_with_logits(_forward(W1, b1, W2, b2, X)[2], y)
             arr[i] = orig - eps
-            minus, *_ = mlp_loss_and_grads(W1, b1, W2, b2, X, y)
+            minus = bce_with_logits(_forward(W1, b1, W2, b2, X)[2], y)
             arr[i] = orig
             fd = (plus - minus) / (2 * eps)
             rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
@@ -68,11 +68,9 @@ class TestGradients:
 
     def test_sparse_input_same_gradients(self):
         W1, b1, W2, b2, X, y = toy_params(seed=2)
-        dense = mlp_loss_and_grads(W1, b1, W2, b2, csr_arrays(X), y)
-        sparse = mlp_loss_and_grads(W1, b1, W2, b2,
-                                    csr_arrays(sp.csr_matrix(X)), y)
-        assert dense[0] == pytest.approx(sparse[0])
-        for a, b in zip((*dense[1], *dense[2:]), (*sparse[1], *sparse[2:])):
+        dense = mlp_grads(W1, b1, W2, b2, csr_arrays(X), y)
+        sparse = mlp_grads(W1, b1, W2, b2, csr_arrays(sp.csr_matrix(X)), y)
+        for a, b in zip((*dense[0], *dense[1:]), (*sparse[0], *sparse[1:])):
             assert np.allclose(a, b)
 
 
