@@ -31,8 +31,8 @@ from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
 from .models import top_coefficients
 from .pipeline import (CLASSIFIERS, VECTORIZERS, PipelineConfig, build_dataset,
-                       fit_pipeline, fits_type, load_pipeline, save_pipeline,
-                       user_features)
+                       decode, fit_pipeline, fits_type, load_pipeline,
+                       save_pipeline, user_features)
 from .synth import SynthSpec, generate_synthetic_corpus
 from .tokenizer import tokenize_post
 
@@ -106,11 +106,17 @@ def _options(args) -> dict:
     return opts
 
 
-def _labeled_users(args):
-    """The options, the corpus and its labeled users for label, train and
-    evaluate."""
-    opts = _options(args)
-    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
+def _pipeline_config(opts: dict) -> PipelineConfig:
+    """The PipelineConfig of the options train and evaluate share."""
+    n_lo, n_hi = PipelineConfig.n_range
+    return PipelineConfig(
+        n_range=(opts.get("ngram_min", n_lo), opts.get("ngram_max", n_hi)),
+        **{f.name: opts[f.name] for f in fields(PipelineConfig) if f.name in opts})
+
+
+def _labeled_users(args, opts: dict):
+    """The corpus and its labeled users for label, train and evaluate; a bad
+    label file fails before the corpus is read."""
     name_corpus = political = None
     if args.name_corpus:
         with _open_in(args.name_corpus) as fp:
@@ -121,12 +127,13 @@ def _labeled_users(args):
                 "politics task requires --labels-file")
         with _open_in(opts["labels_file"]) as fp:
             political = labels_mod.load_political_labels(fp)
+    grouped = _load_corpus(args.infile, min_posts=args.min_posts)
     labeled = labels_mod.build_labeled_dataset(
         grouped, args.task, name_corpus=name_corpus,
         region=opts.get("region", "us"), political_labels=political)
     if opts.get("balance", True):
         labeled = balance_classes(labeled, seed=opts.get("seed", 0))
-    return opts, grouped, labeled
+    return grouped, labeled
 
 
 # ---------------------------------------------------------------- commands
@@ -191,7 +198,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_label(args) -> int:
-    labeled = _labeled_users(args)[2]
+    labeled = _labeled_users(args, _options(args))[1]
     class_names = labels_mod.CLASS_NAMES[args.task]
     with _open_out(args.out) as fp:
         fp.write("user_id,label,class_name\n")
@@ -201,19 +208,11 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _config_and_dataset(args):
-    """The pipeline config and the labeled dataset train and evaluate share."""
-    opts, grouped, labeled = _labeled_users(args)
-    n_lo, n_hi = PipelineConfig.n_range
-    config = PipelineConfig(
-        n_range=(opts.get("ngram_min", n_lo), opts.get("ngram_max", n_hi)),
-        **{f.name: opts[f.name] for f in fields(PipelineConfig) if f.name in opts})
-    return config, build_dataset(grouped, labeled,
-                                 include_actor_pct=config.include_actor_pct)
-
-
 def cmd_train(args) -> int:
-    config, dataset = _config_and_dataset(args)
+    opts = _options(args)
+    config = _pipeline_config(opts)
+    dataset = build_dataset(*_labeled_users(args, opts),
+                            include_actor_pct=config.include_actor_pct)
     fitted = fit_pipeline(dataset, np.arange(len(dataset)), config)
     save_pipeline(fitted, _resolve_path(args.out))
     print(f"trained {config.classifier} on {len(dataset)} users "
@@ -232,11 +231,16 @@ def cmd_evaluate(args) -> int:
     workers = _usable_cpus() if args.workers is None else args.workers
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
-    config, dataset = _config_and_dataset(args)
-    grid = GridSpec.from_dict(_load_json(args.grid)) if args.grid else GridSpec()
+    opts = _options(args)
+    config = _pipeline_config(opts)
+    grid = (decode(_load_json(args.grid), GridSpec, "grid", ValueError)
+            if args.grid else GridSpec())
+    configs = grid.expand(config)
+    dataset = build_dataset(*_labeled_users(args, opts),
+                            include_actor_pct=config.include_actor_pct)
     plan = stratified_kfold(dataset.labels01.tolist(), k=args.folds,
                             seed=config.seed)
-    report = grid_search(grid, plan, dataset, base=config, workers=workers)
+    report = grid_search(configs, plan, dataset, workers=workers)
     with _open_out(args.report) as fp:
         json.dump(report.to_dict(), fp, indent=2)
         fp.write("\n")

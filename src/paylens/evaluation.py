@@ -14,7 +14,7 @@ import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import SingleClass, TooFewSamples, WorkerDied
 from .labels import LabeledUser
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
                        featurization_key, fit_features, fit_model, fit_pipeline,
-                       fits_type, pipeline_predict, pipeline_transform)
+                       pipeline_predict, pipeline_transform)
 
 
 @dataclass(frozen=True)
@@ -180,19 +180,21 @@ def cross_validate(dataset: UserDataset, plan: FoldPlan,
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axes expanded in declaration order; C applies to the SVM only."""
+    """Axes expanded in declaration order; C applies to the SVM only. The
+    codec (`models.serialize.decode`) reads a grid file by these type hints."""
 
     vectorizers: tuple[str, ...] = ("count", "tfidf")
     n_ranges: tuple[tuple[int, int], ...] = ((1, 1), (1, 2))
     classifiers: tuple[str, ...] = ("svm", "mlp", "gbdt")
     svm_c: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
-    mlp_overrides: tuple = ()
-    gbdt_overrides: tuple = ()
+    mlp_overrides: dict = field(default_factory=dict)
+    gbdt_overrides: dict = field(default_factory=dict)
 
     def expand(self, base: PipelineConfig) -> list[PipelineConfig]:
-        """One config per grid point; the grid's override keys win over base's."""
-        mlp = {**dict(base.mlp_overrides), **dict(self.mlp_overrides)}
-        gbdt = {**dict(base.gbdt_overrides), **dict(self.gbdt_overrides)}
+        """One config per grid point; the grid's override keys win over base's.
+        No points, or a point PipelineConfig rejects, is a ValueError."""
+        mlp = {**dict(base.mlp_overrides), **self.mlp_overrides}
+        gbdt = {**dict(base.gbdt_overrides), **self.gbdt_overrides}
         configs: list[PipelineConfig] = []
         for vec, nr, clf in itertools.product(self.vectorizers, self.n_ranges,
                                               self.classifiers):
@@ -201,36 +203,9 @@ class GridSpec:
                 configs.append(replace(
                     base, vectorizer=vec, n_range=nr, classifier=clf,
                     C=c, mlp_overrides=mlp, gbdt_overrides=gbdt))
+        if not configs:
+            raise ValueError("empty grid")
         return configs
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        """A grid from its JSON object; an unknown key, an axis that is not a
-        list or a mistyped entry is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"grid spec must be an object, got {data!r}")
-        known = [f.name for f in fields(cls)]
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"grid: unknown key {key!r} (axes: {known})")
-            if key.endswith("_overrides"):
-                if not isinstance(value, dict):
-                    raise ValueError(f"grid {key} must be an object, "
-                                     f"got {value!r}")
-                value = value.items()
-            elif not isinstance(value, list):
-                raise ValueError(f"grid {key} must be a list, got {value!r}")
-            elif key == "n_ranges":
-                if not all(isinstance(nr, list) and len(nr) == 2
-                           and all(fits_type(n, int) for n in nr) for nr in value):
-                    raise ValueError(f"grid n_ranges entries must be [low, high] "
-                                     f"pairs of ints, got {value!r}")
-                value = map(tuple, value)
-            elif key == "svm_c" and not all(fits_type(c, float) for c in value):
-                raise ValueError(f"grid svm_c entries must be numbers, got {value!r}")
-            kwargs[key] = tuple(value)
-        return cls(**kwargs)
 
 
 @dataclass
@@ -270,13 +245,10 @@ class EvalReport:
         }
 
 
-def grid_search(grid: GridSpec, plan: FoldPlan, dataset: UserDataset,
-                base: PipelineConfig, workers: int = 1) -> EvalReport:
-    """Cross-validate every grid point with up to `workers` processes, then
-    refit the best config on all rows here."""
-    configs = grid.expand(base)
-    if not configs:
-        raise ValueError("empty grid")
+def grid_search(configs: Sequence[PipelineConfig], plan: FoldPlan,
+                dataset: UserDataset, workers: int = 1) -> EvalReport:
+    """Cross-validate every config (the points of `GridSpec.expand`) with up
+    to `workers` processes, then refit the best config on all rows here."""
     results = cross_validate(dataset, plan, configs, workers)
     means = [r.mean_accuracy for r in results]
     best_index = int(np.argmax(means))  # first best wins ties

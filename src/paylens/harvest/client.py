@@ -116,9 +116,14 @@ _TARGET_SAFE = "!$&'()*+,;=:@/?%"
 
 def _target(url: str, params: dict | None) -> tuple[str, str, str]:
     """(scheme, netloc, request target) of a GET of url with query params."""
-    scheme, netloc, path, query, _ = urlsplit(url)
+    parts = urlsplit(url)
+    scheme, netloc, path, query, _ = parts
     if scheme not in _CONNECTIONS or not netloc:
         raise HarvestError(f"not an http(s) URL: {url!r}")  # not retried
+    try:
+        parts.port  # a number in 0-65535; getaddrinfo would wrap 99999 to 34463
+    except ValueError as exc:
+        raise HarvestError(f"bad port in {url!r}: {exc}") from None
     target = quote((path or "/") + ("?" + query if query else ""),
                    safe=_TARGET_SAFE)
     if params:

@@ -121,6 +121,8 @@ class MockServer:
     """Serving handle: URL, audit counters, stop(). Usable as a context manager."""
 
     def __init__(self, corpus: Corpus, config: MockServerConfig, port: int = 0):
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {port}")
         self.config = config
         burst = config.burst if config.burst is not None else max(1, int(config.rate_limit))
         self.bucket = TokenBucket(config.rate_limit, burst)
@@ -208,5 +210,6 @@ class MockServer:
 
 def run_mock_server(corpus: Corpus, config: MockServerConfig | None = None,
                     port: int = 0) -> MockServer:
-    """Start the mock server on 127.0.0.1. Raises OSError if the port is taken."""
+    """Start the mock server on 127.0.0.1. Raises ValueError if the port is
+    outside 0-65535 and OSError if it is taken."""
     return MockServer(corpus, config or MockServerConfig(), port=port)

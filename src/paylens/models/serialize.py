@@ -7,9 +7,10 @@ objects (through `to_dict` when they have one), a field typed `object` as a
 nested model container. On read, a missing field with a default takes it;
 a missing required field, an unknown key, a mistyped value, a non-finite
 number in an ndarray or float field or a dataclass's own check (a GbdtModel
-checks its trees) is a CorruptError. Floats survive the
-JSON round trip exactly (shortest-repr encoding), so a loaded model or
-pipeline predicts bit-identically.
+checks its trees) is a CorruptError, or the error class `decode` is given
+(a grid spec's is ValueError). Floats survive the JSON round trip exactly
+(shortest-repr encoding), so a loaded model or pipeline predicts
+bit-identically.
 """
 
 from __future__ import annotations
@@ -131,12 +132,12 @@ def _decode(name: str, value, kind):
     return kind(value)
 
 
-def decode(value, kind, what: str):
-    """`value` read as a `kind`; any mismatch is a CorruptError "bad {what}"."""
+def decode(value, kind, what: str, error: type[Exception] = CorruptError):
+    """`value` read as a `kind`; any mismatch is an `error` "bad {what}"."""
     try:
         return _decode("payload", value, kind)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptError(f"bad {what}: {exc}") from exc
+        raise error(f"bad {what}: {exc}") from exc
 
 
 def model_to_container(model) -> dict:

@@ -4,9 +4,10 @@ A UserDataset holds the tokenized posts, raw engineered feature rows and
 binary labels for the users a task kept. A FittedPipeline owns every piece
 of fitted state (vocabulary, scaler, classifier); fitting only ever sees
 training rows, so held-out rows cannot leak into the vocabulary or scaler.
-Its feature names must cover the vocabulary and then the scaled engineered
-columns exactly. save_pipeline and load_pipeline store a FittedPipeline with
-the codec of `paylens.models.serialize`.
+Every fact it derives must agree with the config: the vocabulary's n_range
+and min_df, the feature names (the terms, then the engineered columns) and
+the widths and feature names of the scaler and model. save_pipeline and
+load_pipeline store it with the codec of `paylens.models.serialize`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
                      svm_predict, train_gbdt, train_linear_svm, train_mlp)
 from .models.serialize import (check_header, decode, encode, fits_type,
                                read_container, write_container)
-from .tokenizer import TokenizedPost, tokenize_post
+from .tokenizer import TokenizedPost, ngram_orders, tokenize_post
 from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
                          count_transform, fit_vocabulary, l2_normalize_rows,
                          tfidf_transform)
@@ -56,11 +57,8 @@ class PipelineConfig:
         for key, names in (("vectorizer", VECTORIZERS), ("classifier", CLASSIFIERS)):
             if getattr(self, key) not in names:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}")
-        n_range = self.n_range
-        if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2
-                and all(fits_type(n, int) for n in n_range)):
-            raise ValueError(f"n_range must be a pair of ints, got {n_range!r}")
-        object.__setattr__(self, "n_range", tuple(n_range))
+        ngram_orders(self.n_range)
+        object.__setattr__(self, "n_range", tuple(self.n_range))
         for key, kind in get_type_hints(PipelineConfig).items():
             value = getattr(self, key)
             if kind in (int, float, bool) and not fits_type(value, kind):
@@ -148,6 +146,13 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
     )
 
 
+def _feature_names(vocab: Vocabulary, config: PipelineConfig) -> list[str]:
+    """The vocabulary's terms, then the engineered columns the config uses."""
+    if not config.use_engineered:
+        return list(vocab.terms)
+    return vocab.terms + engineered_feature_names(config.include_actor_pct)
+
+
 @dataclass
 class FittedPipeline:
     config: PipelineConfig
@@ -158,27 +163,31 @@ class FittedPipeline:
     class_names: tuple[str, str]
 
     def __post_init__(self):
-        model = self.model
-        if model is not None and model.kind != self.config.classifier:
+        config, model, vocab = self.config, self.model, self.vocab
+        if model is not None and model.kind != config.classifier:
             raise ValueError(f"a {model.kind!r} model under a "
-                             f"{self.config.classifier!r} config")
-        if model is not None:
-            n = len(self.feature_names)
-            if model.kind == "gbdt":  # a tree reads only the columns it splits on
-                width = model.n_inputs
-                fits = width <= n
-            else:
-                width = len(model.weights if model.kind == "svm" else model.W1)
-                fits = width == n
-            if not fits:
-                raise ValueError(f"a model reading {width} inputs for {n} "
-                                 f"feature names")
-        means, stds = ((), ()) if self.scaler is None else (self.scaler.mean,
-                                                            self.scaler.std)
-        if not len(self.feature_names) - len(self.vocab) == len(means) == len(stds):
-            raise ValueError(f"{len(self.feature_names)} feature names for "
-                             f"{len(self.vocab)} terms, {len(means)} scaler means "
-                             f"and {len(stds)} stds")
+                             f"{config.classifier!r} config")
+        names = _feature_names(vocab, config)
+        for what, got, want in (  # each derived fact against its source
+                ("vocabulary n_range", tuple(vocab.n_range), config.n_range),
+                ("vocabulary min_df", vocab.min_df, config.min_df),
+                ("feature names", self.feature_names, names),
+                ("model feature names", getattr(model, "feature_names", None)
+                 or names, names)):
+            if got != want:
+                raise ValueError(f"{what} mismatch: {str(got)[:80]} against "
+                                 f"{str(want)[:80]}")
+        scaled = 0 if self.scaler is None else len(self.scaler.mean)
+        if (scaled != len(names) - len(vocab)
+                or (self.scaler is None) == config.use_engineered):
+            raise ValueError(f"{len(names)} feature names for {len(vocab)} "
+                             f"terms, {scaled} scaler means and {scaled} stds")
+        if model is not None:  # a tree reads only the columns it splits on
+            width = (model.n_inputs if model.kind == "gbdt" else
+                     len(model.weights if model.kind == "svm" else model.W1))
+            if width > len(names) or (width < len(names) and model.kind != "gbdt"):
+                raise ValueError(f"a model reading {width} inputs for "
+                                 f"{len(names)} feature names")
 
 
 def featurization_key(config: PipelineConfig) -> tuple:
@@ -209,11 +218,9 @@ def fit_features(dataset: UserDataset, train_idx: Sequence[int],
     vocab = fit_vocabulary([dataset.posts[i] for i in idx],
                            n_range=config.n_range, min_df=config.min_df)
     X, scaler = _features_for(dataset, idx, vocab, None, config)
-    names = list(vocab.terms)
-    if config.use_engineered:
-        names = names + engineered_feature_names(config.include_actor_pct)
     return FittedPipeline(config=config, vocab=vocab, scaler=scaler, model=None,
-                          feature_names=names, class_names=dataset.class_names), X
+                          feature_names=_feature_names(vocab, config),
+                          class_names=dataset.class_names), X
 
 
 def fit_model(X: sp.csr_matrix, y01: np.ndarray, config: PipelineConfig,

@@ -65,7 +65,7 @@ class SynthSpec:
     p_noise: float = 0.1
     emoji_fraction: float = 0.6
     seed: int = 0
-    # class attributes, not fields: every spec plants the same tokens
+    # not fields: every spec plants the same tokens; bench/inputs.py reads them
     signal_tokens_a = SIGNAL_TOKENS_A
     signal_tokens_b = SIGNAL_TOKENS_B
 

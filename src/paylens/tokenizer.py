@@ -195,7 +195,11 @@ def tokenize_post(note: str) -> TokenizedPost:
 
 
 def ngram_orders(n_range: tuple[int, int]) -> range:
-    """The n-gram orders of an n_range; ValueError unless 1 <= low <= high <= 3."""
+    """The n-gram orders of an n_range; ValueError unless it is a pair of ints
+    (not bools) with 1 <= low <= high <= 3."""
+    if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2 and all(
+            isinstance(n, int) and not isinstance(n, bool) for n in n_range)):
+        raise ValueError(f"n_range must be a pair of ints, got {n_range!r}")
     low, high = n_range
     if not (1 <= low <= high <= 3):
         raise ValueError(f"n_range must satisfy 1 <= low <= high <= 3, got {n_range}")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import paylens.corpus
 from paylens import evaluation
 from paylens.cli import load_pipeline, main
 from paylens.corpus import dump_transactions, group_by_user, load_transactions
@@ -482,28 +483,31 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("grid_overrides, message", [
         ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
-        ({"mlp_overrides": 5}, "grid mlp_overrides must be an object"),
+        ({"mlp_overrides": 5}, "bad grid: 'mlp_overrides' must be dict, got 5"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
-        ({"classifier": ["gbdt"], "svm_c": [1.0]}, "grid: unknown key 'classifier'"),
-        ({"svm_c": 1.0}, "grid svm_c must be a list, got 1.0"),
-        ({"n_ranges": [[1, 2, 3]]}, "grid n_ranges entries must be [low, high]"),
+        ({"classifier": ["gbdt"], "svm_c": [1.0]},
+         "bad grid: 'payload' has unknown keys ['classifier']"),
+        ({"svm_c": 1.0}, "bad grid: 'svm_c' must be a list, got 1.0"),
+        ({"n_ranges": [[1, 2, 3]]},
+         "bad grid: 'n_ranges' must hold 2 entries, got [1, 2, 3]"),
         ({"classifiers": ["svm", "forest"]}, "unknown classifier 'forest'"),
+        ({"classifiers": []}, "empty grid"),
     ], ids=["unknown_key", "not_a_mapping", "bad_value_type", "typo_key",
-            "axis_not_a_list", "n_range_not_a_pair", "unknown_classifier"])
+            "axis_not_a_list", "n_range_not_a_pair", "unknown_classifier",
+            "empty"])
     def test_evaluate_rejects_bad_grid_overrides(self, synth_files, tmp_path,
                                                  capsys, monkeypatch,
                                                  grid_overrides, message):
         corpus, labels = synth_files
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"classifiers": ["gbdt"], **grid_overrides}))
-        fits = []
-        fit = evaluation.fit_features
-
-        def counted_fit(*args):
-            fits.append(args)
-            return fit(*args)
-
-        monkeypatch.setattr(evaluation, "fit_features", counted_fit)
+        calls = []
+        for module, name in ((evaluation, "fit_features"),
+                             (paylens.corpus, "load_transactions")):
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                calls.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         report = tmp_path / "report.json"
         code = main(["evaluate", "--task", "politics", "--in", str(corpus),
                      "--labels-file", str(labels), "--grid", str(grid),
@@ -513,7 +517,45 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
-        assert not fits and not report.exists()  # rejected before any fit
+        # rejected before the corpus is read, so before any fit
+        assert not calls and not report.exists()
+
+    @pytest.mark.parametrize("command, files, code, message", [
+        (["evaluate", "--grid", "{grid}"], {"grid": {"classifier": ["svm"]}}, 2,
+         "bad grid: 'payload' has unknown keys ['classifier']"),
+        (["evaluate", "--grid", "{grid}"], {"grid": {"classifiers": ["forest"]}},
+         2, "unknown classifier 'forest'"),
+        (["evaluate", "--grid", "{grid}"], {"grid": {"n_ranges": [[1, 5]]}}, 2,
+         "n_range must satisfy 1 <= low <= high <= 3, got (1, 5)"),
+        (["train", "--ngram-max", "5"], {}, 2,
+         "n_range must satisfy 1 <= low <= high <= 3, got (1, 5)"),
+        (["train", "--config", "{config}"], {"config": {"vectorizer": "bogus"}},
+         2, "unknown vectorizer 'bogus'"),
+        (["label"], {}, 1, "politics task requires --labels-file"),
+        (["label", "--labels-file", "{labels}"], {"labels": "u1,republican,x\n"},
+         1, "bad political label row"),
+        (["label", "--labels-file", "{labels}", "--name-corpus", "{names}"],
+         {"labels": "u1,republican\n", "names": "amy\tus\t1\n"}, 1,
+         "bad name corpus row"),
+    ], ids=["grid_key", "grid_classifier", "grid_n_range", "ngram_max",
+            "config_vectorizer", "no_labels_file", "labels_file_row",
+            "name_corpus_row"])
+    def test_small_input_errors_come_before_the_corpus(self, tmp_path, capsys,
+                                                       command, files, code,
+                                                       message):
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(content if isinstance(content, str)
+                                   else json.dumps(content))
+        out = ["--report", str(tmp_path / "report.json")
+               ] if command[0] == "evaluate" else ["--out", str(tmp_path / "out")]
+        argv = [arg.format(**paths) for arg in command] + [
+            "--task", "politics", "--in", str(tmp_path / "missing.jsonl"), *out]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "No such file" not in err
 
     def test_cli_flag_beats_config_file(self, synth_files, tmp_path):
         corpus, labels = synth_files
@@ -862,15 +904,25 @@ class TestHarvestCommands:
                 got = load_transactions(fp).transactions
             assert {t.id for t in got} == {t.id for t in result.transactions}
 
+    @pytest.mark.parametrize("endpoint, message", [
+        ("ftp://127.0.0.1:9", "not an http(s) URL"),
+        ("http://127.0.0.1:99999", "bad port in 'http://127.0.0.1:99999/feed': "
+                                   "Port out of range 0-65535"),
+        ("http://127.0.0.1:abc", "bad port in 'http://127.0.0.1:abc/feed': "
+                                 "Port could not be cast"),
+        ("http://127.0.0.1:-1", "bad port in 'http://127.0.0.1:-1/feed': "
+                                "Port could not be cast"),
+    ], ids=["ftp", "port_99999", "port_abc", "port_negative"])
     def test_feed_rejects_non_http_endpoint_without_retrying(self, tmp_path,
-                                                             capsys):
+                                                             capsys, endpoint,
+                                                             message):
         start = time.monotonic()
-        code = main(["harvest", "feed", "--endpoint", "ftp://127.0.0.1:9",
+        code = main(["harvest", "feed", "--endpoint", endpoint,
                      "--pages", "1", "--out", str(tmp_path / "feed.jsonl")])
         assert code == 1
         assert time.monotonic() - start < 1.0
         err = capsys.readouterr().err
-        assert "not an http(s) URL" in err
+        assert message in err
         assert "retries" not in err
 
     @pytest.mark.parametrize("max_users", ["-1", "-3"])
@@ -1097,8 +1149,10 @@ class TestServeMock:
     (["harvest", "feed", "--pages", "-3"], "pages must be at least 1"),
     (["harvest", "feed", "--rate", "-5"], "rate -5.0 is not"),
     (["harvest", "users", "--rate", "-5"], "rate -5.0 is not"),
+    (["serve-mock", "--port", "99999"], "port must be in 0-65535, got 99999"),
+    (["serve-mock", "--port", "-1"], "port must be in 0-65535, got -1"),
 ], ids=["page_size", "refresh_interval", "rate_limit", "pages", "feed_rate",
-        "users_rate"])
+        "users_rate", "port_high", "port_negative"])
 def test_numbers_the_harvester_refuses_exit_2(synth_files, tmp_path, capsys,
                                               command, message):
     corpus, _ = synth_files

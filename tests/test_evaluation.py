@@ -411,7 +411,7 @@ class TestGridSearch:
         base = PipelineConfig(min_df=1, seed=0)
         grid = GridSpec(vectorizers=("tfidf",), n_ranges=((1, 1),),
                         classifiers=("svm",), svm_c=(1.0,))
-        report = grid_search(grid, plan, ds, base=base)
+        report = grid_search(grid.expand(base), plan, ds)
         assert len(report.results) == 1
         direct = cross_validate(ds, plan, grid.expand(base))[0]
         assert report.results[0].fold_accuracies == direct.fold_accuracies
@@ -423,7 +423,7 @@ class TestGridSearch:
         grid = GridSpec(vectorizers=("count", "tfidf"), n_ranges=((1, 1),),
                         classifiers=("svm",), svm_c=(0.01, 1.0))
         fitted = record_fits(monkeypatch)
-        report = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1))
+        report = grid_search(grid.expand(PipelineConfig(min_df=1)), plan, ds)
         assert len(fitted) == plan.k * 2  # one per fold and vectorizer
         means = [r.mean_accuracy for r in report.results]
         assert report.best.mean_accuracy == max(means)
@@ -436,8 +436,9 @@ class TestGridSearch:
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=4)
         grid = GridSpec(vectorizers=("tfidf",), n_ranges=((1, 1), (1, 2)),
                         classifiers=("svm",), svm_c=(0.1, 1.0))
-        one = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1, seed=4))
-        two = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1, seed=4))
+        configs = grid.expand(PipelineConfig(min_df=1, seed=4))
+        one = grid_search(configs, plan, ds)
+        two = grid_search(configs, plan, ds)
         assert one.to_dict() == two.to_dict()
 
     def test_report_dict_shape(self):
@@ -445,7 +446,7 @@ class TestGridSearch:
         plan = stratified_kfold(ds.labels01.tolist(), k=3, seed=0)
         grid = GridSpec(vectorizers=("tfidf",), n_ranges=((1, 1),),
                         classifiers=("svm",), svm_c=(1.0,))
-        report = grid_search(grid, plan, ds, base=PipelineConfig(min_df=1))
+        report = grid_search(grid.expand(PipelineConfig(min_df=1)), plan, ds)
         data = report.to_dict()
         assert data["folds"] == 3
         assert len(data["configs"]) == 1

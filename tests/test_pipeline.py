@@ -252,12 +252,22 @@ class TestPipelineArtifact:
         ("mlp", ("config", "mlp_overrides"), lambda o: {**o, "epochs": -1}),
         ("svm", ("config", "classifier"), lambda kind: "mlp"),
         ("gbdt", ("config", "classifier"), lambda kind: "svm"),
+        ("svm", ("config", "n_range"), lambda n_range: [1, 1]),
+        ("svm", ("config", "min_df"), lambda min_df: min_df + 1),
+        ("svm", ("feature_names",), lambda names: names[::-1]),
+        ("svm", ("config", "use_engineered"), lambda used: False),
+        ("svm", ("config", "include_actor_pct"), lambda included: True),
+        ("svm", ("model", "payload", "feature_names"),
+         lambda names: names[1:] + names[:1]),
     ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int",
             "n_documents_str", "feature_names_int", "feature_name_nested",
             "one_class_name", "scaler_mean_short", "config_unknown_key",
             "mlp_config_unknown_key", "gbdt_config_unknown_key",
             "config_override_out_of_range", "svm_model_mlp_config",
-            "gbdt_model_svm_config"])
+            "gbdt_model_svm_config", "config_n_range_not_the_vocabulary_s",
+            "config_min_df_not_the_vocabulary_s", "feature_names_reversed",
+            "engineered_off_with_a_scaler", "actor_pct_on_without_its_column",
+            "model_feature_names_rotated"])
     def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
                                        classifier, path, change):
         container = json.loads(saved_pipelines[classifier].read_text())

@@ -6,7 +6,8 @@ import pytest
 from paylens.corpus import dump_transactions, group_by_user, note_length_histogram
 from paylens.errors import SynthSpecError
 from paylens.labels import build_labeled_dataset
-from paylens.synth import SynthSpec, generate_synthetic_corpus
+from paylens.synth import (SIGNAL_TOKENS_A, SIGNAL_TOKENS_B, SynthSpec,
+                           generate_synthetic_corpus)
 from paylens.tokenizer import tokenize_post
 
 
@@ -38,8 +39,8 @@ class TestGenerate:
         spec = SynthSpec(n_users_per_class=10, posts_per_user=(4, 6),
                          p_signal=1.0, p_noise=0.0, seed=1)
         result = generate_synthetic_corpus(spec)
-        signal_a = set(spec.signal_tokens_a)
-        signal_b = set(spec.signal_tokens_b)
+        signal_a = set(SIGNAL_TOKENS_A)
+        signal_b = set(SIGNAL_TOKENS_B)
         by_user = {}
         for t in result.transactions:
             uid = t.actor_id if t.actor_id.startswith("u") else t.target_id
@@ -101,7 +102,6 @@ class TestGenerate:
         assert len(labeled) == 50
 
     def test_signal_tokens_survive_lemmatization(self):
-        spec = SynthSpec()
-        for token in spec.signal_tokens_a + spec.signal_tokens_b:
+        for token in SIGNAL_TOKENS_A + SIGNAL_TOKENS_B:
             post = tokenize_post(token)
             assert post.tokens[0].lemma == token
