@@ -116,11 +116,17 @@ def _pipeline_config(opts: dict) -> PipelineConfig:
 
 def _labeled_users(args, opts: dict):
     """The corpus and its labeled users for label, train and evaluate; a bad
-    label file fails before the corpus is read."""
+    label file or gender region fails before the corpus is read. Politics
+    ignores the region, which a --config file may set for both tasks."""
     name_corpus = political = None
+    region = opts.get("region", "us")
     if args.name_corpus:
         with _open_in(args.name_corpus) as fp:
             name_corpus = labels_mod.load_name_corpus(fp)
+    if args.task == "gender":
+        if name_corpus is None:
+            name_corpus = labels_mod.default_name_corpus()
+        name_corpus.check_region(region)
     if args.task == "politics":
         if "labels_file" not in opts:
             raise labels_mod.LabelFileError(
@@ -130,7 +136,7 @@ def _labeled_users(args, opts: dict):
     grouped = _load_corpus(args.infile, min_posts=args.min_posts)
     labeled = labels_mod.build_labeled_dataset(
         grouped, args.task, name_corpus=name_corpus,
-        region=opts.get("region", "us"), political_labels=political)
+        region=region, political_labels=political)
     if opts.get("balance", True):
         labeled = balance_classes(labeled, seed=opts.get("seed", 0))
     return grouped, labeled
@@ -259,7 +265,7 @@ def cmd_report_coefficients(args) -> int:
     if model.kind != "svm":
         raise PaylensError(
             f"coefficient report requires a linear SVM, got {model.kind!r}")
-    positive, negative = top_coefficients(model, args.k)
+    positive, negative = top_coefficients(model, fitted.feature_names, args.k)
     neg_name, pos_name = fitted.class_names
     with _open_out(args.out) as fp:
         writer = csv.writer(fp)

@@ -127,7 +127,7 @@ def _fold_group(i: int, members: list[int]) -> list[Outcome]:
     outcomes: dict[int, Outcome] = {}
     warm = np.zeros(len(train_idx))
     for j in sorted(members, key=lambda j: configs[j].C):
-        model = fit_model(X, y_train, configs[j], features.feature_names, warm)
+        model = fit_model(X, y_train, configs[j], warm)
         fitted = replace(features, config=configs[j], model=model)
         outcomes[j] = _outcome(y_true, pipeline_predict(fitted, X_test))
     return [outcomes[j] for j in members]

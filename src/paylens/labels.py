@@ -50,9 +50,12 @@ class NameCorpus:
     counts: dict[str, dict[str, tuple[int, int]]]
     regions: tuple[str, ...]
 
-    def male_fraction(self, first_name: str, region: str) -> float | None:
+    def check_region(self, region: str) -> None:
         if region not in self.regions:
             raise UnknownRegion(f"region {region!r} not in corpus regions {self.regions}")
+
+    def male_fraction(self, first_name: str, region: str) -> float | None:
+        self.check_region(region)
         by_region = self.counts.get(first_name.lower())
         if not by_region or region not in by_region:
             return None

@@ -51,7 +51,6 @@ class GbdtModel:
     trees: list[dict]
     init_log_odds: float
     config: GbdtConfig
-    feature_names: list[str] | None = None
     loss_curve: list[float] = field(default_factory=list)  # init + one per round
 
     kind: str = field(default="gbdt", init=False)
@@ -176,8 +175,7 @@ def _tree_apply(node: dict, column, idx: np.ndarray, out: np.ndarray) -> None:
     _tree_apply(node["right"], column, idx[~mask], out)
 
 
-def train_gbdt(X, y, config: GbdtConfig | None = None,
-               feature_names: list[str] | None = None) -> GbdtModel:
+def train_gbdt(X, y, config: GbdtConfig | None = None) -> GbdtModel:
     if config is None:
         config = GbdtConfig()
     Xc = sp.csc_matrix(X, dtype=np.float64)
@@ -221,7 +219,6 @@ def train_gbdt(X, y, config: GbdtConfig | None = None,
         loss_curve.append(loss)
 
     return GbdtModel(trees=trees, init_log_odds=init, config=config,
-                     feature_names=list(feature_names) if feature_names else None,
                      loss_curve=loss_curve)
 
 

@@ -37,7 +37,6 @@ class MlpModel:
     W2: np.ndarray  # (hidden, 1)
     b2: np.ndarray  # (1,)
     config: MlpConfig
-    feature_names: list[str] | None = None
     loss_curve: list[float] = field(default_factory=list)
 
     kind: str = field(default="mlp", init=False)
@@ -103,8 +102,7 @@ def mlp_grads(W1, b1, W2, b2, X, y):
 
 # a diverging fit overflows to inf/nan; the epoch's loss check raises on it
 @np.errstate(over="ignore", invalid="ignore")
-def train_mlp(X, y, config: MlpConfig | None = None,
-              feature_names: list[str] | None = None) -> MlpModel:
+def train_mlp(X, y, config: MlpConfig | None = None) -> MlpModel:
     """Mini-batch gradient descent; the per-epoch full-data loss is recorded."""
     if config is None:
         config = MlpConfig()
@@ -143,7 +141,6 @@ def train_mlp(X, y, config: MlpConfig | None = None,
         loss_curve.append(full_loss)
 
     return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=config,
-                    feature_names=list(feature_names) if feature_names else None,
                     loss_curve=loss_curve)
 
 

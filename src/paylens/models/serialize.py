@@ -1,16 +1,17 @@
 """Versioned JSON containers and the one codec for every paylens artifact.
 
-A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...}.
-A payload is a dataclass's init fields in declaration order, read back by
-their type hints: ndarrays and tuples travel as lists, dataclasses as
-objects (through `to_dict` when they have one), a field typed `object` as a
-nested model container. On read, a missing field with a default takes it;
-a missing required field, an unknown key, a mistyped value, a non-finite
-number in an ndarray or float field or a dataclass's own check (a GbdtModel
-checks its trees) is a CorruptError, or the error class `decode` is given
-(a grid spec's is ValueError). Floats survive the JSON round trip exactly
-(shortest-repr encoding), so a loaded model or pipeline predicts
-bit-identically.
+A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...};
+the pipeline file is the only one written. A payload is a dataclass's init
+fields in declaration order, read back by their type hints: ndarrays and
+tuples travel as lists, dataclasses as objects (through `to_dict` when they
+have one), a field typed `object` as a model's {"kind": ..., "payload": ...},
+which carries no magic or version of its own. On read, a missing field with
+a default takes it; a missing required field, an unknown key or model kind,
+a mistyped value, a non-finite number in an ndarray or float field or a
+dataclass's own check (a GbdtModel checks its trees) is a CorruptError, or
+the error class `decode` is given (a grid spec's is ValueError). Floats
+survive the JSON round trip exactly (shortest-repr encoding), so a loaded
+model or pipeline predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .common import fits_type
 from .gbdt import GbdtModel
 from .mlp import MlpModel
 from .svm import LinearSvmModel
-
-MAGIC = "paylens-model"
-FORMAT_VERSION = 1
 
 _KINDS = {"svm": LinearSvmModel, "mlp": MlpModel, "gbdt": GbdtModel}
 
@@ -72,7 +70,7 @@ def write_container(container: dict, path: PathLike) -> None:
 def encode(value, kind=None):
     """The JSON form of a value held in a field of type `kind`."""
     if kind is object:
-        return model_to_container(value)
+        return {"kind": value.kind, "payload": encode(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
@@ -101,8 +99,10 @@ def _decode(name: str, value, kind):
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, UnionType):  # X | None
         return None if value is None else _decode(name, value, args[0])
-    if kind is object:  # a model container
-        check_header(value, MAGIC, FORMAT_VERSION, "model")
+    if kind is object:  # a model
+        if not isinstance(value, dict) or value.keys() - {"kind", "payload"}:
+            raise TypeError(f"{name!r} must be a kind and payload object, "
+                            f"got {str(value)[:80]}")
         if value.get("kind") not in _KINDS:
             raise CorruptError(f"unknown model kind {value.get('kind')!r}")
         return _decode(name, value.get("payload"), _KINDS[value["kind"]])
@@ -139,12 +139,3 @@ def decode(value, kind, what: str, error: type[Exception] = CorruptError):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"bad {what}: {exc}") from exc
 
-
-def model_to_container(model) -> dict:
-    return {"magic": MAGIC, "version": FORMAT_VERSION, "kind": model.kind,
-            "payload": encode(model)}
-
-
-def model_from_container(container: dict):
-    check_header(container, MAGIC, FORMAT_VERSION, "model")
-    return decode(container, object, f"payload for kind {container.get('kind')!r}")

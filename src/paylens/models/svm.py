@@ -65,7 +65,6 @@ class LinearSvmModel:
     C: float
     tol: float
     seed: int
-    feature_names: list[str] | None = None
     epochs_run: int = 0
     primal_objective: float = 0.0
     duality_gap: float = 0.0
@@ -80,7 +79,6 @@ class LinearSvmModel:
 
 def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
                      max_epochs: int = 1000,
-                     feature_names: list[str] | None = None,
                      warm: np.ndarray | None = None) -> LinearSvmModel:
     """Fit the hinge-loss linear model to the stated relative duality gap.
 
@@ -91,8 +89,6 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
     yv = check_binary_labels(y, (-1, 1), Xc.shape[0])
     if not np.isfinite(Xc.data).all():
         raise NonFiniteError("training matrix contains non-finite values")
-    if C <= 0:
-        raise ValueError("C must be positive")
 
     n = Xc.shape[0]
     Xa = sp.hstack([Xc, np.ones((n, 1))], format="csr")  # bias feature
@@ -131,7 +127,6 @@ def train_linear_svm(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
 
     return LinearSvmModel(
         weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,
-        feature_names=list(feature_names) if feature_names is not None else None,
         epochs_run=epochs, primal_objective=primal, duality_gap=gap,
     )
 
@@ -150,16 +145,14 @@ def svm_predict(model: LinearSvmModel, X) -> np.ndarray:
     return np.where(decision >= 0.0, 1, -1)
 
 
-def top_coefficients(model: LinearSvmModel, k: int
+def top_coefficients(model: LinearSvmModel, names: list[str], k: int
                      ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-    """The k most positive and k most negative weights with their names.
+    """The k most positive and k most negative weights with their names,
+    one name per weight.
 
     Each returned list is ordered by absolute weight descending with ties
     broken by feature name. k larger than the width is clipped.
     """
-    names = model.feature_names
-    if names is None:
-        names = [f"f{i}" for i in range(model.weights.shape[0])]
     if len(names) != model.weights.shape[0]:
         raise ValueError("feature names do not match model width")
     k = max(0, min(k, model.weights.shape[0]))

@@ -4,10 +4,12 @@ A UserDataset holds the tokenized posts, raw engineered feature rows and
 binary labels for the users a task kept. A FittedPipeline owns every piece
 of fitted state (vocabulary, scaler, classifier); fitting only ever sees
 training rows, so held-out rows cannot leak into the vocabulary or scaler.
-Every fact it derives must agree with the config: the vocabulary's n_range
-and min_df, the feature names (the terms, then the engineered columns) and
-the widths and feature names of the scaler and model. save_pipeline and
-load_pipeline store it with the codec of `paylens.models.serialize`.
+Its feature names are derived, never stored: the vocabulary's terms, then
+the engineered columns the config uses. Every fact it holds must agree with
+the config: the vocabulary's n_range and min_df, the model's kind and the
+widths of the scaler and model. save_pipeline and load_pipeline store it,
+at PIPELINE_VERSION, with the codec of `paylens.models.serialize`; a file
+of another version is refused.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
                          tfidf_transform)
 
 PIPELINE_MAGIC = "paylens-pipeline"
-PIPELINE_VERSION = 1
+PIPELINE_VERSION = 2
 
 VECTORIZERS = ("count", "tfidf")
 CLASSIFIERS = ("svm", "mlp", "gbdt")
@@ -65,6 +67,8 @@ class PipelineConfig:
                 raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
             if kind is float:
                 object.__setattr__(self, key, float(value))
+        if self.C <= 0:
+            raise ValueError(f"C must be positive, got {self.C!r}")
         for key, model_config in (("mlp_overrides", MlpConfig),
                                   ("gbdt_overrides", GbdtConfig)):
             value = getattr(self, key)
@@ -146,20 +150,12 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
     )
 
 
-def _feature_names(vocab: Vocabulary, config: PipelineConfig) -> list[str]:
-    """The vocabulary's terms, then the engineered columns the config uses."""
-    if not config.use_engineered:
-        return list(vocab.terms)
-    return vocab.terms + engineered_feature_names(config.include_actor_pct)
-
-
 @dataclass
 class FittedPipeline:
     config: PipelineConfig
     vocab: Vocabulary
     scaler: ScalerStats | None
     model: object
-    feature_names: list[str]
     class_names: tuple[str, str]
 
     def __post_init__(self):
@@ -167,27 +163,32 @@ class FittedPipeline:
         if model is not None and model.kind != config.classifier:
             raise ValueError(f"a {model.kind!r} model under a "
                              f"{config.classifier!r} config")
-        names = _feature_names(vocab, config)
-        for what, got, want in (  # each derived fact against its source
+        for what, got, want in (  # each fact the vocabulary keeps of the config
                 ("vocabulary n_range", tuple(vocab.n_range), config.n_range),
-                ("vocabulary min_df", vocab.min_df, config.min_df),
-                ("feature names", self.feature_names, names),
-                ("model feature names", getattr(model, "feature_names", None)
-                 or names, names)):
+                ("vocabulary min_df", vocab.min_df, config.min_df)):
             if got != want:
                 raise ValueError(f"{what} mismatch: {str(got)[:80]} against "
                                  f"{str(want)[:80]}")
+        n_names = len(self.feature_names)
         scaled = 0 if self.scaler is None else len(self.scaler.mean)
-        if (scaled != len(names) - len(vocab)
+        if (scaled != n_names - len(vocab)
                 or (self.scaler is None) == config.use_engineered):
-            raise ValueError(f"{len(names)} feature names for {len(vocab)} "
+            raise ValueError(f"{n_names} feature names for {len(vocab)} "
                              f"terms, {scaled} scaler means and {scaled} stds")
         if model is not None:  # a tree reads only the columns it splits on
             width = (model.n_inputs if model.kind == "gbdt" else
                      len(model.weights if model.kind == "svm" else model.W1))
-            if width > len(names) or (width < len(names) and model.kind != "gbdt"):
+            if width > n_names or (width < n_names and model.kind != "gbdt"):
                 raise ValueError(f"a model reading {width} inputs for "
-                                 f"{len(names)} feature names")
+                                 f"{n_names} feature names")
+
+    @property
+    def feature_names(self) -> list[str]:
+        """The vocabulary's terms, then the engineered columns the config uses."""
+        if not self.config.use_engineered:
+            return list(self.vocab.terms)
+        return self.vocab.terms + engineered_feature_names(
+            self.config.include_actor_pct)
 
 
 def featurization_key(config: PipelineConfig) -> tuple:
@@ -219,24 +220,21 @@ def fit_features(dataset: UserDataset, train_idx: Sequence[int],
                            n_range=config.n_range, min_df=config.min_df)
     X, scaler = _features_for(dataset, idx, vocab, None, config)
     return FittedPipeline(config=config, vocab=vocab, scaler=scaler, model=None,
-                          feature_names=_feature_names(vocab, config),
                           class_names=dataset.class_names), X
 
 
 def fit_model(X: sp.csr_matrix, y01: np.ndarray, config: PipelineConfig,
-              feature_names: list[str], warm: np.ndarray | None = None):
+              warm: np.ndarray | None = None):
     """The configured classifier trained on X, which it leaves unchanged. An
     SVM warm-starts from `warm` and leaves its dual solution there (see
     train_linear_svm); the other classifiers ignore it."""
     if config.classifier == "svm":
         return train_linear_svm(X, 2 * y01 - 1, C=config.C, tol=config.svm_tol,
-                                seed=config.seed, feature_names=feature_names,
-                                warm=warm)
+                                seed=config.seed, warm=warm)
     train, model_config, overrides = (
         (train_mlp, MlpConfig, config.mlp_overrides) if config.classifier == "mlp"
         else (train_gbdt, GbdtConfig, config.gbdt_overrides))
-    return train(X, y01, model_config(**{"seed": config.seed, **dict(overrides)}),
-                 feature_names=feature_names)
+    return train(X, y01, model_config(**{"seed": config.seed, **dict(overrides)}))
 
 
 def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
@@ -244,7 +242,7 @@ def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
     """Fit vocabulary, scaler and classifier on the given training rows only."""
     fitted, X = fit_features(dataset, train_idx, config)
     y01 = dataset.labels01[np.asarray(train_idx, dtype=np.int64)]
-    fitted.model = fit_model(X, y01, config, fitted.feature_names)
+    fitted.model = fit_model(X, y01, config)
     return fitted
 
 

@@ -276,8 +276,7 @@ def _svm_cd_epoch(indptr, indices, data, y, qd, alpha, w, C, order):
 
 
 def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
-              max_epochs: int = 1000,
-              feature_names: list[str] | None = None) -> LinearSvmModel:
+              max_epochs: int = 1000) -> LinearSvmModel:
     """Fit the hinge-loss linear model to the stated relative duality gap."""
     Xc = _as_csr(X)
     yv = check_binary_labels(y, (-1, 1), Xc.shape[0])
@@ -310,7 +309,6 @@ def svm_train(X, y, C: float = 1.0, tol: float = 1e-3, seed: int = 0,
 
     return LinearSvmModel(
         weights=w[:-1].copy(), bias=float(w[-1]), C=C, tol=tol, seed=seed,
-        feature_names=list(feature_names) if feature_names is not None else None,
         epochs_run=epochs, primal_objective=primal, duality_gap=gap,
     )
 
@@ -336,8 +334,7 @@ def _mlp_loss_and_grads(W1, b1, W2, b2, X, y):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_mlp_oracle(X, y, config: MlpConfig | None = None,
-                     feature_names: list[str] | None = None) -> MlpModel:
+def train_mlp_oracle(X, y, config: MlpConfig | None = None) -> MlpModel:
     if config is None:
         config = MlpConfig()
     Xv = (X.tocsr().astype(np.float64) if sp.issparse(X)
@@ -374,7 +371,6 @@ def train_mlp_oracle(X, y, config: MlpConfig | None = None,
         loss_curve.append(full_loss)
 
     return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=config,
-                    feature_names=list(feature_names) if feature_names else None,
                     loss_curve=loss_curve)
 
 
@@ -438,9 +434,9 @@ def engineered_features(profile, posts, counts=None) -> EngineeredFeatures:
     )
 
 
-# Model payloads as first written: a hand-written pair per model class.
-# model_to_container must write the same JSON text, and model_from_container
-# must load the same fields.
+# Model payloads as first written: a hand-written pair per model class. The
+# codec must write the same JSON text as a model's payload, and load the
+# same fields.
 class SvmPayload(LinearSvmModel):
     def to_payload(self) -> dict:
         return {
@@ -449,7 +445,6 @@ class SvmPayload(LinearSvmModel):
             "C": self.C,
             "tol": self.tol,
             "seed": self.seed,
-            "feature_names": self.feature_names,
             "epochs_run": self.epochs_run,
             "primal_objective": self.primal_objective,
             "duality_gap": self.duality_gap,
@@ -463,7 +458,6 @@ class SvmPayload(LinearSvmModel):
             C=float(payload["C"]),
             tol=float(payload["tol"]),
             seed=int(payload["seed"]),
-            feature_names=payload.get("feature_names"),
             epochs_run=int(payload.get("epochs_run", 0)),
             primal_objective=float(payload.get("primal_objective", 0.0)),
             duality_gap=float(payload.get("duality_gap", 0.0)),
@@ -476,7 +470,6 @@ class MlpPayload(MlpModel):
             "W1": self.W1.tolist(), "b1": self.b1.tolist(),
             "W2": self.W2.tolist(), "b2": self.b2.tolist(),
             "config": vars(self.config),
-            "feature_names": self.feature_names,
             "loss_curve": self.loss_curve,
         }
 
@@ -488,7 +481,6 @@ class MlpPayload(MlpModel):
             W2=np.asarray(payload["W2"], dtype=np.float64),
             b2=np.asarray(payload["b2"], dtype=np.float64),
             config=MlpConfig(**payload["config"]),
-            feature_names=payload.get("feature_names"),
             loss_curve=list(payload.get("loss_curve", [])),
         )
 
@@ -499,7 +491,6 @@ class GbdtPayload(GbdtModel):
             "trees": self.trees,
             "init_log_odds": self.init_log_odds,
             "config": vars(self.config),
-            "feature_names": self.feature_names,
             "loss_curve": self.loss_curve,
         }
 
@@ -509,7 +500,6 @@ class GbdtPayload(GbdtModel):
             trees=payload["trees"],
             init_log_odds=float(payload["init_log_odds"]),
             config=GbdtConfig(**payload["config"]),
-            feature_names=payload.get("feature_names"),
             loss_curve=list(payload.get("loss_curve", [])),
         )
 

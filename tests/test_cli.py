@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import paylens.corpus
 from paylens import evaluation
 from paylens.cli import load_pipeline, main
+from paylens.pipeline import PIPELINE_VERSION
 from paylens.corpus import dump_transactions, group_by_user, load_transactions
 from paylens.harvest import MockServerConfig, load_checkpoint, run_mock_server
 from paylens.synth import SynthSpec, generate_synthetic_corpus
@@ -257,20 +258,18 @@ class TestTrainAndReport:
                      "-k", "3", "--out", "coeffs.csv"]) == 0
         assert len((data_dir / "coeffs.csv").read_text().splitlines()) == 7
 
+    HEADER = {"magic": "paylens-pipeline", "version": PIPELINE_VERSION}
+
     @pytest.mark.parametrize("container,message", [
-        ({"magic": "paylens-pipeline", "version": 1}, "bad pipeline payload"),
-        ({"magic": "paylens-pipeline", "version": 1, "payload": []},
-         "bad pipeline payload"),
-        ({"magic": "paylens-pipeline", "version": 1, "payload": {"config": {}}},
-         "bad pipeline payload"),
-        ({"magic": "paylens-pipeline", "version": 1, "payload": {"vocab": 3}},
-         "bad pipeline payload"),
-        ({"magic": "paylens-model", "version": 1, "payload": {}},
+        (HEADER, "bad pipeline payload"),
+        ({**HEADER, "payload": []}, "bad pipeline payload"),
+        ({**HEADER, "payload": {"config": {}}}, "bad pipeline payload"),
+        ({**HEADER, "payload": {"vocab": 3}}, "bad pipeline payload"),
+        ({**HEADER, "magic": "paylens-model", "payload": {}},
          "not a pipeline file (bad magic)"),
-        ({"magic": "paylens-pipeline", "version": 99, "payload": {}},
+        ({**HEADER, "version": 99, "payload": {}},
          "unsupported pipeline version 99"),
-        ('{"magic": "paylens-pipeline", "version": 1, "payl',
-         "unreadable pipeline file"),
+        (json.dumps({**HEADER, "payload": {}})[:-8], "unreadable pipeline file"),
         (["paylens-pipeline", 1], "not a pipeline file (bad magic)"),
         ("[" * 200_000 + "]" * 200_000, "unreadable pipeline file"),
     ], ids=[f"container{i}" for i in range(8)] + ["deeply_nested"])
@@ -283,6 +282,28 @@ class TestTrainAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: model: ") and message in err
         assert "Traceback" not in err
+
+    def test_version_1_file_refused(self, synth_files, tmp_path, capsys):
+        # the layout before names were derived: stored twice more, and the
+        # model in a container of its own
+        corpus, labels = synth_files
+        model = tmp_path / "model.json"
+        assert main(["train", "--task", "politics", "--in", str(corpus),
+                     "--labels-file", str(labels), "--out", str(model),
+                     "--min-posts", "8"]) == 0
+        names = load_pipeline(str(model)).feature_names
+        container = json.loads(model.read_text())
+        payload = container["payload"]
+        nested = payload["model"]
+        payload["model"] = {"magic": "paylens-model", "version": 1,
+                            "kind": nested["kind"],
+                            "payload": {**nested["payload"], "feature_names": names}}
+        payload["feature_names"] = names
+        container["version"] = 1
+        model.write_text(json.dumps(container))
+        assert main(["report-coefficients", "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: model: unsupported pipeline version 1\n"
 
     @pytest.mark.parametrize("path", [("model", "payload", "weights"),
                                       ("scaler", "std")],
@@ -537,9 +558,16 @@ class TestEvaluateCommand:
         (["label", "--labels-file", "{labels}", "--name-corpus", "{names}"],
          {"labels": "u1,republican\n", "names": "amy\tus\t1\n"}, 1,
          "bad name corpus row"),
+        (["train", "-C", "-5"], {}, 2, "C must be positive, got -5.0"),
+        (["train", "--classifier", "mlp", "-C", "-5"], {}, 2,
+         "C must be positive, got -5.0"),
+        (["evaluate", "--grid", "{grid}"], {"grid": {"svm_c": [-1]}}, 2,
+         "C must be positive, got -1.0"),
+        (["label", "--task", "gender", "--region", "zz"], {}, 1,
+         "region 'zz' not in corpus regions"),
     ], ids=["grid_key", "grid_classifier", "grid_n_range", "ngram_max",
             "config_vectorizer", "no_labels_file", "labels_file_row",
-            "name_corpus_row"])
+            "name_corpus_row", "svm_C", "mlp_C", "grid_svm_c", "gender_region"])
     def test_small_input_errors_come_before_the_corpus(self, tmp_path, capsys,
                                                        command, files, code,
                                                        message):
@@ -550,8 +578,10 @@ class TestEvaluateCommand:
                                    else json.dumps(content))
         out = ["--report", str(tmp_path / "report.json")
                ] if command[0] == "evaluate" else ["--out", str(tmp_path / "out")]
-        argv = [arg.format(**paths) for arg in command] + [
-            "--task", "politics", "--in", str(tmp_path / "missing.jsonl"), *out]
+        # the command's own flags come last, so a --task there wins
+        argv = [command[0], "--task", "politics",
+                "--in", str(tmp_path / "missing.jsonl"), *out,
+                *(arg.format(**paths) for arg in command[1:])]
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -9,7 +9,7 @@ from paylens.corpus import group_by_user
 from paylens.errors import SingleClass
 from paylens.labels import build_labeled_dataset
 from paylens.models import GbdtConfig, gbdt, gbdt_predict, gbdt_raw, train_gbdt
-from paylens.models.serialize import model_to_container
+from paylens.models.serialize import encode
 from paylens.pipeline import build_dataset
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.vectorizer import (assemble_feature_matrix, count_transform,
@@ -92,7 +92,7 @@ class TestTrainGbdt:
         cfg = GbdtConfig(rounds=10, max_depth=2, seed=5)
         one = train_gbdt(X, y, cfg)
         two = train_gbdt(X, y, cfg)
-        assert model_to_container(one) == model_to_container(two)
+        assert encode(one) == encode(two)
 
     def test_sparse_input(self):
         X, y = noisy_data(60)
@@ -215,8 +215,8 @@ def test_trees_match_per_node_oracle(monkeypatch, make):
         assert threshold.tobytes() == np.concatenate([np.empty(0), *cuts_list]).tobytes()
     for config in (GbdtConfig(rounds=25, max_depth=3),
                    GbdtConfig(rounds=8, max_depth=5, n_bins=10)):
-        got = json.dumps(model_to_container(train_gbdt(X, y, config)))
-        want = json.dumps(model_to_container(reference_gbdt(monkeypatch, X, y, config)))
+        got = json.dumps(encode(train_gbdt(X, y, config)))
+        want = json.dumps(encode(reference_gbdt(monkeypatch, X, y, config)))
         assert got == want
         assert '"feature"' in got  # the trees do split
 
@@ -250,7 +250,7 @@ def test_all_constant_columns_give_single_leaves(monkeypatch):
     model = train_gbdt(X, y, config)
     assert all("value" in tree for tree in model.trees)
     want = reference_gbdt(monkeypatch, X, y, config)
-    assert model_to_container(model) == model_to_container(want)
+    assert encode(model) == encode(want)
 
 
 def test_equal_cuts_tie_to_the_lower_feature():

@@ -11,7 +11,7 @@ from paylens.errors import NonFiniteError, SingleClass
 from paylens.models import MlpConfig, mlp_predict, mlp_proba, train_mlp
 from paylens.models.common import _as_csr, bce_with_logits
 from paylens.models.mlp import _forward, _take_rows, mlp_grads
-from paylens.models.serialize import model_to_container
+from paylens.models.serialize import encode
 
 from oracles import train_mlp_oracle
 
@@ -116,7 +116,7 @@ class TestTrainMlp:
         cfg = MlpConfig(hidden=4, lr=0.05, epochs=20, batch=6, seed=7)
         one = train_mlp(X, y, cfg)
         two = train_mlp(X, y, cfg)
-        assert model_to_container(one) == model_to_container(two)
+        assert encode(one) == encode(two)
 
     def test_different_seeds_differ(self):
         X, y = self._separable(24)
@@ -168,11 +168,9 @@ def _mlp_case(kind):
                                   "empty_row", "int64", "ragged"])
 def test_fit_matches_first_written_loop(kind):
     X, y, config = _mlp_case(kind)
-    names = [f"f{j}" for j in range(X.shape[1])]
-    got = train_mlp(X, y, config, feature_names=names)
-    want = train_mlp_oracle(sp.csr_matrix(X), y, config, feature_names=names)
-    assert (json.dumps(model_to_container(got))
-            == json.dumps(model_to_container(want)))
+    got = train_mlp(X, y, config)
+    want = train_mlp_oracle(sp.csr_matrix(X), y, config)
+    assert json.dumps(encode(got)) == json.dumps(encode(want))
 
 
 @pytest.mark.parametrize("index", [np.int32, np.int64])

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from paylens.errors import CorruptError, NonFiniteError, VersionError
+from paylens.errors import CorruptError, NonFiniteError
 from paylens.models import (GbdtConfig, MlpConfig, gbdt_raw, mlp_proba,
                             svm_decision, train_gbdt, train_linear_svm,
                             train_mlp)
-from paylens.models.serialize import (MAGIC, decode, model_from_container,
-                                      model_to_container, read_container,
+from paylens.models.serialize import (decode, encode, read_container,
                                       write_container)
 from paylens.vectorizer import ScalerStats
 
@@ -19,10 +18,18 @@ from oracles import PAYLOAD_ORACLES
 REQUIRED = {"svm": ("weights", "bias", "C", "tol", "seed"),
             "mlp": ("W1", "b1", "W2", "b2", "config"),
             "gbdt": ("trees", "init_log_odds", "config")}
-OPTIONAL = {"svm": {"feature_names": None, "epochs_run": 0,
-                    "primal_objective": 0.0, "duality_gap": 0.0},
-            "mlp": {"feature_names": None, "loss_curve": []},
-            "gbdt": {"feature_names": None, "loss_curve": []}}
+OPTIONAL = {"svm": {"epochs_run": 0, "primal_objective": 0.0, "duality_gap": 0.0},
+            "mlp": {"loss_curve": []},
+            "gbdt": {"loss_curve": []}}
+
+
+def model_to_container(model) -> dict:
+    """A model as a pipeline file nests it: {"kind": ..., "payload": ...}."""
+    return encode(model, object)
+
+
+def model_from_container(container: dict):
+    return decode(container, object, f"payload for kind {container.get('kind')!r}")
 
 
 def save_model(model, path):
@@ -39,7 +46,7 @@ def trained_models():
     X = rng.standard_normal((30, 4))
     y01 = (X[:, 0] > 0).astype(int)
     ypm = 2 * y01 - 1
-    svm = train_linear_svm(X, ypm, C=1.0, feature_names=list("abcd"))
+    svm = train_linear_svm(X, ypm, C=1.0)
     mlp = train_mlp(X, y01, MlpConfig(hidden=4, epochs=15, seed=1))
     gbdt = train_gbdt(X, y01, GbdtConfig(rounds=5, max_depth=2))
     return X, [(svm, svm_decision), (mlp, mlp_proba), (gbdt, gbdt_raw)]
@@ -51,16 +58,14 @@ def oracle_cases():
     X = rng.standard_normal((40, 6))
     Xs = sp.csr_matrix(np.where(np.abs(X) > 0.7, X, 0.0))
     y01 = (X[:, 0] + X[:, 1] > 0).astype(int)
-    names = [f"t{i}" for i in range(6)]
     mlp_config = MlpConfig(hidden=5, epochs=12, seed=2)
     return {
-        "svm-dense": train_linear_svm(X, 2 * y01 - 1, feature_names=names),
-        "svm-csr": train_linear_svm(Xs, 2 * y01 - 1, C=10.0, feature_names=names),
+        "svm-dense": train_linear_svm(X, 2 * y01 - 1),
+        "svm-csr": train_linear_svm(Xs, 2 * y01 - 1, C=10.0),
         "svm-no-names": train_linear_svm(X, 2 * y01 - 1, C=0.1),
-        "mlp-dense": train_mlp(X, y01, mlp_config, feature_names=names),
+        "mlp-dense": train_mlp(X, y01, mlp_config),
         "mlp-csr": train_mlp(Xs, y01, mlp_config),
-        "gbdt": train_gbdt(X, y01, GbdtConfig(rounds=6, max_depth=2),
-                           feature_names=names),
+        "gbdt": train_gbdt(X, y01, GbdtConfig(rounds=6, max_depth=2)),
     }
 
 
@@ -106,17 +111,10 @@ class TestRoundTrip:
             assert loaded.kind == model.kind
             assert np.array_equal(predict(model, X), predict(loaded, X))
 
-    def test_feature_names_survive(self, trained_models, tmp_path):
-        _, models = trained_models
-        svm = models[0][0]
-        save_model(svm, tmp_path / "m.json")
-        assert load_model(tmp_path / "m.json").feature_names == list("abcd")
-
     def test_container_shape(self, trained_models):
         _, models = trained_models
         container = model_to_container(models[0][0])
-        assert container["magic"] == MAGIC
-        assert container["version"] == 1
+        assert list(container) == ["kind", "payload"]  # no magic or version
         assert container["kind"] == "svm"
 
 
@@ -127,21 +125,28 @@ class TestFailureModes:
         save_model(models[0][0], path)
         return path
 
+    # a nested model has no header: the pipeline file's header is its version
     def test_wrong_magic(self, trained_models, tmp_path):
         path = self._good_file(trained_models, tmp_path)
         container = json.loads(path.read_text())
-        container["magic"] = "something-else"
+        container["magic"] = "paylens-model"
         path.write_text(json.dumps(container))
-        with pytest.raises(VersionError):
+        with pytest.raises(CorruptError, match="must be a kind and payload object"):
             load_model(path)
 
     def test_version_mismatch(self, trained_models, tmp_path):
         path = self._good_file(trained_models, tmp_path)
         container = json.loads(path.read_text())
-        container["version"] = 99
+        container["version"] = 1
         path.write_text(json.dumps(container))
-        with pytest.raises(VersionError):
+        with pytest.raises(CorruptError, match="must be a kind and payload object"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [[1, 2], "svm", None])
+    def test_model_not_an_object(self, value):
+        with pytest.raises(CorruptError, match="bad model: 'payload' must be a "
+                                               "kind and payload object"):
+            decode(value, object, "model")
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_never_written(self, trained_models, tmp_path, value):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -85,7 +86,7 @@ class TestFitPipeline:
         features, X = fit_features(dataset, idx, config)
         assert features.model is None
         before = [a.copy() for a in (X.data, X.indices, X.indptr)]
-        fit_model(X, dataset.labels01, config, features.feature_names)
+        fit_model(X, dataset.labels01, config)
         after = (X.data, X.indices, X.indptr)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(before, after))
@@ -211,10 +212,13 @@ class TestConfigSerialization:
         ({"normalize_counts": 1}, "normalize_counts must be bool, got 1"),
         ({"n_range": (1, "2")}, r"n_range must be a pair of ints, got \(1, '2'\)"),
         ({"n_range": (1, 2, 3)}, "n_range must be a pair of ints"),
+        ({"C": -5.0}, r"C must be positive, got -5\.0"),
+        ({"C": 0}, r"C must be positive, got 0\.0"),
     ], ids=["mlp_int", "gbdt_list", "gbdt_unknown_key", "mlp_gbdt_key",
             "gbdt_str_value", "gbdt_float_for_int", "mlp_bool_for_float",
             "seed_null", "min_df_float", "C_str", "svm_tol_bool",
-            "normalize_counts_int", "n_range_str", "n_range_triple"])
+            "normalize_counts_int", "n_range_str", "n_range_triple",
+            "C_negative", "C_zero"])
     def test_bad_overrides_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**kwargs)
@@ -242,8 +246,6 @@ class TestPipelineArtifact:
         ("svm", ("vocab", "terms"), lambda terms: terms[1:2] + terms[1:]),
         ("svm", ("vocab", "df"), lambda df: [1.5] + df[1:]),
         ("svm", ("vocab", "n_documents"), str),
-        ("svm", ("feature_names",), lambda names: 5),
-        ("svm", ("feature_names",), lambda names: [names[:1]] + names[1:]),
         ("svm", ("class_names",), lambda names: names[:1]),
         ("svm", ("scaler", "mean"), lambda mean: mean[:-1]),
         ("svm", ("config",), lambda config: {**config, "bogus": 1}),
@@ -254,20 +256,18 @@ class TestPipelineArtifact:
         ("gbdt", ("config", "classifier"), lambda kind: "svm"),
         ("svm", ("config", "n_range"), lambda n_range: [1, 1]),
         ("svm", ("config", "min_df"), lambda min_df: min_df + 1),
-        ("svm", ("feature_names",), lambda names: names[::-1]),
         ("svm", ("config", "use_engineered"), lambda used: False),
         ("svm", ("config", "include_actor_pct"), lambda included: True),
-        ("svm", ("model", "payload", "feature_names"),
-         lambda names: names[1:] + names[:1]),
+        ("svm", ("config", "C"), lambda C: -1),
     ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int",
-            "n_documents_str", "feature_names_int", "feature_name_nested",
-            "one_class_name", "scaler_mean_short", "config_unknown_key",
-            "mlp_config_unknown_key", "gbdt_config_unknown_key",
-            "config_override_out_of_range", "svm_model_mlp_config",
-            "gbdt_model_svm_config", "config_n_range_not_the_vocabulary_s",
-            "config_min_df_not_the_vocabulary_s", "feature_names_reversed",
+            "n_documents_str", "one_class_name", "scaler_mean_short",
+            "config_unknown_key", "mlp_config_unknown_key",
+            "gbdt_config_unknown_key", "config_override_out_of_range",
+            "svm_model_mlp_config", "gbdt_model_svm_config",
+            "config_n_range_not_the_vocabulary_s",
+            "config_min_df_not_the_vocabulary_s",
             "engineered_off_with_a_scaler", "actor_pct_on_without_its_column",
-            "model_feature_names_rotated"])
+            "config_C_not_positive"])
     def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
                                        classifier, path, change):
         container = json.loads(saved_pipelines[classifier].read_text())
@@ -285,6 +285,19 @@ class TestPipelineArtifact:
         assert err.startswith("error: model: bad pipeline payload")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("classifier", ["svm", "mlp", "gbdt"])
+    def test_each_term_stored_once(self, saved_pipelines, classifier):
+        strings = Counter()
+        stack = [json.loads(saved_pipelines[classifier].read_text())]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                strings[node] += 1
+            elif isinstance(node, (list, dict)):
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        terms = load_pipeline(str(saved_pipelines[classifier])).vocab.terms
+        assert terms and {strings[t] for t in terms} == {1}
+
     @pytest.mark.parametrize("past_width, loads", [(-1, True), (0, False),
                                                     (10 ** 6, False)])
     def test_gbdt_split_beyond_feature_names(self, saved_pipelines, tmp_path,
@@ -293,7 +306,8 @@ class TestPipelineArtifact:
         payload = container["payload"]
         root = payload["model"]["payload"]["trees"][0]
         assert "feature" in root  # a split, not a leaf
-        root["feature"] = len(payload["feature_names"]) + past_width
+        width = len(payload["vocab"]["terms"]) + len(payload["scaler"]["mean"])
+        root["feature"] = width + past_width
         path = tmp_path / "gbdt.json"
         path.write_text(json.dumps(container))
         if loads:

@@ -10,7 +10,7 @@ from paylens.errors import NonFiniteError, SingleClass
 from paylens.labels import build_labeled_dataset
 from paylens.models import (svm, svm_decision, svm_predict, top_coefficients,
                             train_linear_svm)
-from paylens.models.serialize import model_to_container
+from paylens.models.serialize import encode
 from paylens.pipeline import (PipelineConfig, build_dataset, fit_features,
                               fit_pipeline)
 from paylens.synth import SynthSpec, generate_synthetic_corpus
@@ -85,7 +85,7 @@ class TestTrainLinearSvm:
         y[:2] = [-1, 1]
         one = train_linear_svm(X, y, C=1.0, seed=9)
         two = train_linear_svm(X, y, C=1.0, seed=9)
-        assert model_to_container(one) == model_to_container(two)
+        assert encode(one) == encode(two)
 
     def test_sparse_and_dense_agree(self):
         rng = np.random.default_rng(4)
@@ -143,44 +143,37 @@ class TestDecisionAndPredict:
 
 
 class TestTopCoefficients:
-    def _model(self, weights, names):
+    def _model(self, weights):
         model = train_linear_svm(np.array([[-1.0], [1.0]]),
                                  np.array([-1, 1]))
         model.weights = np.asarray(weights, dtype=float)
-        model.feature_names = names
         return model
 
     def test_signs_and_order(self):
-        model = self._model([3.0, -5.0, 1.0, -0.5], ["a", "b", "c", "d"])
-        positive, negative = top_coefficients(model, 2)
+        model = self._model([3.0, -5.0, 1.0, -0.5])
+        positive, negative = top_coefficients(model, ["a", "b", "c", "d"], 2)
         assert positive == [("a", 3.0), ("c", 1.0)]
         assert negative == [("b", -5.0), ("d", -0.5)]
 
     def test_k_zero(self):
-        model = self._model([1.0], ["a"])
-        assert top_coefficients(model, 0) == ([], [])
+        model = self._model([1.0])
+        assert top_coefficients(model, ["a"], 0) == ([], [])
 
     def test_k_clipped_to_width(self):
-        model = self._model([1.0, 2.0], ["a", "b"])
-        positive, _ = top_coefficients(model, 10)
+        model = self._model([1.0, 2.0])
+        positive, _ = top_coefficients(model, ["a", "b"], 10)
         assert len(positive) == 2
 
     def test_all_zero_weights_name_sorted(self):
-        model = self._model([0.0, 0.0, 0.0], ["gamma", "alpha", "beta"])
-        positive, negative = top_coefficients(model, 3)
+        model = self._model([0.0, 0.0, 0.0])
+        positive, negative = top_coefficients(model, ["gamma", "alpha", "beta"], 3)
         assert [n for n, _ in positive] == ["alpha", "beta", "gamma"]
         assert [n for n, _ in negative] == ["alpha", "beta", "gamma"]
 
     def test_tie_broken_by_name(self):
-        model = self._model([2.0, 2.0], ["zeta", "alpha"])
-        positive, _ = top_coefficients(model, 2)
+        model = self._model([2.0, 2.0])
+        positive, _ = top_coefficients(model, ["zeta", "alpha"], 2)
         assert [n for n, _ in positive] == ["alpha", "zeta"]
-
-    def test_default_names_when_absent(self):
-        model = self._model([1.0, -1.0], None)
-        positive, negative = top_coefficients(model, 1)
-        assert positive == [("f0", 1.0)]
-        assert negative == [("f1", -1.0)]
 
 
 def tfidf_engineered_data():
@@ -231,7 +224,7 @@ def test_fit_matches_array_kernel_oracle(name, C):
     X, y = ORACLE_INPUTS[name]()
     got = train_linear_svm(X, y, C=C, seed=3)
     want = svm_train(X, y, C=C, seed=3)
-    assert json.dumps(model_to_container(got)) == json.dumps(model_to_container(want))
+    assert json.dumps(encode(got)) == json.dumps(encode(want))
 
 
 def test_fit_cut_short_matches_array_kernel_oracle():
@@ -239,7 +232,7 @@ def test_fit_cut_short_matches_array_kernel_oracle():
     got = train_linear_svm(X, y, C=100.0, max_epochs=3)
     want = svm_train(X, y, C=100.0, max_epochs=3)
     assert got.epochs_run == 3
-    assert json.dumps(model_to_container(got)) == json.dumps(model_to_container(want))
+    assert json.dumps(encode(got)) == json.dumps(encode(want))
 
 
 def test_fit_pipeline_stays_cold():
@@ -250,10 +243,8 @@ def test_fit_pipeline_stays_cold():
     rows = np.arange(len(ds))
     fitted = fit_pipeline(ds, rows, config)
     _, X = fit_features(ds, rows, config)
-    want = svm_train(X, 2 * ds.labels01 - 1, C=10.0, seed=3,
-                     feature_names=fitted.feature_names)
-    assert (json.dumps(model_to_container(fitted.model))
-            == json.dumps(model_to_container(want)))
+    want = svm_train(X, 2 * ds.labels01 - 1, C=10.0, seed=3)
+    assert json.dumps(encode(fitted.model)) == json.dumps(encode(want))
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -291,9 +282,8 @@ class TestConvergenceWarning:
         for part in ("C=100", "after 1 epochs", f"{model.duality_gap:.6g}",
                      f"{bound:.6g}"):
             assert part in message
-        assert set(model_to_container(model)["payload"]) == {
-            "weights", "bias", "C", "tol", "seed", "feature_names",
-            "epochs_run", "primal_objective", "duality_gap"}
+        assert set(encode(model)) == {
+            "weights", "bias", "C", "tol", "seed", "epochs_run", "primal_objective", "duality_gap"}
 
     def test_converged_fit_logs_nothing(self, caplog):
         X, y = dense_data()
