@@ -98,6 +98,14 @@ def _parse_timestamp(value: str) -> datetime:
 PARSE_ERRORS = (KeyError, ValueError, TypeError, OverflowError, RecursionError)
 
 
+def _admit(memo: dict[str, str], s: str) -> str:
+    """Put s in the memo, which holds only strings that encode as UTF-8: a
+    lone surrogate decodes from a JSON escape but cannot be written back."""
+    s.encode("utf-8")
+    memo[s] = s
+    return s
+
+
 def parse_transaction(obj: dict, memo: dict[str, str]) -> Transaction:
     """Build a Transaction from one decoded JSONL object.
 
@@ -105,7 +113,8 @@ def parse_transaction(obj: dict, memo: dict[str, str]) -> Transaction:
     JSON integer, or a string that cannot be written back as UTF-8 (a lone
     surrogate); callers decide whether that skips the line or aborts. Each
     string field but the transaction id is replaced by the equal string the
-    memo already holds, or becomes the one it holds from now on.
+    memo already holds, or becomes the one it holds from now on; a string is
+    checked when it enters the memo, and the id on every line.
     """
     actor = obj["actor"]
     target = obj["target"]
@@ -119,23 +128,22 @@ def parse_transaction(obj: dict, memo: dict[str, str]) -> Transaction:
     actor_id, actor_name = str(actor["id"]), str(actor["name"])
     target_id, target_name = str(target["id"]), str(target["name"])
     audience = obj["audience"]
-    share = memo.setdefault
-    note, actor_id, actor_name, target_id, target_name = (
-        share(note, note), share(actor_id, actor_id),
-        share(actor_name, actor_name), share(target_id, target_id),
-        share(target_name, target_name))
-    if type(kind) is str and type(audience) is str:  # else Transaction rejects it
-        kind, audience = share(kind, kind), share(audience, audience)
-    t = Transaction(
+    tx_id.encode("utf-8")
+    get = memo.get  # an empty string is falsy, so it is only admitted again
+    note = get(note) or _admit(memo, note)
+    actor_id = get(actor_id) or _admit(memo, actor_id)
+    actor_name = get(actor_name) or _admit(memo, actor_name)
+    target_id = get(target_id) or _admit(memo, target_id)
+    target_name = get(target_name) or _admit(memo, target_name)
+    if kind in KINDS and audience in AUDIENCES:  # else Transaction rejects it
+        kind = get(kind) or _admit(memo, kind)
+        audience = get(audience) or _admit(memo, audience)
+    return Transaction(
         id=tx_id, created_at=created_at, note=note, kind=kind,
         actor_id=actor_id, actor_name=actor_name,
         target_id=target_id, target_name=target_name,
         likes_count=likes, comments_count=comments, audience=audience,
     )
-    # a lone surrogate decodes from a JSON escape but cannot be written back
-    "".join((t.id, t.note, t.actor_id, t.actor_name, t.target_id,
-             t.target_name)).encode("utf-8")
-    return t
 
 
 def transaction_to_obj(t: Transaction) -> dict:

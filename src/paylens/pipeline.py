@@ -29,9 +29,9 @@ from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
 from .models.serialize import (check_header, decode, encode, fits_type,
                                read_container, write_container)
 from .tokenizer import TokenizedPost, ngram_orders, tokenize_post
-from .vectorizer import (ScalerStats, Vocabulary, assemble_feature_matrix,
-                         count_transform, fit_vocabulary, l2_normalize_rows,
-                         tfidf_transform)
+from .vectorizer import (ScalerStats, TermTable, UserPosts, Vocabulary,
+                         assemble_feature_matrix, count_transform,
+                         fit_vocabulary, l2_normalize_rows, tfidf_transform)
 
 PIPELINE_MAGIC = "paylens-pipeline"
 PIPELINE_VERSION = 2
@@ -99,7 +99,7 @@ class PipelineConfig:
 @dataclass
 class UserDataset:
     user_ids: list[str]
-    posts: list[list[TokenizedPost]]
+    posts: list[UserPosts]
     engineered: np.ndarray        # raw rows, one per user
     labels01: np.ndarray          # class_a -> 0, class_b -> 1
     class_names: tuple[str, str]  # (name of 0, name of 1)
@@ -132,8 +132,10 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
                   include_actor_pct: bool = False) -> UserDataset:
     """Tokenize and featurize the labeled users of a corpus, label-aligned.
 
-    Users who share a note share its TokenizedPost (and so its n-gram
-    cache): the note -> (post, counts) memo lasts this call only.
+    Users who share a note share its TokenizedPost: the note -> (post,
+    counts) memo lasts this call only. Each user's posts are a UserPosts
+    registered with one TermTable made for this call, which keeps the
+    n-gram ids that every CV fold and n-range reuses (see vectorizer).
     """
     task = labeled[0].task if labeled else "gender"
     memo: dict[str, tuple[TokenizedPost, ContentCounts]] = {}
@@ -141,9 +143,10 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
              for lu in labeled]
     engineered = (np.stack([row for _, row in users]) if users
                   else np.zeros((0, len(engineered_feature_names(include_actor_pct)))))
-    names = CLASS_NAMES[task]
+    names, table = CLASS_NAMES[task], TermTable()
     return UserDataset(
-        user_ids=[lu.user_id for lu in labeled], posts=[posts for posts, _ in users],
+        user_ids=[lu.user_id for lu in labeled],
+        posts=[UserPosts(posts, table) for posts, _ in users],
         engineered=engineered,
         labels01=np.asarray([lu.label == CLASS_B for lu in labeled], dtype=np.int64),
         class_names=(names["class_a"], names["class_b"]), task=task,

@@ -6,25 +6,27 @@ ZWJ/variation-selector/skin-tone continuation, so multi-code-point glyphs
 stay single tokens. One compiled alternation of named groups finds each
 token in a single match.
 
-N-grams are generated per post and never span two posts of the same user.
-A post builds its n-grams on first use and keeps them (`TokenizedPost.ngrams`),
-so the vocabulary and count refits of every CV fold and n-range reuse them:
-order 1 is the lemma tuple, higher orders are interned space-joined strings.
-The cache is not part of a post's value (equality, hash, repr). To keep it
-from raising memory, the token classes use slots, and `tokenize_post` takes
-each Token from a bounded LRU cache keyed on (surface, kind), the one cache
-on the token path: a word's lemma is computed when its Token is built, a
-repeated token is one object for as long as the cache keeps it, and equal
-surfaces stay one interned string after it is evicted.
+N-grams are generated per post and never span two posts of the same user:
+`ngrams` gives the n-grams of one order of a lemma sequence, order 1 being
+the lemmas and higher orders space-joined lemma windows. No post keeps
+them; the vectorizer turns each user's n-grams into ids once per order (see
+`paylens.vectorizer.UserPosts`). A lemma holds no space, so n-grams of two
+orders are never the same string. The token classes use slots, and
+`tokenize_post` takes each Token from a bounded LRU cache keyed on
+(surface, kind), the one cache on the token path: a word's lemma is computed
+when its Token is built, a repeated token is one object for as long as the
+cache keeps it, and equal surfaces stay one interned string after it is
+evicted.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from importlib import resources
 
 from . import emoji_data
@@ -53,25 +55,6 @@ class Token:
 class TokenizedPost:
     tokens: tuple[Token, ...]
     raw: str
-    # this post's n-grams of orders 1..len(_grams); not part of its value
-    _grams: tuple[tuple[str, ...], ...] = field(
-        default=(), init=False, compare=False, repr=False)
-
-    def ngrams(self, n: int) -> tuple[str, ...]:
-        """This post's n-grams of order n by position, built on first use.
-
-        Orders 1..n are built together; order 1 is the lemma tuple.
-        """
-        grams = self._grams
-        if len(grams) < n:
-            if not grams:
-                grams = (tuple([t.lemma for t in self.tokens]),)
-            lemmas = grams[0]
-            for k in range(len(grams) + 1, n + 1):
-                windows = zip(*[lemmas[i:] for i in range(k)]) if len(lemmas) >= k else ()
-                grams += (tuple(map(sys.intern, map(" ".join, windows))),)
-            object.__setattr__(self, "_grams", grams)  # a cache, not the value
-        return grams[n - 1]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -206,12 +189,7 @@ def ngram_orders(n_range: tuple[int, int]) -> range:
     return range(low, high + 1)
 
 
-def ngrams_by_post(posts: Iterable[TokenizedPost], orders: range) -> list[tuple[str, ...]]:
-    """`post.ngrams(n)` for each post and each order in turn.
-
-    Orders a post has already built are read without a method call, which
-    is most of the cost when a fold refit gathers them again.
-    """
-    return [grams[n - 1] if len(grams := post._grams) >= n else post.ngrams(n)
-            for post in posts for n in orders]
-
+def ngrams(lemmas: list[str], n: int) -> Iterator[str]:
+    """The order-n n-grams of a lemma sequence by position: windows of n
+    lemmas joined by spaces. Order 1 is the lemmas themselves."""
+    return map(" ".join, zip(*[islice(lemmas, i, None) for i in range(n)]))

@@ -1,10 +1,16 @@
 """Post-wise n-gram vocabulary and sparse user-document matrices.
 
 Documents are users. Vocabulary terms are n-grams generated inside single
-posts, so a term can never span two posts. Each post keeps the n-grams it
-built (`TokenizedPost.ngrams`), so refitting per fold and per n-range only
-counts them: document frequencies with one set per user and a Counter, row
-counts with one vectorized pass over every occurrence.
+posts, so a term can never span two posts. Each user's posts are a
+`UserPosts` tuple registered with a `TermTable` (gram string -> id), one per
+`build_dataset` call and shared by all of that call's users. The first time
+an order n is used, the table stores, for every user, the sorted distinct
+ids of the user's order-n n-grams and their counts as int arrays; every CV
+fold and n-range reuses them, so a vocabulary fit is a `bincount` of the
+users' ids and a count transform maps ids to columns. Users that do not all
+share one table (plain lists, say) are first registered with a fresh one.
+The lazy fill assumes featurization runs on one thread per process; the
+worker pool forks processes.
 
 A Vocabulary's fields (terms in column order, their document frequencies,
 N, n_range, min_df) are what the pipeline file stores; `index` is derived.
@@ -16,16 +22,16 @@ appended after the text columns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyCorpus
-from .tokenizer import TokenizedPost, ngram_orders, ngrams_by_post
+from .tokenizer import TokenizedPost, ngram_orders, ngrams
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,100 @@ class ScalerStats:
         return cls(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
 
+_TOKENS, _LEMMA, _ROW = attrgetter("tokens"), attrgetter("lemma"), attrgetter("row")
+
+
+class TermTable(dict):
+    """Gram string -> id, and the n-gram ids of the users registered with it.
+
+    A gram not seen before gets the next id, so the keys are in id order.
+    User r's posts are posts[ends[r]:ends[r + 1]]. `ngrams[n]`, built for
+    every user the first time order n is used, is a CSR (indptr, ids,
+    counts) whose row r holds user r's sorted distinct order-n ids and their
+    counts.
+    """
+
+    def __init__(self):
+        self.posts: list[TokenizedPost] = []
+        self.ends = [0]
+        self.ngrams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def __missing__(self, gram: str) -> int:
+        self[gram] = len(self)
+        return len(self) - 1
+
+
+class UserPosts(tuple):
+    """One user's posts, registered as row `row` of `table`."""
+
+    # copy and pickle call cls(posts) alone, then restore table and row
+    def __new__(cls, posts: Iterable[TokenizedPost],
+                table: TermTable | None = None):
+        self = super().__new__(cls, posts)
+        self.table = table = TermTable() if table is None else table
+        self.row = len(table.ends) - 1
+        table.posts += self
+        table.ends.append(len(table.posts))
+        table.ngrams.clear()  # built again, over this user too, when next used
+        return self
+
+
+def _rows(user_posts: Sequence[Sequence[TokenizedPost]]
+          ) -> tuple[TermTable, np.ndarray]:
+    """The users' table and their rows in it. Users that do not all share one
+    table are registered with a fresh one."""
+    table = getattr(user_posts[0], "table", None) if len(user_posts) else None
+    if table is None or any(getattr(u, "table", None) is not table
+                            for u in user_posts):
+        table = TermTable()
+        user_posts = [UserPosts(posts, table) for posts in user_posts]
+    return table, np.fromiter(map(_ROW, user_posts), np.int64, len(user_posts))
+
+
+def _order(table: TermTable, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table's order-n CSR, built over all of its users on first use.
+
+    All posts are laid end to end, so their n-grams are built in one pass;
+    the windows that cross a post's end are dropped.
+    """
+    if n in table.ngrams:
+        return table.ngrams[n]
+    posts = table.posts
+    sizes = np.fromiter(map(len, map(_TOKENS, posts)), np.int64, len(posts))
+    lemmas = list(map(_LEMMA, chain.from_iterable(map(_TOKENS, posts))))
+    if " " in "".join(lemmas):
+        raise ValueError("a lemma holds a space, so n-grams of two orders "
+                         "could be one term")
+    # one byte per window: 1 if it ends inside its post
+    fits = (np.repeat(np.cumsum(sizes), sizes) - np.arange(len(lemmas)) >= n).tobytes()
+    ids = np.fromiter(map(table.__getitem__, compress(ngrams(lemmas, n), fits)), np.int64)
+    del lemmas, fits  # the largest transients, freed before the sort
+    width, n_users = max(len(table), 1), len(table.ends) - 1
+    codes = np.repeat(np.repeat(np.arange(n_users), np.diff(table.ends)),
+                      np.maximum(sizes - n + 1, 0))
+    codes *= width
+    codes += ids
+    del ids
+    codes, counts = np.unique(codes, return_counts=True)
+    table.ngrams[n] = (np.searchsorted(codes, np.arange(n_users + 1) * width),
+                       (codes % width).astype(np.int32), counts.astype(np.int32))
+    return table.ngrams[n]
+
+
+def _ngram_ids(table: TermTable, users: np.ndarray, orders: range
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The given users' ids and counts for each order, flat, with the index
+    in `users` of the user each one belongs to."""
+    parts = []
+    for n in orders:
+        indptr, ids, counts = _order(table, n)
+        first, sizes = indptr[users], indptr[users + 1] - indptr[users]
+        # positions first[i] .. first[i] + sizes[i] - 1 of each user i in turn
+        take = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+        parts.append((np.repeat(np.arange(len(users)), sizes), ids[take], counts[take]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def fit_vocabulary(user_posts: Sequence[Sequence[TokenizedPost]],
                    n_range: tuple[int, int] = (1, 2),
                    min_df: int = 2) -> Vocabulary:
@@ -84,11 +184,12 @@ def fit_vocabulary(user_posts: Sequence[Sequence[TokenizedPost]],
     if len(user_posts) == 0:
         raise EmptyCorpus("cannot fit a vocabulary on zero users")
     orders = ngram_orders(n_range)
-    df: Counter[str] = Counter()
-    for posts in user_posts:
-        df.update(set(chain.from_iterable(ngrams_by_post(posts, orders))))
-    kept = sorted(t for t, c in df.items() if c >= min_df)
-    return Vocabulary(terms=kept, df=[df[t] for t in kept],
+    table, users = _rows(user_posts)
+    _, ids, _ = _ngram_ids(table, users, orders)
+    terms = list(table)
+    df = np.bincount(ids, minlength=len(terms))
+    kept = sorted(np.flatnonzero(df >= max(min_df, 1)).tolist(), key=terms.__getitem__)
+    return Vocabulary(terms=[terms[i] for i in kept], df=df[kept].tolist(),
                       n_documents=len(user_posts), n_range=n_range, min_df=min_df)
 
 
@@ -96,20 +197,24 @@ def count_transform(user_posts: Sequence[Sequence[TokenizedPost]],
                     vocab: Vocabulary) -> sp.csr_matrix:
     """Rows of raw term counts; out-of-vocabulary terms are ignored.
 
-    Every n-gram occurrence becomes a (row, column) cell code in one C-level
-    pass; counting the distinct codes gives the CSR with sorted indices.
+    Each vocabulary term maps through the users' table to its id; every
+    (user, id) count becomes a (row, column) cell, and sorting the cells
+    gives the CSR with sorted indices.
     """
     orders = ngram_orders(vocab.n_range)
     n_rows, n_cols = len(user_posts), len(vocab)
-    grams = ngrams_by_post(chain.from_iterable(user_posts), orders)
-    gram_rows = np.repeat(np.arange(n_rows), [len(posts) * len(orders) for posts in user_posts])
-    rows = np.repeat(gram_rows, np.fromiter(map(len, grams), np.int64, len(grams)))
-    cols = np.fromiter(map(vocab.index.get, chain.from_iterable(grams), repeat(-1)),
-                       np.int64, len(rows))
-    cells, counts = np.unique((rows * n_cols + cols)[cols >= 0], return_counts=True)
+    table, users = _rows(user_posts)
+    rows, ids, counts = _ngram_ids(table, users, orders)
+    term_ids = np.fromiter(map(table.get, vocab.terms, repeat(-1)), np.int64, n_cols)
+    column = np.full(len(table), -1, dtype=np.int64)
+    column[term_ids[term_ids >= 0]] = np.flatnonzero(term_ids >= 0)
+    cols = column[ids]
+    keep = cols >= 0
+    rows, cols, counts = rows[keep], cols[keep], counts[keep]
+    order = np.argsort(rows * n_cols + cols)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells // n_cols, minlength=n_rows), out=indptr[1:])
-    return sp.csr_matrix((counts.astype(np.float64), cells % n_cols, indptr),
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((counts[order].astype(np.float64), cols[order], indptr),
                          shape=(n_rows, n_cols))
 
 

@@ -76,6 +76,15 @@ class TestLoadTransactions:
             with pytest.raises(ParseError, match="^corpus: line 2: "):
                 load_transactions(iter([txn_json("t0"), line]), strict=True)
 
+    def test_repeated_surrogate_note_skipped_each_time(self):
+        # a string is checked when it enters the memo, so a bad one must
+        # never enter it: its second line would then go unchecked
+        lines = [txn_json("t1", note="\ud800"), txn_json("t2", note="ok"),
+                 txn_json("t3", note="\ud800"), txn_json("t4", note="ok")]
+        result = load_transactions(iter(lines))
+        assert [t.id for t in result.transactions] == ["t2", "t4"]
+        assert result.skipped == 2
+
     @pytest.mark.parametrize("note", [None, 7, ["hi"]])
     def test_non_string_note_is_malformed(self, note):
         obj = json.loads(txn_json("t1"))

@@ -175,7 +175,7 @@ class TestCrossValidate:
                      if uid in ("a0", "b0")]
         other = [i for i in range(len(ds)) if i not in leak_rows]
         for row in leak_rows:
-            ds.posts[row] = ds.posts[row] + [tokenize_post("leakme leakme")]
+            ds.posts[row] = ds.posts[row] + (tokenize_post("leakme leakme"),)
         plan = FoldPlan(folds=(tuple(leak_rows), tuple(other[:3]),
                                tuple(other[3:])), seed=0)
         fitted = record_fits(monkeypatch)

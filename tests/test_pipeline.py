@@ -153,7 +153,7 @@ class TestBuildDatasetSharing:
             profile = corpus.users[lu.user_id]
             posts = [tokenize_post(t.note) for t, _ in profile.posts]
             counts = [detect_content_features(p) for p in posts]
-            fresh.append(posts)
+            fresh.append(tuple(posts))
             rows.append(aggregate_user_features(profile, posts, counts))
         assert dataset.posts == fresh
         assert np.array_equal(dataset.engineered, np.stack(rows))

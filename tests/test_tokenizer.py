@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from paylens.synth import SynthSpec, generate_synthetic_corpus
 from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE,
                                WORD, Token, TokenizedPost, lemma_for_word,
-                               ngram_orders, ngrams_by_post, tokenize_post)
+                               ngram_orders, ngrams, tokenize_post)
+from paylens.vectorizer import (TermTable, UserPosts, count_transform,
+                                fit_vocabulary)
 
+from conftest import synth_dataset
 from oracles import generate_ngrams_oracle, tokenize_post_oracle
 
 N_RANGES = [(1, 1), (1, 2), (2, 3), (1, 3), (3, 3)]
@@ -27,8 +30,22 @@ def synth_notes(seed=3, per_class=20):
 
 
 def post_ngrams(post, n_range):
-    """One post's n-grams as the vectorizer gathers them: by order, then position."""
-    return list(chain.from_iterable(ngrams_by_post([post], ngram_orders(n_range))))
+    """One post's n-grams by order, then position."""
+    lemmas = [t.lemma for t in post.tokens]
+    return list(chain.from_iterable(ngrams(lemmas, n) for n in ngram_orders(n_range)))
+
+
+def user(*notes):
+    """One user's posts over a table of its own."""
+    return UserPosts([tokenize_post(n) for n in notes], TermTable())
+
+
+def grams_of(user_posts, n):
+    """{gram: count} of a user's row of its table's order-n ids."""
+    indptr, ids, counts = user_posts.table.ngrams[n]
+    lo, hi = indptr[user_posts.row], indptr[user_posts.row + 1]
+    terms = list(user_posts.table)
+    return {terms[i]: int(c) for i, c in zip(ids[lo:hi], counts[lo:hi])}
 
 
 def kinds_and_surfaces(note):
@@ -202,29 +219,67 @@ class TestGenerateNgrams:
 
 
 class TestNgramCache:
+    """A TermTable keeps each order's n-gram ids for all of its users; no
+    post keeps n-grams."""
+
     def test_token_classes_have_no_instance_dict(self):
         post = tokenize_post("pizza night 🍕")
         assert not hasattr(post, "__dict__")
         assert not any(hasattr(t, "__dict__") for t in post.tokens)
 
     def test_cache_leaves_value_unchanged(self):
-        cached, fresh = tokenize_post("pizza night out"), tokenize_post("pizza night out")
+        posts = (tokenize_post("pizza night out"), tokenize_post("rent"))
+        cached = UserPosts(posts, TermTable())
         before = (repr(cached), hash(cached))
-        for n in (3, 1, 2):
-            cached.ngrams(n)
-        assert cached == fresh and hash(cached) == hash(fresh)
-        assert (repr(cached), hash(cached)) == before == (repr(fresh), hash(fresh))
-        assert cached == TokenizedPost(tokens=fresh.tokens, raw=fresh.raw)
+        fit_vocabulary([cached], (1, 3), min_df=1)
+        assert cached.table.ngrams and cached == posts and hash(cached) == hash(posts)
+        assert (repr(cached), hash(cached)) == before == (repr(posts), hash(posts))
 
-    def test_orders_built_once_and_interned(self):
-        post = tokenize_post("a b c d")
-        assert post.ngrams(1) == ("a", "b", "c", "d")
-        assert post.ngrams(2) is post.ngrams(2)
-        assert post.ngrams(3) == ("a b c", "b c d")
-        other = tokenize_post("b c")
-        assert other.ngrams(2)[0] is post.ngrams(2)[1]
+    def test_orders_built_once_and_reused(self):
+        cached = user("a b c d", "b c")
+        fit_vocabulary([cached], (1, 2), min_df=1)
+        built = dict(cached.table.ngrams)
+        count_transform([cached], fit_vocabulary([cached], (2, 3), min_df=1))
+        assert sorted(cached.table.ngrams) == [1, 2, 3]
+        assert all(cached.table.ngrams[n] is built[n] for n in (1, 2))
+        assert grams_of(cached, 2) == {"a b": 1, "b c": 2, "c d": 1}
+        ids = cached.table.ngrams[2][1]
+        assert ids.tolist() == sorted(set(ids.tolist()))
+
+    def test_users_of_a_dataset_share_one_table(self):
+        dataset, other = synth_dataset(seed=3, n=5), synth_dataset(seed=3, n=5)
+        table = dataset.posts[0].table
+        assert all(type(u) is UserPosts and u.table is table for u in dataset.posts)
+        assert [u.row for u in dataset.posts] == list(range(len(dataset)))
+        assert other.posts[0].table is not table
+        fit_vocabulary(dataset.posts[::2], (1, 2))
+        indptr = table.ngrams[2][0]
+        assert sorted(table.ngrams) == [1, 2] and len(indptr) == len(dataset) + 1
+        assert not other.posts[0].table.ngrams
+
+    def test_user_registered_after_a_fill(self):
+        first = user("a b", "c")
+        fit_vocabulary([first], (1, 2), min_df=1)
+        later = UserPosts([tokenize_post("a b c")], first.table)
+        vocab = fit_vocabulary([first, later], (1, 2), min_df=2)
+        assert dict(zip(vocab.terms, vocab.df)) == {"a": 2, "a b": 2, "b": 2, "c": 2}
+        assert grams_of(later, 2) == {"a b": 1, "b c": 1}
 
     def test_short_posts(self):
-        assert tokenize_post("").ngrams(1) == ()
-        assert tokenize_post("one").ngrams(2) == ()
-        assert tokenize_post("one two").ngrams(3) == ()
+        for notes, n in (((), 1), (("",), 1), (("one",), 2), (("one two",), 3)):
+            cached = user(*notes)
+            fit_vocabulary([cached], (n, n), min_df=1)
+            assert grams_of(cached, n) == {}
+
+    def test_ngrams_never_span_posts(self):
+        cached = user("a b", "c d", "e", "a b")
+        fit_vocabulary([cached], (1, 3), min_df=1)
+        assert grams_of(cached, 1) == {"a": 2, "b": 2, "c": 1, "d": 1, "e": 1}
+        assert grams_of(cached, 2) == {"a b": 2, "c d": 1}
+        assert grams_of(cached, 3) == {}
+
+    def test_lemma_with_a_space_rejected(self):
+        # tokenize_post never makes one; an order-1 "a b" would be the bigram
+        spaced = TokenizedPost((Token("a b", "a b", WORD),), "a b")
+        with pytest.raises(ValueError, match="holds a space"):
+            fit_vocabulary([[spaced]], (1, 2), min_df=1)

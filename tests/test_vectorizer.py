@@ -1,23 +1,29 @@
 import dataclasses
+import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paylens
 from paylens.corpus import group_by_user
 from paylens.errors import DimensionMismatch, EmptyCorpus
 from paylens.synth import SynthSpec, generate_synthetic_corpus
-from paylens.tokenizer import tokenize_post
+from paylens.tokenizer import ngram_orders, tokenize_post
 from paylens.vectorizer import (ScalerStats, assemble_feature_matrix,
                                 count_transform, fit_vocabulary,
                                 tfidf_transform)
 
+from conftest import synth_dataset
 from oracles import (count_transform_oracle, fit_vocabulary_oracle,
                      term_counts_oracle, tfidf_oracle, within_post_ngrams)
 
@@ -181,6 +187,109 @@ class TestTextPathOracle:
                 fit_vocabulary(users, bad)
             with pytest.raises(ValueError):
                 count_transform(users, dataclasses.replace(vocab, n_range=bad))
+
+
+_shared_dataset = lru_cache(maxsize=None)(synth_dataset)
+
+# notes drawn from a few tokens, so that bigrams and trigrams recur
+_plain_user = st.lists(
+    st.lists(st.sampled_from(["pizza", "Rent", "rents", "🍕", ":-)", "!!"]),
+             max_size=6).map(" ".join), max_size=4).map(lambda notes: posts(*notes))
+
+
+class TestInputKinds:
+    """Users of one build_dataset call are read through their shared table;
+    plain lists, and users of two datasets mixed with a plain list, are
+    wrapped over a fresh table. All three match the oracles."""
+
+    @given(kind=st.sampled_from(["dataset", "lists", "mix"]), data=st.data(),
+           n_range=st.sampled_from(N_RANGES), min_df=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracles(self, kind, data, n_range, min_df):
+        def drawn(dataset, most):
+            return data.draw(st.lists(st.sampled_from(dataset.posts),
+                                      min_size=1, max_size=most))
+
+        one, two = _shared_dataset(3, 8), _shared_dataset(4, 8)
+        if kind == "dataset":
+            users = drawn(one, 12)
+        elif kind == "lists":
+            users = data.draw(st.lists(_plain_user, min_size=1, max_size=12))
+        else:
+            users = data.draw(st.permutations(
+                drawn(one, 6) + drawn(two, 6)
+                + data.draw(st.lists(_plain_user, min_size=1, max_size=4))))
+        train = users[:max(1, len(users) // 2)]
+        vocab = fit_vocabulary(train, n_range, min_df=min_df)
+        want = fit_vocabulary_oracle(train, n_range, min_df=min_df)
+        assert_same_vocab(vocab, want)
+        assert_same_csr(count_transform(users, vocab),
+                        count_transform_oracle(users, want))
+        if kind == "dataset":  # read through their own table, not rewrapped
+            assert set(ngram_orders(n_range)) <= set(one.posts[0].table.ngrams)
+
+
+# sha256 of the vocabulary fitted on every other user of a synth corpus
+# (min_df=2) and of the count matrix over all of its users; integers and
+# counts only, so every platform hashes the same bytes
+TEXT_PATH_SHA256 = {
+    (13, (1, 1)): {
+        "terms": "f014fd109d9e78deea896ea693a05a146942b3035782a4b49722c0b6dd3c9271",
+        "df": "6cff8a439e07c683ad16d220890144cc9e00d1d42e85aa8687131f267a6382f8",
+        "indptr": "14b02fe05f57d22bffb78067f7a9f319dbe759564435c0b504c5e07270866790",
+        "indices": "bddbe14dc4863e24373e9e3bcfdfbcb5cd1865c0e78ec198d232b4ae71e19f7f",
+        "data": "54964dd85a5df97d1482e8aa6e818776d71a53b1be18109d1b37d0d19eba82c0",
+    },
+    (13, (1, 2)): {
+        "terms": "7bdbe727e7595bdaab3220b5eb2047c1e56388f10273d4acd8d7b4ce891985cf",
+        "df": "f0bbea346f588565136f0373adbaf772dc25568618021f0bc1d974434be5d03d",
+        "indptr": "3d968ee517e4828afb56f571ba3f3da9bb5b116cbdd424e4b8ae5ab88c1b7c62",
+        "indices": "ab935b5fe2157cd56d9f781be303def08228f2ad5de586f9072d76602dbc3bff",
+        "data": "c5af1c2b5bb64e63df67e5da66c771323d14155da1091a051fe9bf51cfa66568",
+    },
+    (13, (2, 3)): {
+        "terms": "45d6717a6dad49bd994df344b66761827e72aaab441c0193670cd9272d232836",
+        "df": "99a562770c766e61e0afc00670d243820590a8cf05594011a58d70e88f4fe6ad",
+        "indptr": "3415d08fc74440b9c627c1596b6bbef09f6c98fe14b724fe563d9c4079626ddc",
+        "indices": "06198b795cec38e78ec7fd84c7c06e7ee52293ea92f73e1971e33cbe276f76ba",
+        "data": "b3ea219c10c7cc1c3e8036016e6b7e004515e01ae21131319817b29ac10b4235",
+    },
+    (29, (1, 1)): {
+        "terms": "1fffc68a9a3090a38eca066be931c1cf194d8a84d9ff1ad8395aeb99a71edfd8",
+        "df": "803a28c0ca77418950eddfe4b7a64123a74c9fd9cb57780ba10bbd0d84bcc283",
+        "indptr": "dcc994cb20b3eababd8615d9fb0954277221ea4e32320d62fb71c86d9ec60b59",
+        "indices": "b2bc689ab013bed5d8e39569dfc3352a185f0f7cdb03c8a98e4196109e51f58d",
+        "data": "976386beec481fe1a21bc84789be774b65a5e56feec8f1f016075ce131b84bc6",
+    },
+    (29, (1, 2)): {
+        "terms": "4da489e410ade2cf32cd5f2ed7cf8b729068770ec40180e216390af3a7a1222f",
+        "df": "e845d756a64b3a597d1f326543dccf8152b9d8a4a269306181502f0fdc8f0174",
+        "indptr": "bfcc1d6917959dc421a2ba2e9389ece31f1209390a73a592c3f0ba7bcdfa183d",
+        "indices": "507f671621bd6ac8f026e4811ba74bc70d4e1506bd30a542b6473d83bcf4ccc4",
+        "data": "8360b9b60ab0c8101b1398d009e65cf826c43f2f585903e2df491b1f1cf840a6",
+    },
+    (29, (2, 3)): {
+        "terms": "69d7c5d555b1078f071d942d0f6b1846b850d8736eb38544010285f8abb612ff",
+        "df": "53ddab444bb33a88c5e354bd5d5b8307a1b99601213866f9a40d2982e99cd08a",
+        "indptr": "acfaa8d1b7a6e25b9a0fffc0b5bd379a5620f3a694f14421aff7cc1978048715",
+        "indices": "236c31564249545a651479c1968d2302c8366c19f4bf5869b610377f4fc3d369",
+        "data": "ddb5d3a546b3eab747a5438ba5f2801b72e3ea80454c822a2223d9e4b4883069",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, n_range", list(TEXT_PATH_SHA256))
+def test_text_path_matches_stored_sha256(seed, n_range):
+    dataset = synth_dataset(seed, n=60, posts=(4, 10))
+    vocab = fit_vocabulary(dataset.posts[::2], n_range, min_df=2)
+    counts = count_transform(dataset.posts, vocab)
+    parts = {"terms": json.dumps(vocab.terms).encode(),
+             "df": np.asarray(vocab.df, "<i8").tobytes(),
+             "indptr": counts.indptr.astype("<i8").tobytes(),
+             "indices": counts.indices.astype("<i8").tobytes(),
+             "data": counts.data.astype("<f8").tobytes()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in parts.items()} == (
+        TEXT_PATH_SHA256[seed, n_range])
 
 
 # build_dataset plus 5 folds x 2 n-ranges of fit and count, as the ingest
