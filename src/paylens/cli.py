@@ -304,18 +304,12 @@ def cmd_harvest_users(args) -> int:
 
 
 def cmd_serve_mock(args) -> int:
-    grouped = _load_corpus(args.corpus)
-    usernames = {}
-    if args.usernames:
-        usernames = _load_json(args.usernames)
-        if not (isinstance(usernames, dict)
-                and all(isinstance(v, str) for v in usernames.values())):
-            raise ValueError(f"usernames must map strings to strings, "
-                             f"got {str(usernames)[:80]}")
     config = MockServerConfig(page_size=args.page_size,
                               refresh_interval=args.refresh_interval,
                               rate_limit=args.rate_limit,
-                              usernames=usernames)
+                              usernames=(_load_json(args.usernames)
+                                         if args.usernames else {}))
+    grouped = _load_corpus(args.corpus)
     server = run_mock_server(grouped, config, port=args.port)
     stop_note = (f"stopping after {args.duration}s" if args.duration
                  else "Ctrl-C to stop")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import SingleClass, TooFewSamples, WorkerDied
 from .labels import LabeledUser
+from .models.serialize import encode
 from .pipeline import (FittedPipeline, PipelineConfig, UserDataset,
                        featurization_key, fit_features, fit_model, fit_pipeline,
                        pipeline_predict, pipeline_transform)
@@ -193,16 +194,13 @@ class GridSpec:
     def expand(self, base: PipelineConfig) -> list[PipelineConfig]:
         """One config per grid point; the grid's override keys win over base's.
         No points, or a point PipelineConfig rejects, is a ValueError."""
-        mlp = {**dict(base.mlp_overrides), **self.mlp_overrides}
-        gbdt = {**dict(base.gbdt_overrides), **self.gbdt_overrides}
-        configs: list[PipelineConfig] = []
-        for vec, nr, clf in itertools.product(self.vectorizers, self.n_ranges,
-                                              self.classifiers):
-            cs = self.svm_c if clf == "svm" else (base.C,)
-            for c in cs:
-                configs.append(replace(
-                    base, vectorizer=vec, n_range=nr, classifier=clf,
-                    C=c, mlp_overrides=mlp, gbdt_overrides=gbdt))
+        mlp = {**base.mlp_overrides, **self.mlp_overrides}
+        gbdt = {**base.gbdt_overrides, **self.gbdt_overrides}
+        configs = [replace(base, vectorizer=vec, n_range=nr, classifier=clf,
+                           C=c, mlp_overrides=mlp, gbdt_overrides=gbdt)
+                   for vec, nr, clf in itertools.product(
+                       self.vectorizers, self.n_ranges, self.classifiers)
+                   for c in (self.svm_c if clf == "svm" else (base.C,))]
         if not configs:
             raise ValueError("empty grid")
         return configs
@@ -229,17 +227,16 @@ class EvalReport:
             "class_names": list(self.best_model.class_names),
             "configs": [
                 {
-                    "config": r.config.to_dict(),
+                    "config": encode(r.config),
                     "fold_accuracies": r.fold_accuracies,
                     "mean_accuracy": r.mean_accuracy,
-                    "confusion": {k: v for k, v in
-                                  zip(("tn", "fp", "fn", "tp"), r.confusion)},
+                    "confusion": dict(zip(("tn", "fp", "fn", "tp"), r.confusion)),
                 }
                 for r in self.results
             ],
             "best": {
                 "index": self.best_index,
-                "config": self.best.config.to_dict(),
+                "config": encode(self.best.config),
                 "mean_accuracy": self.best.mean_accuracy,
             },
         }

@@ -90,6 +90,7 @@ class ClientConfig:
 
     def __post_init__(self):
         non_negative("rate", self.rate)
+        non_negative("burst", self.burst)  # 0 and 1 both mean one token
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ class MockServerConfig:
             raise ValueError(f"page_size must be at least 1, got {self.page_size}")
         non_negative("refresh_interval", self.refresh_interval)
         non_negative("rate_limit", self.rate_limit)
+        if not (isinstance(self.usernames, dict)
+                and all(isinstance(v, str) for v in self.usernames.values())):
+            raise ValueError(f"usernames must map strings to strings, "
+                             f"got {str(self.usernames)[:80]}")
 
 
 class _Handler(BaseHTTPRequestHandler):

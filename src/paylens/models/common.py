@@ -1,4 +1,4 @@
-"""Input conversion, type and label checks, and the classifiers' logistic loss."""
+"""Input conversion and checks, CSR row gathers, and the logistic loss."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +16,23 @@ def fits_type(value, kind: type) -> bool:
     if kind is float:
         return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
     return isinstance(value, kind)
+
+
+def check_positive(config) -> None:
+    """ValueError unless each field of a model config but `seed` is positive."""
+    for name, value in vars(config).items():
+        if name != "seed" and not value > 0:  # sizes, counts and rates
+            raise ValueError(f"{name!r} must be positive, got {value!r}")
+
+
+def take_rows(indptr, indices, data, rows):
+    """The CSR arrays of `rows`: any rows, in any order."""
+    counts = indptr[rows + 1] - indptr[rows]
+    taken = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=taken[1:])
+    pos = (np.repeat(indptr[rows] - taken[:-1], counts)
+           + np.arange(taken[-1], dtype=indptr.dtype))
+    return taken, indices[pos], data[pos]
 
 
 def _as_csr(X) -> sp.csr_matrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .common import bce_with_logits, check_binary_labels, fits_type
+from .common import bce_with_logits, check_binary_labels, check_positive, fits_type
 
 _LAMBDA = 1e-3       # ridge on leaf Newton steps
 _MAX_LEAF = 10.0     # cap on per-tree log-odds step
@@ -40,6 +40,9 @@ class GbdtConfig:
     learning_rate: float = 0.1
     seed: int = 0
     n_bins: int = 64
+
+    def __post_init__(self):
+        check_positive(self)
 
 
 @dataclass
@@ -176,8 +179,7 @@ def _tree_apply(node: dict, column, idx: np.ndarray, out: np.ndarray) -> None:
 
 
 def train_gbdt(X, y, config: GbdtConfig | None = None) -> GbdtModel:
-    if config is None:
-        config = GbdtConfig()
+    config = config or GbdtConfig()
     Xc = sp.csc_matrix(X, dtype=np.float64)
     Xc.sum_duplicates()  # sorted, unique rows in every column
     n = Xc.shape[0]
@@ -202,7 +204,7 @@ def train_gbdt(X, y, config: GbdtConfig | None = None) -> GbdtModel:
         for leaf, idx in leaves:
             contrib[idx] = leaf["value"]
 
-        scale = 1.0 if eta != 0.0 else 0.0
+        scale = 1.0
         while scale > 1e-8:
             new_loss = bce_with_logits(F + eta * scale * contrib, yv)
             if new_loss <= loss:

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from ..errors import NonFiniteError
-from .common import _as_csr, bce_with_logits, check_binary_labels
+from .common import (_as_csr, bce_with_logits, check_binary_labels,
+                     check_positive, take_rows)
 
 
 @dataclass
@@ -28,6 +29,9 @@ class MlpConfig:
     epochs: int = 200
     batch: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        check_positive(self)
 
 
 @dataclass
@@ -47,16 +51,6 @@ class MlpModel:
         if shapes != [(d, h), (h,), (h, 1), (1,)]:
             raise ValueError(f"MLP W1, b1, W2, b2 have shapes {shapes}, not "
                              f"(d, h), (h,), (h, 1), (1,)")
-
-
-def _take_rows(indptr, indices, data, order):
-    """The CSR arrays of rows `order`, in that order."""
-    counts = np.diff(indptr)[order]
-    taken = np.zeros_like(indptr)
-    np.cumsum(counts, out=taken[1:])
-    pos = (np.repeat(indptr[order] - taken[:-1], counts)
-           + np.arange(taken[-1], dtype=indptr.dtype))
-    return taken, indices[pos], data[pos]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -104,8 +98,7 @@ def mlp_grads(W1, b1, W2, b2, X, y):
 @np.errstate(over="ignore", invalid="ignore")
 def train_mlp(X, y, config: MlpConfig | None = None) -> MlpModel:
     """Mini-batch gradient descent; the per-epoch full-data loss is recorded."""
-    if config is None:
-        config = MlpConfig()
+    config = config or MlpConfig()
     Xc = _as_csr(X)
     n, d = Xc.shape
     Xa = (Xc.indptr, Xc.indices, Xc.data)
@@ -119,11 +112,11 @@ def train_mlp(X, y, config: MlpConfig | None = None) -> MlpModel:
     W2 = rng.uniform(-limit2, limit2, size=(config.hidden, 1))
     b2 = np.zeros(1)
 
-    batch = max(1, min(config.batch, n))
+    batch = min(config.batch, n)
     loss_curve: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        indptr, indices, data = _take_rows(*Xa, order)
+        indptr, indices, data = take_rows(*Xa, order)
         y_order = yv[order]
         for start in range(0, n, batch):
             stop = min(start + batch, n)

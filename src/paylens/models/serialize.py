@@ -3,15 +3,15 @@
 A container is {"magic": ..., "version": ..., "kind": ..., "payload": ...};
 the pipeline file is the only one written. A payload is a dataclass's init
 fields in declaration order, read back by their type hints: ndarrays and
-tuples travel as lists, dataclasses as objects (through `to_dict` when they
-have one), a field typed `object` as a model's {"kind": ..., "payload": ...},
-which carries no magic or version of its own. On read, a missing field with
-a default takes it; a missing required field, an unknown key or model kind,
-a mistyped value, a non-finite number in an ndarray or float field or a
-dataclass's own check (a GbdtModel checks its trees) is a CorruptError, or
-the error class `decode` is given (a grid spec's is ValueError). Floats
-survive the JSON round trip exactly (shortest-repr encoding), so a loaded
-model or pipeline predicts bit-identically.
+tuples travel as lists, dicts and dataclasses as objects, a field typed
+`object` as a model's {"kind": ..., "payload": ...}, which carries no magic
+or version of its own. On read, a missing field with a default takes it; a
+missing required field, an unknown key or model kind, a mistyped value, a
+non-finite number in an ndarray or float field or a dataclass's own check
+(a GbdtModel checks its trees, a model config its values) is a CorruptError,
+or the error class `decode` is given (ValueError for a grid spec or a
+config's overrides). Floats round-trip exactly (shortest-repr JSON), so a
+loaded model or pipeline predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ def encode(value, kind=None):
         return value.tolist()
     if isinstance(value, tuple):
         return list(value)
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
     if is_dataclass(value):
         types = get_type_hints(type(value))
         return {f.name: encode(getattr(value, f.name), types[f.name])
@@ -120,8 +118,6 @@ def _decode(name: str, value, kind):
     if is_dataclass(kind):
         if not isinstance(value, dict):
             raise TypeError(f"{name!r} must be an object, got {str(value)[:80]}")
-        if hasattr(kind, "to_dict"):
-            return kind(**value)
         unknown = value.keys() - {f.name for f in fields(kind) if f.init}
         if unknown:
             raise TypeError(f"{name!r} has unknown keys {sorted(unknown)}")

@@ -6,15 +6,16 @@ of fitted state (vocabulary, scaler, classifier); fitting only ever sees
 training rows, so held-out rows cannot leak into the vocabulary or scaler.
 Its feature names are derived, never stored: the vocabulary's terms, then
 the engineered columns the config uses. Every fact it holds must agree with
-the config: the vocabulary's n_range and min_df, the model's kind and the
-widths of the scaler and model. save_pipeline and load_pipeline store it,
-at PIPELINE_VERSION, with the codec of `paylens.models.serialize`; a file
-of another version is refused.
+the config: the vocabulary's n_range and min_df, the model's kind and
+settings (`model_settings`) and the widths of the scaler and model.
+save_pipeline and load_pipeline store it, at PIPELINE_VERSION, with the
+codec of `paylens.models.serialize`; a file of another version is refused.
+A PipelineConfig's overrides are dicts sorted by key, values as given.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -51,8 +52,8 @@ class PipelineConfig:
     classifier: str = "svm"
     C: float = 1.0
     svm_tol: float = 1e-3
-    mlp_overrides: tuple = ()   # (key, value) pairs or a dict; kept sorted
-    gbdt_overrides: tuple = ()
+    mlp_overrides: dict = field(default_factory=dict)  # sorted by key
+    gbdt_overrides: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -72,28 +73,13 @@ class PipelineConfig:
         for key, model_config in (("mlp_overrides", MlpConfig),
                                   ("gbdt_overrides", GbdtConfig)):
             value = getattr(self, key)
-            try:
-                overrides = dict(value)
+            try:  # a mapping or (key, value) pairs
+                overrides = dict(sorted(dict(value).items()))
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must map {model_config.__name__} "
                                  f"fields to values, got {value!r}") from None
-            types = get_type_hints(model_config)
-            for name, v in overrides.items():
-                if name not in types:
-                    raise ValueError(f"{key}: {name!r} is not a "
-                                     f"{model_config.__name__} field")
-                if not fits_type(v, types[name]):
-                    raise ValueError(f"{key}: {name!r} must be "
-                                     f"{types[name].__name__}, got {v!r}")
-                if name != "seed" and v <= 0:  # sizes, counts and rates
-                    raise ValueError(f"{key}: {name!r} must be positive, "
-                                     f"got {v!r}")
-            object.__setattr__(self, key, tuple(sorted(overrides.items())))
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "n_range": list(self.n_range),
-                "mlp_overrides": dict(self.mlp_overrides),
-                "gbdt_overrides": dict(self.gbdt_overrides)}
+            decode(overrides, model_config, key, ValueError)  # the config checks
+            object.__setattr__(self, key, overrides)
 
 
 @dataclass
@@ -163,12 +149,14 @@ class FittedPipeline:
 
     def __post_init__(self):
         config, model, vocab = self.config, self.model, self.vocab
-        if model is not None and model.kind != config.classifier:
-            raise ValueError(f"a {model.kind!r} model under a "
-                             f"{config.classifier!r} config")
-        for what, got, want in (  # each fact the vocabulary keeps of the config
-                ("vocabulary n_range", tuple(vocab.n_range), config.n_range),
-                ("vocabulary min_df", vocab.min_df, config.min_df)):
+        facts = [  # each fact the vocabulary and model keep of the config
+            ("vocabulary n_range", tuple(vocab.n_range), config.n_range),
+            ("vocabulary min_df", vocab.min_df, config.min_df)]
+        if model is not None:  # its kind first: the settings depend on it
+            facts += [("model kind", model.kind, config.classifier)] + [
+                (f"model {name}", getattr(model, name, None), want)
+                for name, want in model_settings(config).items()]
+        for what, got, want in facts:
             if got != want:
                 raise ValueError(f"{what} mismatch: {str(got)[:80]} against "
                                  f"{str(want)[:80]}")
@@ -226,18 +214,25 @@ def fit_features(dataset: UserDataset, train_idx: Sequence[int],
                           class_names=dataset.class_names), X
 
 
+def model_settings(config: PipelineConfig) -> dict:
+    """What a model trained under this config records of it, by attribute."""
+    if config.classifier == "svm":
+        return {"C": config.C, "tol": config.svm_tol, "seed": config.seed}
+    kind = MlpConfig if config.classifier == "mlp" else GbdtConfig
+    overrides = getattr(config, f"{config.classifier}_overrides")
+    return {"config": kind(**{"seed": config.seed, **overrides})}
+
+
 def fit_model(X: sp.csr_matrix, y01: np.ndarray, config: PipelineConfig,
               warm: np.ndarray | None = None):
     """The configured classifier trained on X, which it leaves unchanged. An
     SVM warm-starts from `warm` and leaves its dual solution there (see
     train_linear_svm); the other classifiers ignore it."""
+    settings = model_settings(config)
     if config.classifier == "svm":
-        return train_linear_svm(X, 2 * y01 - 1, C=config.C, tol=config.svm_tol,
-                                seed=config.seed, warm=warm)
-    train, model_config, overrides = (
-        (train_mlp, MlpConfig, config.mlp_overrides) if config.classifier == "mlp"
-        else (train_gbdt, GbdtConfig, config.gbdt_overrides))
-    return train(X, y01, model_config(**{"seed": config.seed, **dict(overrides)}))
+        return train_linear_svm(X, 2 * y01 - 1, **settings, warm=warm)
+    train = train_mlp if config.classifier == "mlp" else train_gbdt
+    return train(X, y01, **settings)
 
 
 def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],

@@ -69,7 +69,7 @@ class SynthSpec:
     signal_tokens_a = SIGNAL_TOKENS_A
     signal_tokens_b = SIGNAL_TOKENS_B
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 <= self.p_noise < self.p_signal <= 1.0):
             raise SynthSpecError(
                 f"need 0 <= p_noise < p_signal <= 1, got "
@@ -105,7 +105,6 @@ def _name_pools() -> tuple[list[str], list[str]]:
 
 def generate_synthetic_corpus(spec: SynthSpec) -> SynthResult:
     """Deterministic corpus + labels for the given spec."""
-    spec.validate()
     root = np.random.SeedSequence(spec.seed)
     rng_notes, rng_tx, rng_names = (np.random.default_rng(s) for s in root.spawn(3))
 

@@ -22,7 +22,8 @@ appended after the text columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -31,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyCorpus
+from .models.common import take_rows
 from .tokenizer import TokenizedPost, ngram_orders, ngrams
 
 
@@ -41,15 +43,17 @@ class Vocabulary:
     n_documents: int
     n_range: tuple[int, int]
     min_df: int
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ngram_orders(self.n_range)
-        index = {t: i for i, t in enumerate(self.terms)}
-        if not len(index) == len(self.terms) == len(self.df):
-            raise ValueError(f"{len(self.terms)} terms ({len(index)} distinct) "
+        distinct = len(set(self.terms))
+        if not distinct == len(self.terms) == len(self.df):
+            raise ValueError(f"{len(self.terms)} terms ({distinct} distinct) "
                              f"with {len(self.df)} df entries")
-        object.__setattr__(self, "index", index)
+
+    @cached_property
+    def index(self) -> dict[str, int]:  # term -> column, built when first read
+        return {t: i for i, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -165,11 +169,8 @@ def _ngram_ids(table: TermTable, users: np.ndarray, orders: range
     in `users` of the user each one belongs to."""
     parts = []
     for n in orders:
-        indptr, ids, counts = _order(table, n)
-        first, sizes = indptr[users], indptr[users + 1] - indptr[users]
-        # positions first[i] .. first[i] + sizes[i] - 1 of each user i in turn
-        take = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-        parts.append((np.repeat(np.arange(len(users)), sizes), ids[take], counts[take]))
+        indptr, ids, counts = take_rows(*_order(table, n), users)
+        parts.append((np.repeat(np.arange(len(users)), np.diff(indptr)), ids, counts))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

@@ -454,7 +454,8 @@ class TestEvaluateCommand:
             {"max_depth": 2, "rounds": 3}]
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"gbdt_overrides": {"bogus": 1}},
+         "bad gbdt_overrides: 'payload' has unknown keys ['bogus']"),
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"seed": None}, "seed must be int, got None"),
@@ -503,7 +504,8 @@ class TestEvaluateCommand:
         assert not model.exists()
 
     @pytest.mark.parametrize("grid_overrides, message", [
-        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"gbdt_overrides": {"bogus": 1}},
+         "bad gbdt_overrides: 'payload' has unknown keys ['bogus']"),
         ({"mlp_overrides": 5}, "bad grid: 'mlp_overrides' must be dict, got 5"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"classifier": ["gbdt"], "svm_c": [1.0]},
@@ -1179,10 +1181,14 @@ class TestServeMock:
     (["harvest", "feed", "--pages", "-3"], "pages must be at least 1"),
     (["harvest", "feed", "--rate", "-5"], "rate -5.0 is not"),
     (["harvest", "users", "--rate", "-5"], "rate -5.0 is not"),
+    (["harvest", "users", "--burst", "inf"], "burst inf is not"),
+    (["harvest", "users", "--burst", "nan"], "burst nan is not"),
+    (["harvest", "feed", "--burst", "-1"], "burst -1.0 is not"),
     (["serve-mock", "--port", "99999"], "port must be in 0-65535, got 99999"),
     (["serve-mock", "--port", "-1"], "port must be in 0-65535, got -1"),
 ], ids=["page_size", "refresh_interval", "rate_limit", "pages", "feed_rate",
-        "users_rate", "port_high", "port_negative"])
+        "users_rate", "users_burst_inf", "users_burst_nan", "feed_burst_negative",
+        "port_high", "port_negative"])
 def test_numbers_the_harvester_refuses_exit_2(synth_files, tmp_path, capsys,
                                               command, message):
     corpus, _ = synth_files

@@ -42,11 +42,15 @@ class TestTrainGbdt:
         assert np.all(diffs <= 0.0)
         assert len(model.loss_curve) == 51  # init plus one per round
 
-    def test_zero_learning_rate_keeps_prior(self):
-        X, y = noisy_data(40)
-        model = train_gbdt(X, y, GbdtConfig(rounds=5, learning_rate=0.0))
-        raw = gbdt_raw(model, X)
-        assert np.allclose(raw, model.init_log_odds)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"learning_rate": 0.0}, "'learning_rate' must be positive, got 0.0"),
+        ({"rounds": -7}, "'rounds' must be positive, got -7"),
+        ({"n_bins": 0}, "'n_bins' must be positive, got 0"),
+    ], ids=["zero_learning_rate", "negative_rounds", "zero_bins"])
+    def test_config_not_positive_raises(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GbdtConfig(**kwargs)
+        GbdtConfig(seed=-1)  # the seed is the one field that may be negative
 
     def test_tree_count_equals_rounds(self):
         X, y = noisy_data(40)
@@ -121,7 +125,7 @@ class TestTrainGbdt:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((50, 3))
         y = np.array([1] * 10 + [0] * 40)
-        model = train_gbdt(X, y, GbdtConfig(rounds=1, learning_rate=0.0))
+        model = train_gbdt(X, y, GbdtConfig(rounds=1))
         expected = np.log(0.2 / 0.8)
         assert model.init_log_odds == pytest.approx(expected)
 

@@ -1080,6 +1080,18 @@ class TestTokenBucket:
         assert bucket.try_acquire() == 0.0
         assert bucket.try_acquire() > 0
 
+    @pytest.mark.parametrize("burst", [0.0, 1.0])
+    def test_client_burst_of_zero_or_one_is_one_token(self, burst):
+        bucket = HarvestClient(ClientConfig(rate=0.5, burst=burst)).bucket
+        assert bucket.capacity == 1.0
+        assert bucket.try_acquire() == 0.0
+        assert bucket.try_acquire() > 0
+
+    @pytest.mark.parametrize("burst", [float("inf"), float("nan"), -1.0])
+    def test_client_refuses_burst_not_finite_or_negative(self, burst):
+        with pytest.raises(ValueError, match="burst .* is not a finite"):
+            ClientConfig(rate=5.0, burst=burst)
+
     def test_thread_safe_accounting(self):
         bucket = TokenBucket(rate=200.0, capacity=10.0)
         count = 60

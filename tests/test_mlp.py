@@ -9,8 +9,8 @@ from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from paylens.errors import NonFiniteError, SingleClass
 from paylens.models import MlpConfig, mlp_predict, mlp_proba, train_mlp
-from paylens.models.common import _as_csr, bce_with_logits
-from paylens.models.mlp import _forward, _take_rows, mlp_grads
+from paylens.models.common import _as_csr, bce_with_logits, take_rows
+from paylens.models.mlp import _forward, mlp_grads
 from paylens.models.serialize import encode
 
 from oracles import train_mlp_oracle
@@ -96,6 +96,11 @@ class TestTrainMlp:
         with pytest.raises(ValueError):
             train_mlp(np.eye(2), np.array([-1, 1]), MlpConfig(epochs=1))
 
+    @pytest.mark.parametrize("field", ["hidden", "lr", "epochs", "batch"])
+    def test_config_not_positive_raises(self, field):
+        with pytest.raises(ValueError, match=f"'{field}' must be positive, got 0"):
+            MlpConfig(**{field: 0})
+
     def test_divergence_raises_without_numpy_warnings(self):
         X, y = self._separable(40)
         with warnings.catch_warnings():
@@ -173,6 +178,20 @@ def test_fit_matches_first_written_loop(kind):
     assert json.dumps(encode(got)) == json.dumps(encode(want))
 
 
+@pytest.mark.parametrize("rows", [[4, 0, 8], [2, 2, 7], []],
+                         ids=["subset", "repeat", "none"])
+def test_take_rows_matches_fancy_indexing(rows):
+    rng = np.random.default_rng(11)
+    dense = rng.random((9, 12)) * (rng.random((9, 12)) < 0.4)
+    dense[2] = 0.0
+    X = sp.csr_matrix(dense)
+    rows = np.array(rows, dtype=np.int64)
+    sub = X[rows]
+    got = take_rows(X.indptr, X.indices, X.data, rows)
+    for part, want in zip(got, (sub.indptr, sub.indices, sub.data)):
+        assert np.array_equal(part, want)
+
+
 @pytest.mark.parametrize("index", [np.int32, np.int64])
 @pytest.mark.parametrize("rows", [(0, 7), (3, 4), (5, 6)],
                          ids=["batch", "one_row", "zero_row"])
@@ -186,7 +205,7 @@ def test_raw_kernels_match_the_operators(index, rows):
     X = X.tocsr()
     X.indptr, X.indices = X.indptr.astype(index), X.indices.astype(index)
     order = np.array([4, 0, 8, 1, 6, 2, 7, 3, 5])
-    indptr, indices, data = _take_rows(X.indptr, X.indices, X.data, order)
+    indptr, indices, data = take_rows(X.indptr, X.indices, X.data, order)
     assert indptr.dtype == indices.dtype == index
     d = X.shape[1]
     start, stop = rows

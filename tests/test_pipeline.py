@@ -11,6 +11,7 @@ from paylens.errors import CorruptError
 from paylens.evaluation import cross_validate, stratified_kfold
 from paylens.features import aggregate_user_features, detect_content_features
 from paylens.labels import build_labeled_dataset
+from paylens.models.serialize import decode, encode
 from paylens.pipeline import (PipelineConfig, build_dataset, featurization_key,
                               fit_features, fit_model, fit_pipeline,
                               load_pipeline, pipeline_predict,
@@ -173,35 +174,50 @@ class TestConfigSerialization:
         config = PipelineConfig(vectorizer="count", n_range=(1, 3), min_df=3,
                                 classifier="gbdt", C=0.5,
                                 gbdt_overrides=(("rounds", 9),), seed=5)
-        assert PipelineConfig(**config.to_dict()) == config
+        assert config.gbdt_overrides == {"rounds": 9}
+        assert decode(encode(config), PipelineConfig, "config") == config
+
+    def test_encoded_form(self):
+        config = PipelineConfig(classifier="mlp", seed=3,
+                                mlp_overrides={"lr": 0.5, "hidden": 8},
+                                gbdt_overrides=(("rounds", 4), ("max_depth", 2)))
+        assert encode(config) == {
+            "vectorizer": "tfidf", "n_range": [1, 2], "min_df": 2,
+            "use_engineered": True, "include_actor_pct": False,
+            "normalize_counts": False, "classifier": "mlp", "C": 1.0,
+            "svm_tol": 0.001, "mlp_overrides": {"hidden": 8, "lr": 0.5},
+            "gbdt_overrides": {"max_depth": 2, "rounds": 4}, "seed": 3}
+        assert list(encode(config)["mlp_overrides"]) == ["hidden", "lr"]
 
     def test_valid_override_values_kept_as_given(self):
         config = PipelineConfig(mlp_overrides={"lr": 1, "epochs": 5},
                                 gbdt_overrides={"learning_rate": 0.5})
-        assert config.mlp_overrides == (("epochs", 5), ("lr", 1))
-        assert type(dict(config.mlp_overrides)["lr"]) is int
+        assert config.mlp_overrides == {"epochs": 5, "lr": 1}
+        assert type(config.mlp_overrides["lr"]) is int
 
     def test_int_for_float_field_stored_as_float(self):
         config = PipelineConfig(C=1, svm_tol=0, n_range=[1, 3])
         assert type(config.C) is float and type(config.svm_tol) is float
         assert config.n_range == (1, 3)
-        assert json.dumps(config.to_dict()["C"]) == "1.0"
+        assert json.dumps(encode(config)["C"]) == "1.0"
 
     def test_unsorted_overrides_round_trip(self):
         config = PipelineConfig(
             classifier="gbdt",
             mlp_overrides={"lr": 0.1, "epochs": 5},
             gbdt_overrides=(("rounds", 10), ("max_depth", 2)))
-        assert config.mlp_overrides == (("epochs", 5), ("lr", 0.1))
-        assert config.gbdt_overrides == (("max_depth", 2), ("rounds", 10))
-        assert PipelineConfig(**config.to_dict()) == config
+        assert list(config.mlp_overrides.items()) == [("epochs", 5), ("lr", 0.1)]
+        assert list(config.gbdt_overrides.items()) == [("max_depth", 2),
+                                                       ("rounds", 10)]
+        assert decode(encode(config), PipelineConfig, "config") == config
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
         ({"gbdt_overrides": ["rounds"]}, "gbdt_overrides must map GbdtConfig"),
-        ({"gbdt_overrides": {"bogus": 1}}, "'bogus' is not a GbdtConfig field"),
+        ({"gbdt_overrides": {"bogus": 1}},
+         r"bad gbdt_overrides: 'payload' has unknown keys \['bogus'\]"),
         ({"mlp_overrides": (("hidden", 4), ("rounds", 3))},
-         "'rounds' is not a MlpConfig field"),
+         r"bad mlp_overrides: 'payload' has unknown keys \['rounds'\]"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"gbdt_overrides": {"rounds": 3.0}}, "'rounds' must be int, got 3.0"),
         ({"mlp_overrides": {"lr": True}}, "'lr' must be float, got True"),
@@ -259,6 +275,12 @@ class TestPipelineArtifact:
         ("svm", ("config", "use_engineered"), lambda used: False),
         ("svm", ("config", "include_actor_pct"), lambda included: True),
         ("svm", ("config", "C"), lambda C: -1),
+        ("gbdt", ("model", "payload", "config", "learning_rate"), lambda r: -0.1),
+        ("gbdt", ("model", "payload", "config", "learning_rate"), lambda r: 0.0),
+        ("gbdt", ("model", "payload", "config", "learning_rate"), lambda r: 0.5),
+        ("gbdt", ("model", "payload", "config", "rounds"), lambda rounds: -7),
+        ("svm", ("model", "payload", "C"), lambda C: C * 2),
+        ("mlp", ("model", "payload", "config", "hidden"), lambda h: h + 1),
     ], ids=["df_short", "term_not_str", "term_repeated", "df_not_int",
             "n_documents_str", "one_class_name", "scaler_mean_short",
             "config_unknown_key", "mlp_config_unknown_key",
@@ -267,7 +289,10 @@ class TestPipelineArtifact:
             "config_n_range_not_the_vocabulary_s",
             "config_min_df_not_the_vocabulary_s",
             "engineered_off_with_a_scaler", "actor_pct_on_without_its_column",
-            "config_C_not_positive"])
+            "config_C_not_positive", "gbdt_learning_rate_negative",
+            "gbdt_learning_rate_zero", "gbdt_learning_rate_not_the_config_s",
+            "gbdt_rounds_negative", "svm_C_not_the_config_s",
+            "mlp_hidden_not_the_config_s"])
     def test_corrupt_pipeline_rejected(self, saved_pipelines, tmp_path, capsys,
                                        classifier, path, change):
         container = json.loads(saved_pipelines[classifier].read_text())

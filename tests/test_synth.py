@@ -20,18 +20,26 @@ def dump_bytes(result):
 class TestSynthSpec:
     def test_rejects_equal_probabilities(self):
         with pytest.raises(SynthSpecError):
-            SynthSpec(p_signal=0.3, p_noise=0.3).validate()
+            SynthSpec(p_signal=0.3, p_noise=0.3)
 
     def test_rejects_noise_above_signal(self):
         with pytest.raises(SynthSpecError):
-            SynthSpec(p_signal=0.2, p_noise=0.5).validate()
+            SynthSpec(p_signal=0.2, p_noise=0.5)
 
     def test_rejects_bad_posts_range(self):
         with pytest.raises(SynthSpecError):
-            SynthSpec(posts_per_user=(5, 3)).validate()
+            SynthSpec(posts_per_user=(5, 3))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_users_per_class": 0}, "n_users_per_class must be >= 1"),
+        ({"emoji_fraction": 1.5}, r"emoji_fraction must be in \[0, 1\]"),
+    ], ids=["no_users", "emoji_fraction_above_one"])
+    def test_rejected_when_built(self, kwargs, message):
+        with pytest.raises(SynthSpecError, match=message):
+            SynthSpec(**kwargs)
 
     def test_accepts_degenerate_extremes(self):
-        SynthSpec(p_signal=1.0, p_noise=0.0).validate()
+        SynthSpec(p_signal=1.0, p_noise=0.0)
 
 
 class TestGenerate:
