@@ -25,7 +25,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import labels as labels_mod
 from .errors import PaylensError
-from .evaluation import GridSpec, balance_classes, grid_search, stratified_kfold
+from .evaluation import (GridSpec, balance_classes, check_folds, grid_search,
+                         stratified_kfold)
 from .features import engineered_feature_names
 from .harvest import (ClientConfig, MockServerConfig, crawl_users,
                       fetch_public_feed, run_mock_server)
@@ -68,16 +69,16 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
-def _load_corpus(path: str, min_posts: int | None = None) -> corpus_mod.Corpus:
+def _load_corpus(path: str, min_posts: int = 1) -> corpus_mod.Corpus:
+    """The grouped corpus; a bad min_posts fails before the file is opened."""
+    corpus_mod.check_min_posts(min_posts)
     with _open_in(path, binary=True) as fp:
         result = corpus_mod.load_transactions(fp)
     if result.skipped:
         print(f"warning: skipped {result.skipped} malformed line(s)",
               file=sys.stderr)
-    grouped = corpus_mod.group_by_user(result.transactions)
-    if min_posts is not None:
-        grouped = corpus_mod.filter_min_posts(grouped, min_posts)
-    return grouped
+    return corpus_mod.filter_min_posts(
+        corpus_mod.group_by_user(result.transactions), min_posts)
 
 
 # Every key --config may set, each the dest of a label or pipeline flag, with
@@ -237,6 +238,7 @@ def cmd_evaluate(args) -> int:
     workers = _usable_cpus() if args.workers is None else args.workers
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
+    check_folds(args.folds)
     opts = _options(args)
     config = _pipeline_config(opts)
     grid = (decode(_load_json(args.grid), GridSpec, "grid", ValueError)

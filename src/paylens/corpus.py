@@ -233,13 +233,18 @@ def note_length_histogram(corpus: Corpus) -> dict[int, int]:
     return dict(Counter(len(t.note) for t in corpus.transactions.values()))
 
 
+def check_min_posts(min_posts: int) -> None:
+    """ValueError unless min_posts is at least 1."""
+    if min_posts < 1:
+        raise ValueError("min_posts must be >= 1")
+
+
 def filter_min_posts(corpus: Corpus, min_posts: int) -> Corpus:
     """Keep users with at least min_posts posts.
 
     The result shares corpus.transactions (a Corpus is never mutated), so a
     transaction stays loadable even when every profile referencing it was dropped.
     """
-    if min_posts < 1:
-        raise ValueError("min_posts must be >= 1")
+    check_min_posts(min_posts)
     users = {uid: p for uid, p in corpus.users.items() if len(p.posts) >= min_posts}
     return Corpus(transactions=corpus.transactions, users=users)

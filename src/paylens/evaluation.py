@@ -64,10 +64,15 @@ def balance_classes(labeled: Sequence[LabeledUser], seed: int = 0) -> list[Label
     return [lu for i, lu in enumerate(labeled) if i in keep]
 
 
-def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> FoldPlan:
-    """Deal each class's shuffled indices round-robin into k folds."""
+def check_folds(k: int) -> None:
+    """ValueError unless k is at least 2."""
     if k < 2:
         raise ValueError("k must be >= 2")
+
+
+def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> FoldPlan:
+    """Deal each class's shuffled indices round-robin into k folds."""
+    check_folds(k)
     rng = np.random.default_rng(seed)
     by_class: dict = {}
     for i, label in enumerate(labels):

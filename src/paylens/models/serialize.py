@@ -129,9 +129,10 @@ def _decode(name: str, value, kind):
 
 
 def decode(value, kind, what: str, error: type[Exception] = CorruptError):
-    """`value` read as a `kind`; any mismatch is an `error` "bad {what}"."""
+    """`value` read as a `kind`; any mismatch is an `error` "bad {what}",
+    whose message names the document's root `what`."""
     try:
-        return _decode("payload", value, kind)
+        return _decode(what, value, kind)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"bad {what}: {exc}") from exc
 

@@ -15,7 +15,7 @@ A PipelineConfig's overrides are dicts sorted by key, values as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -30,9 +30,10 @@ from .models import (GbdtConfig, MlpConfig, gbdt_predict, mlp_predict,
 from .models.serialize import (check_header, decode, encode, fits_type,
                                read_container, write_container)
 from .tokenizer import TokenizedPost, ngram_orders, tokenize_post
-from .vectorizer import (ScalerStats, TermTable, UserPosts, Vocabulary,
+from .vectorizer import (ScalerStats, UserPosts, Vocabulary,
                          assemble_feature_matrix, count_transform,
-                         fit_vocabulary, l2_normalize_rows, tfidf_transform)
+                         fit_vocabulary, l2_normalize_rows, tfidf_transform,
+                         user_rows)
 
 PIPELINE_MAGIC = "paylens-pipeline"
 PIPELINE_VERSION = 2
@@ -119,9 +120,9 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
     """Tokenize and featurize the labeled users of a corpus, label-aligned.
 
     Users who share a note share its TokenizedPost: the note -> (post,
-    counts) memo lasts this call only. Each user's posts are a UserPosts
-    registered with one TermTable made for this call, which keeps the
-    n-gram ids that every CV fold and n-range reuses (see vectorizer).
+    counts) memo lasts this call only. The users' posts are the rows of one
+    TermTable built over them once (`user_rows`), which keeps the n-gram ids
+    that every CV fold and n-range reuses (see vectorizer).
     """
     task = labeled[0].task if labeled else "gender"
     memo: dict[str, tuple[TokenizedPost, ContentCounts]] = {}
@@ -129,10 +130,10 @@ def build_dataset(corpus: Corpus, labeled: Sequence[LabeledUser],
              for lu in labeled]
     engineered = (np.stack([row for _, row in users]) if users
                   else np.zeros((0, len(engineered_feature_names(include_actor_pct)))))
-    names, table = CLASS_NAMES[task], TermTable()
+    names = CLASS_NAMES[task]
     return UserDataset(
         user_ids=[lu.user_id for lu in labeled],
-        posts=[UserPosts(posts, table) for posts, _ in users],
+        posts=user_rows([posts for posts, _ in users]),
         engineered=engineered,
         labels01=np.asarray([lu.label == CLASS_B for lu in labeled], dtype=np.int64),
         class_names=(names["class_a"], names["class_b"]), task=task,
@@ -240,8 +241,7 @@ def fit_pipeline(dataset: UserDataset, train_idx: Sequence[int],
     """Fit vocabulary, scaler and classifier on the given training rows only."""
     fitted, X = fit_features(dataset, train_idx, config)
     y01 = dataset.labels01[np.asarray(train_idx, dtype=np.int64)]
-    fitted.model = fit_model(X, y01, config)
-    return fitted
+    return replace(fitted, model=fit_model(X, y01, config))
 
 
 def pipeline_transform(fitted: FittedPipeline, dataset: UserDataset,

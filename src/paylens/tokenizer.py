@@ -9,9 +9,9 @@ token in a single match.
 N-grams are generated per post and never span two posts of the same user:
 `ngrams` gives the n-grams of one order of a lemma sequence, order 1 being
 the lemmas and higher orders space-joined lemma windows. No post keeps
-them; the vectorizer turns each user's n-grams into ids once per order (see
-`paylens.vectorizer.UserPosts`). A lemma holds no space, so n-grams of two
-orders are never the same string. The token classes use slots, and
+them; `paylens.vectorizer.TermTable`, built once over fixed users, turns
+their n-grams into ids once per order. A lemma holds no space, so n-grams
+of two orders are never the same string. The token classes use slots, and
 `tokenize_post` takes each Token from a bounded LRU cache keyed on
 (surface, kind), the one cache on the token path: a word's lemma is computed
 when its Token is built, a repeated token is one object for as long as the

@@ -1,14 +1,14 @@
 """Post-wise n-gram vocabulary and sparse user-document matrices.
 
 Documents are users. Vocabulary terms are n-grams generated inside single
-posts, so a term can never span two posts. Each user's posts are a
-`UserPosts` tuple registered with a `TermTable` (gram string -> id), one per
-`build_dataset` call and shared by all of that call's users. The first time
-an order n is used, the table stores, for every user, the sorted distinct
-ids of the user's order-n n-grams and their counts as int arrays; every CV
-fold and n-range reuses them, so a vocabulary fit is a `bincount` of the
-users' ids and a count transform maps ids to columns. Users that do not all
-share one table (plain lists, say) are first registered with a fresh one.
+posts, so a term can never span two posts. `user_rows` builds one
+`TermTable` (gram string -> id) per `build_dataset` call, over its fixed
+users, whose posts become `UserPosts` tuples that know their table and row.
+The first time an order n is used, the table stores, for every user, the
+sorted distinct ids of the user's order-n n-grams and their counts as int
+arrays; every CV fold and n-range reuses them, so a vocabulary fit is a
+`bincount` of the users' ids and a count transform maps ids to columns.
+Users that do not share one table (plain lists, say) get one of their own.
 The lazy fill assumes featurization runs on one thread per process; the
 worker pool forks processes.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,18 +87,18 @@ _TOKENS, _LEMMA, _ROW = attrgetter("tokens"), attrgetter("lemma"), attrgetter("r
 
 
 class TermTable(dict):
-    """Gram string -> id, and the n-gram ids of the users registered with it.
+    """Gram string -> id, and the n-gram ids of a fixed sequence of users.
 
     A gram not seen before gets the next id, so the keys are in id order.
     User r's posts are posts[ends[r]:ends[r + 1]]. `ngrams[n]`, built for
     every user the first time order n is used, is a CSR (indptr, ids,
     counts) whose row r holds user r's sorted distinct order-n ids and their
-    counts.
+    counts. The table holds the users' posts, never their UserPosts.
     """
 
-    def __init__(self):
-        self.posts: list[TokenizedPost] = []
-        self.ends = [0]
+    def __init__(self, users: Sequence[Sequence[TokenizedPost]]):
+        self.posts: list[TokenizedPost] = list(chain.from_iterable(users))
+        self.ends = np.cumsum([0, *map(len, users)])
         self.ngrams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __missing__(self, gram: str) -> int:
@@ -107,29 +107,25 @@ class TermTable(dict):
 
 
 class UserPosts(tuple):
-    """One user's posts, registered as row `row` of `table`."""
+    """One user's posts, row `row` of the TermTable `table` (see user_rows)."""
 
-    # copy and pickle call cls(posts) alone, then restore table and row
-    def __new__(cls, posts: Iterable[TokenizedPost],
-                table: TermTable | None = None):
-        self = super().__new__(cls, posts)
-        self.table = table = TermTable() if table is None else table
-        self.row = len(table.ends) - 1
-        table.posts += self
-        table.ends.append(len(table.posts))
-        table.ngrams.clear()  # built again, over this user too, when next used
-        return self
+
+def user_rows(users: Sequence[Sequence[TokenizedPost]]) -> list[UserPosts]:
+    """The users' posts as the rows, in order, of one new TermTable."""
+    table, rows = TermTable(users), list(map(UserPosts, users))
+    for row, posts in enumerate(rows):
+        posts.table, posts.row = table, row
+    return rows
 
 
 def _rows(user_posts: Sequence[Sequence[TokenizedPost]]
           ) -> tuple[TermTable, np.ndarray]:
     """The users' table and their rows in it. Users that do not all share one
-    table are registered with a fresh one."""
+    table get a table built over them alone."""
     table = getattr(user_posts[0], "table", None) if len(user_posts) else None
     if table is None or any(getattr(u, "table", None) is not table
                             for u in user_posts):
-        table = TermTable()
-        user_posts = [UserPosts(posts, table) for posts in user_posts]
+        return TermTable(user_posts), np.arange(len(user_posts))
     return table, np.fromiter(map(_ROW, user_posts), np.int64, len(user_posts))
 
 

@@ -154,17 +154,21 @@ class TestFeaturizeCommand:
 
 
 @pytest.mark.parametrize("min_posts", ["0", "-3"])
-@pytest.mark.parametrize("command", ["label", "featurize"])
-def test_min_posts_below_one_exits_2(synth_files, tmp_path, capsys, command,
-                                     min_posts):
+@pytest.mark.parametrize("command", ["label", "featurize", "train", "evaluate"])
+def test_min_posts_below_one_exits_2(synth_files, tmp_path, capsys, monkeypatch,
+                                     command, min_posts):
     corpus, labels = synth_files
     out = tmp_path / "out.csv"
     task = ["--task", "politics", "--labels-file", str(labels)]
-    assert main([command, "--in", str(corpus), "--out", str(out),
+    loads = []
+    monkeypatch.setattr(paylens.corpus, "load_transactions",
+                        lambda *args, **kwargs: loads.append(args))
+    assert main([command, "--in", str(corpus),
+                 "--report" if command == "evaluate" else "--out", str(out),
                  "--min-posts", min_posts,
-                 *(task if command == "label" else [])]) == 2
+                 *(task if command != "featurize" else [])]) == 2
     assert capsys.readouterr().err == "error: min_posts must be >= 1\n"
-    assert not out.exists()
+    assert not out.exists() and not loads  # the corpus is never read
 
 
 class TestLabelCommand:
@@ -455,7 +459,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"gbdt_overrides": {"bogus": 1}},
-         "bad gbdt_overrides: 'payload' has unknown keys ['bogus']"),
+         "bad gbdt_overrides: 'gbdt_overrides' has unknown keys ['bogus']"),
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"seed": None}, "seed must be int, got None"),
@@ -505,11 +509,11 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("grid_overrides, message", [
         ({"gbdt_overrides": {"bogus": 1}},
-         "bad gbdt_overrides: 'payload' has unknown keys ['bogus']"),
+         "bad gbdt_overrides: 'gbdt_overrides' has unknown keys ['bogus']"),
         ({"mlp_overrides": 5}, "bad grid: 'mlp_overrides' must be dict, got 5"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"classifier": ["gbdt"], "svm_c": [1.0]},
-         "bad grid: 'payload' has unknown keys ['classifier']"),
+         "bad grid: 'grid' has unknown keys ['classifier']"),
         ({"svm_c": 1.0}, "bad grid: 'svm_c' must be a list, got 1.0"),
         ({"n_ranges": [[1, 2, 3]]},
          "bad grid: 'n_ranges' must hold 2 entries, got [1, 2, 3]"),
@@ -545,7 +549,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("command, files, code, message", [
         (["evaluate", "--grid", "{grid}"], {"grid": {"classifier": ["svm"]}}, 2,
-         "bad grid: 'payload' has unknown keys ['classifier']"),
+         "bad grid: 'grid' has unknown keys ['classifier']"),
         (["evaluate", "--grid", "{grid}"], {"grid": {"classifiers": ["forest"]}},
          2, "unknown classifier 'forest'"),
         (["evaluate", "--grid", "{grid}"], {"grid": {"n_ranges": [[1, 5]]}}, 2,
@@ -567,9 +571,12 @@ class TestEvaluateCommand:
          "C must be positive, got -1.0"),
         (["label", "--task", "gender", "--region", "zz"], {}, 1,
          "region 'zz' not in corpus regions"),
+        (["evaluate", "--folds", "1"], {}, 2, "k must be >= 2"),
+        (["evaluate", "--folds", "0"], {}, 2, "k must be >= 2"),
     ], ids=["grid_key", "grid_classifier", "grid_n_range", "ngram_max",
             "config_vectorizer", "no_labels_file", "labels_file_row",
-            "name_corpus_row", "svm_C", "mlp_C", "grid_svm_c", "gender_region"])
+            "name_corpus_row", "svm_C", "mlp_C", "grid_svm_c", "gender_region",
+            "folds_one", "folds_zero"])
     def test_small_input_errors_come_before_the_corpus(self, tmp_path, capsys,
                                                        command, files, code,
                                                        message):

@@ -144,7 +144,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("value", [[1, 2], "svm", None])
     def test_model_not_an_object(self, value):
-        with pytest.raises(CorruptError, match="bad model: 'payload' must be a "
+        with pytest.raises(CorruptError, match="bad model: 'model' must be a "
                                                "kind and payload object"):
             decode(value, object, "model")
 

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from paylens import pipeline
 from paylens.cli import main
 from paylens.corpus import group_by_user
 from paylens.errors import CorruptError
@@ -121,6 +122,15 @@ class TestFitPipeline:
         with pytest.raises(ValueError, match="feature names for"):
             fit_features(dataset, np.arange(len(dataset)), config)
 
+    def test_trained_model_checked_against_the_config(self, dataset,
+                                                       monkeypatch):
+        config = PipelineConfig(min_df=1, C=1.0)
+        # the classifier is trained under another C than the config's
+        monkeypatch.setattr(pipeline, "fit_model", lambda X, y01, _:
+                            fit_model(X, y01, replace(config, C=2.0)))
+        with pytest.raises(ValueError, match="model C mismatch"):
+            fit_pipeline(dataset, np.arange(len(dataset)), config)
+
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown vectorizer 'hashing'"):
             PipelineConfig(vectorizer="hashing")
@@ -215,9 +225,9 @@ class TestConfigSerialization:
         ({"mlp_overrides": 5}, "mlp_overrides must map MlpConfig fields"),
         ({"gbdt_overrides": ["rounds"]}, "gbdt_overrides must map GbdtConfig"),
         ({"gbdt_overrides": {"bogus": 1}},
-         r"bad gbdt_overrides: 'payload' has unknown keys \['bogus'\]"),
+         r"bad gbdt_overrides: 'gbdt_overrides' has unknown keys \['bogus'\]"),
         ({"mlp_overrides": (("hidden", 4), ("rounds", 3))},
-         r"bad mlp_overrides: 'payload' has unknown keys \['rounds'\]"),
+         r"bad mlp_overrides: 'mlp_overrides' has unknown keys \['rounds'\]"),
         ({"gbdt_overrides": {"rounds": "x"}}, "'rounds' must be int, got 'x'"),
         ({"gbdt_overrides": {"rounds": 3.0}}, "'rounds' must be int, got 3.0"),
         ({"mlp_overrides": {"lr": True}}, "'lr' must be float, got True"),

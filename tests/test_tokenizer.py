@@ -1,5 +1,8 @@
+import copy
+import pickle
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from paylens.tokenizer import (EMOJI, EMOTICON, NUMBER, PUNCT, SHORTCODE,
                                WORD, Token, TokenizedPost, lemma_for_word,
                                ngram_orders, ngrams, tokenize_post)
 from paylens.vectorizer import (TermTable, UserPosts, count_transform,
-                                fit_vocabulary)
+                                fit_vocabulary, user_rows)
 
 from conftest import synth_dataset
 from oracles import generate_ngrams_oracle, tokenize_post_oracle
@@ -37,7 +40,7 @@ def post_ngrams(post, n_range):
 
 def user(*notes):
     """One user's posts over a table of its own."""
-    return UserPosts([tokenize_post(n) for n in notes], TermTable())
+    return user_rows([[tokenize_post(n) for n in notes]])[0]
 
 
 def grams_of(user_posts, n):
@@ -229,7 +232,7 @@ class TestNgramCache:
 
     def test_cache_leaves_value_unchanged(self):
         posts = (tokenize_post("pizza night out"), tokenize_post("rent"))
-        cached = UserPosts(posts, TermTable())
+        cached = user_rows([posts])[0]
         before = (repr(cached), hash(cached))
         fit_vocabulary([cached], (1, 3), min_df=1)
         assert cached.table.ngrams and cached == posts and hash(cached) == hash(posts)
@@ -257,13 +260,34 @@ class TestNgramCache:
         assert sorted(table.ngrams) == [1, 2] and len(indptr) == len(dataset) + 1
         assert not other.posts[0].table.ngrams
 
-    def test_user_registered_after_a_fill(self):
-        first = user("a b", "c")
-        fit_vocabulary([first], (1, 2), min_df=1)
-        later = UserPosts([tokenize_post("a b c")], first.table)
-        vocab = fit_vocabulary([first, later], (1, 2), min_df=2)
-        assert dict(zip(vocab.terms, vocab.df)) == {"a": 2, "a b": 2, "b": 2, "c": 2}
-        assert grams_of(later, 2) == {"a b": 1, "b c": 1}
+    @pytest.mark.parametrize("restore", [lambda d: pickle.loads(pickle.dumps(d)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_dataset_restored_with_one_table_and_its_orders(self, monkeypatch,
+                                                            restore):
+        dataset = synth_dataset(seed=3, n=5)
+        table = dataset.posts[0].table
+        vocab = fit_vocabulary(dataset.posts, (1, 2), min_df=1)
+        counts = count_transform(dataset.posts, vocab)
+        built = []
+        init = TermTable.__init__
+        monkeypatch.setattr(TermTable, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        restored = restore(dataset)
+        assert not built  # the table is restored, never built again
+        again = restored.posts[0].table
+        assert again is not table and restored.posts == dataset.posts
+        assert all(type(u) is UserPosts and u.table is again for u in restored.posts)
+        assert [u.row for u in restored.posts] == list(range(len(dataset)))
+        assert dict(again) == dict(table) and again.posts == table.posts
+        assert again.ends.tolist() == table.ends.tolist()
+        cached = dict(again.ngrams)
+        assert sorted(cached) == [1, 2]
+        for n in (1, 2):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(cached[n], table.ngrams[n]))
+        assert fit_vocabulary(restored.posts, (1, 2), min_df=1) == vocab
+        assert (count_transform(restored.posts, vocab) != counts).nnz == 0
+        assert all(again.ngrams[n] is cached[n] for n in (1, 2))
 
     def test_short_posts(self):
         for notes, n in (((), 1), (("",), 1), (("one",), 2), (("one two",), 3)):
